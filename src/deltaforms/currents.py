@@ -187,18 +187,14 @@ def slice_cell(cell, hyperplanes):
         ar = [Q(x) for x in a]
         nxt = []
         for p in pieces:
+            if not p.crosses(ar, b):
+                nxt.append(p)
+                continue
             ir, irhs = p.ineqs_rational()
             base_ineqs = list(zip(ir, irhs))
             eqs = p.eqs_rational()
-            lo = polyhedron(p.n, base_ineqs + [(ar, qof(b))], eqs=eqs)
-            hi = polyhedron(p.n, base_ineqs + [([-x for x in ar], -qof(b))], eqs=eqs)
-            if (lo is not None and lo.dim == p.dim
-                    and hi is not None and hi.dim == p.dim
-                    and lo is not p and hi is not p):
-                nxt.append(lo)
-                nxt.append(hi)
-            else:
-                nxt.append(p)
+            nxt.append(polyhedron(p.n, base_ineqs + [(ar, qof(b))], eqs=eqs))
+            nxt.append(polyhedron(p.n, base_ineqs + [([-x for x in ar], -qof(b))], eqs=eqs))
         pieces = nxt
     return pieces
 
@@ -207,7 +203,7 @@ def _sliced_terms(terms, hyperplanes):
     out = []
     for cell, form, w in terms:
         for piece in slice_cell(cell, hyperplanes):
-            if piece is cell:
+            if piece == cell:
                 out.append((cell, form, w))
             else:
                 out.append((piece, transport_form(form, cell, piece), w))
@@ -411,7 +407,7 @@ def _stratum_totals(terms, pool):
     for cell, form, w in terms:
         f = form.scale(w)
         for piece in slice_cell(cell, pool):
-            g = transport_form(f, cell, piece) if piece is not cell else f
+            g = transport_form(f, cell, piece) if piece != cell else f
             totals[piece] = totals[piece] + g if piece in totals else g
     return {piece: f for piece, f in totals.items() if not f.is_zero()}
 

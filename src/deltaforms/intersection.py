@@ -315,7 +315,7 @@ def _maximal_cells_of(T):
     cells = [c for c, _, _ in T.terms]
     out = []
     for c in cells:
-        if not any(o is not c and intersect(c, o) == c for o in cells):
+        if not any(o != c and intersect(c, o) == c for o in cells):
             out.append(c)
     return out
 

@@ -3,6 +3,12 @@
 Two-phase primal simplex with Bland's rule on a dense tableau.  All pivots
 and comparisons happen in the coefficient field, so verdicts are exact and
 the same input always yields the same witness.
+
+Polyhedron canonicalization does not use it (see polyhedra).  The callers
+are Polyhedron.relint_point (strict_interior over Q) and the displacement
+route in intersection, whose is_generic and displacement_product test each
+pair of cells for feasibility and a strict interior point of the displaced
+system over Q(eps).
 """
 
 from __future__ import annotations

@@ -2,8 +2,17 @@
 
 Every polyhedron is reduced to a canonical irredundant description (implicit
 equalities in integer RREF, inequalities primitive, deduplicated, irredundant
-and sorted) and interned, so equal polyhedra are the same object and carry
-cached charts and face lattices.
+and sorted) and interned, so equal polyhedra share one object and its cached
+charts and face lattices.  Interning saves work only: compare polyhedra with
+==, never with `is`, because a cleared intern table makes equal copies.
+
+The canonical form is computed without linear programming: emptiness,
+implicit equalities and facets are read off the lineality, vertices and
+extreme rays of the homogenized cone {(u, t) : a.u <= b t, t >= 0}, found by
+exact integer double description (see cones and _canonicalize).  Implicit
+rows join the equalities in RREF; facet rows are reduced modulo them, scaled
+to primitive integers, deduplicated and sorted.  Polyhedra cache these
+generators, which tell on which sides of a hyperplane they lie (crosses).
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from .linalg import (
     solve_linear,
     vec_dot,
 )
-from .lp import lp_extremum, lp_feasible, strict_interior
+from .cones import double_description, int_dot, integer_rank
+from .lp import strict_interior
 from .scalars import Q, QONE, QZERO, qof
 
 _CACHE: dict = {}
@@ -45,75 +55,72 @@ def _row_reduce_mod_eqs(a, b, eq_rows):
     return a, b
 
 
+def _homogenized_cone(n, rows, rhs, eqs):
+    """Generators of {(u, t) : a.u <= b t, t >= 0} over the free coordinates.
+
+    The equalities are brought to RREF and their pivot coordinates eliminated;
+    u runs over the remaining coordinates.  Row 0 of the cone is t >= 0 and
+    row i + 1 is inequality i.  Returns (eq_red, pivots, free, lines, rays,
+    zeros) as in cones.double_description, or None if the equalities are
+    inconsistent.
+    """
+    eq_red, pivots = rref([list(e) + [f] for e, f in eqs])
+    if n in pivots:
+        return None
+    free = [j for j in range(n) if j not in pivots]
+    cone = [[0] * len(free) + [-1]]
+    for a, b in zip(rows, rhs):
+        a, b = _row_reduce_mod_eqs(a, b, eq_red)
+        cone.append(clear_denominators([a[j] for j in free] + [-b]))
+    return (eq_red, pivots, free) + double_description(cone, len(free) + 1)
+
+
 def _canonicalize(n, ineqs, eqs):
     """Canonical (eq_rows, ineq_rows) as integer tuples, or None if empty.
 
     Row layout: each row is (a_1, ..., a_n, b) for a.x <= b resp. a.x = b.
+    The given equalities are eliminated first.  The set is empty when no
+    generator of its homogenized cone has t > 0.  A row is an implicit
+    equality when every generator is tight on it, and a facet when the
+    lineality and its tight rays have rank one less than the cone.
     """
     rows = [[qof(x) for x in a] for a, _ in ineqs]
     rhs = [qof(b) for _, b in ineqs]
     eqlist = [([qof(x) for x in e], qof(f)) for e, f in eqs]
-    feas = lp_feasible([r[:] for r in rows], rhs[:], eqs=[(e[:], f) for e, f in eqlist])
-    if feas.status == "infeasible":
+    cone = _homogenized_cone(n, rows, rhs, eqlist)
+    if cone is None:
+        return None
+    eq_red, _, _, lines, rays, zeros = cone
+    if not any(r[-1] > 0 for r in rays):
         return None
 
-    # find the rows that hold with equality on the whole set
     m = len(rows)
-    nonimplicit = set()
-
-    def absorb(pt):
-        for j in range(m):
-            if j not in nonimplicit and vec_dot(rows[j], pt) < rhs[j]:
-                nonimplicit.add(j)
-
-    if feas.witness is not None:
-        absorb(feas.witness)
-    implicit = []
-    for i in range(m):
-        if i in nonimplicit:
-            continue
-        lo = lp_extremum(rows[i], [r[:] for r in rows], rhs[:], "min",
-                         eqs=[(e[:], f) for e, f in eqlist])
-        if lo.status == "optimal" and lo.value == rhs[i]:
-            implicit.append(i)
-        else:
-            nonimplicit.add(i)
-            if lo.status == "optimal":
-                absorb(lo.witness)
-
-    eq_aug = [list(e) + [f] for e, f in eqlist]
-    eq_aug += [rows[i] + [rhs[i]] for i in implicit]
-    eq_red, pivots = rref(eq_aug)
-    if any(p == n for p in pivots):
-        raise AssertionError("inconsistent equalities on a feasible set")
-    eq_rows = [tuple(clear_denominators(r)) for r in eq_red]
-
-    seen = {}
+    implicit = [i for i in range(m) if all(z >> (i + 1) & 1 for z in zeros)]
+    facet_rank = integer_rank(lines + rays) - 1
+    facets = []
     for i in range(m):
         if i in implicit:
             continue
+        tight = [r for r, z in zip(rays, zeros) if z >> (i + 1) & 1]
+        if (len(lines) + len(tight) >= facet_rank
+                and integer_rank(lines + tight) == facet_rank):
+            facets.append(i)
+
+    if implicit:
+        eq_aug = [list(e) + [f] for e, f in eqlist]
+        eq_aug += [rows[i] + [rhs[i]] for i in implicit]
+        eq_red, pivots = rref(eq_aug)
+        if any(p == n for p in pivots):
+            raise AssertionError("inconsistent equalities on a feasible set")
+    eq_rows = [tuple(clear_denominators(r)) for r in eq_red]
+
+    seen = set()
+    for i in facets:
         a, b = _row_reduce_mod_eqs(rows[i], rhs[i], eq_rows)
         if all(x == 0 for x in a):
             continue
-        prim = clear_denominators(a + [b])
-        key = tuple(prim[:-1])
-        if key not in seen or prim[-1] < seen[key]:
-            seen[key] = prim[-1]
-    cand = sorted((list(a) + [b]) for a, b in seen.items())
-
-    # irredundancy: drop rows implied by the others, in deterministic order
-    kept = [True] * len(cand)
-    eqs_for_lp = [([Q(x) for x in r[:-1]], Q(r[-1])) for r in eq_rows]
-    for i in range(len(cand)):
-        others_rows = [[Q(x) for x in cand[j][:-1]] for j in range(len(cand))
-                       if j != i and kept[j]]
-        others_rhs = [Q(cand[j][-1]) for j in range(len(cand)) if j != i and kept[j]]
-        hi = lp_extremum([Q(x) for x in cand[i][:-1]], others_rows, others_rhs,
-                         "max", eqs=eqs_for_lp)
-        if hi.status == "optimal" and hi.value <= cand[i][-1]:
-            kept[i] = False
-    ineq_rows = tuple(tuple(r) for r, k in zip(cand, kept) if k)
-    return tuple(eq_rows), ineq_rows
+        seen.add(tuple(clear_denominators(a + [b])))
+    return tuple(eq_rows), tuple(sorted(seen))
 
 
 class Chart:
@@ -173,7 +180,8 @@ class Polyhedron:
     """Canonical interned rational polyhedron {x : A x <= b, E x = f}."""
 
     __slots__ = ("n", "eq_rows", "ineq_rows", "_span", "_chart", "_base",
-                 "_facets", "_faces", "_relint", "_bounded", "_local_hrep")
+                 "_facets", "_faces", "_relint", "_bounded", "_local_hrep",
+                 "_generators")
 
     def __init__(self, n, eq_rows, ineq_rows, _token=None):
         if _token is not _SENTINEL:
@@ -189,6 +197,7 @@ class Polyhedron:
         self._relint = None
         self._bounded = None
         self._local_hrep = None
+        self._generators = None
 
     # -- identity ----------------------------------------------------------
     @property
@@ -313,6 +322,38 @@ class Polyhedron:
                 raise AssertionError("canonical polyhedron with empty relint")
             self._relint = tuple(p) if p else tuple(self.base_point)
         return list(self._relint)
+
+    def generators(self):
+        """(rays, lines) of the cone over the polyhedron, in R^(n+1).
+
+        Primitive integer vectors (x, t): a ray with t > 0 is the point x / t,
+        a ray with t = 0 a recession direction x, and lines span the
+        lineality space (t = 0).
+        """
+        if self._generators is None:
+            ir, irhs = self.ineqs_rational()
+            eq_red, pivots, free, lines, rays, _ = _homogenized_cone(
+                self.n, ir, irhs, self.eqs_rational())
+
+            def lift(y):
+                x = [QZERO] * self.n
+                for k, j in enumerate(free):
+                    x[j] = Q(y[k])
+                for row, p in zip(eq_red, pivots):
+                    x[p] = row[-1] * y[-1] - vec_dot(row[:-1], x)
+                return tuple(clear_denominators(x + [Q(y[-1])]))
+
+            self._generators = (tuple(map(lift, rays)), tuple(map(lift, lines)))
+        return self._generators
+
+    def crosses(self, a, b) -> bool:
+        """True when a.x - b takes both strict signs on the polyhedron."""
+        h = clear_denominators(list(a) + [-qof(b)])
+        rays, lines = self.generators()
+        if any(int_dot(h, ln) for ln in lines):
+            return True
+        vals = [int_dot(h, r) for r in rays]
+        return any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
     def is_bounded(self) -> bool:
         if self._bounded is None:
@@ -540,7 +581,7 @@ class Complex:
     def maximal_cells(self):
         out = []
         for c in self.cells:
-            if not any(other is not c and intersect(c, other) == c for other in self.cells):
+            if not any(other != c and intersect(c, other) == c for other in self.cells):
                 out.append(c)
         return out
 

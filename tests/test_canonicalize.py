@@ -1,0 +1,125 @@
+"""Double-description canonicalization against the LP oracle, and invariances.
+
+The canonical form of a polyhedron (affine hull in integer RREF plus its
+sorted primitive facet rows) depends only on the set, so the LP-free
+canonicalizer must reproduce the LP canonicalizer row for row, and
+polyhedron() must hand back the same interned object for every description
+of the same set.
+"""
+
+import random
+from fractions import Fraction as Q
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lp_canonicalize import lp_canonicalize
+from deltaforms.polyhedra import _canonicalize, polyhedron
+
+COEF = st.integers(-3, 3)
+
+
+@st.composite
+def systems(draw):
+    """(n, ineqs, eqs) with n <= 4, at most 8 inequalities, entries -3..3.
+
+    Columns in `dead` are zero in every row, which gives lineality; a
+    mirrored row gives an implicit equality; the entries make empty sets
+    common.
+    """
+    n = draw(st.integers(1, 4))
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    row = st.tuples(
+        st.lists(COEF, min_size=n, max_size=n).map(
+            lambda a: [Q(0) if j in dead else Q(x) for j, x in enumerate(a)]),
+        COEF.map(Q))
+    ineqs = draw(st.lists(row, max_size=7))
+    if ineqs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(ineqs))
+        ineqs.append(([-x for x in a], -b))
+    eqs = draw(st.lists(row, max_size=2))
+    return n, ineqs, eqs
+
+
+def _rows(*rows):
+    return [([Q(x) for x in r[:-1]], Q(r[-1])) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example((2, _rows((1, 0, 0), (-1, 0, -1)), []))              # empty
+@example((2, _rows((1, 1, 2), (-1, -1, -2), (0, 1, 5)), []))  # implicit eq
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 1)), []))         # lineality 2
+@example((2, _rows((1, 0, 1)), _rows((1, 0, 2))))              # eq cuts empty
+@example((2, [], _rows((1, 1, 1), (2, 2, 3))))                 # eqs clash
+def test_agrees_with_the_lp_oracle(system):
+    n, ineqs, eqs = system
+    assert _canonicalize(n, ineqs, eqs) == lp_canonicalize(n, ineqs, eqs)
+
+
+def test_agrees_with_the_lp_oracle_on_a_seeded_corpus():
+    rng = random.Random(2107)
+    kinds = {"empty": 0, "implicit": 0, "lineality": 0}
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        ineqs = [([Q(rng.randint(-3, 3)) for _ in range(n)], Q(rng.randint(-1, 3)))
+                 for _ in range(rng.randint(0, 7))]
+        if ineqs and rng.random() < 0.3:
+            a, b = rng.choice(ineqs)
+            ineqs.append(([-x for x in a], -b))
+        eqs = [([Q(rng.randint(-3, 3)) for _ in range(n)], Q(rng.randint(-3, 3)))
+               for _ in range(rng.choice((0, 0, 1, 2)))]
+        got = _canonicalize(n, ineqs, eqs)
+        assert got == lp_canonicalize(n, ineqs, eqs)
+        if got is None:
+            kinds["empty"] += 1
+            continue
+        p = polyhedron(n, ineqs, eqs)
+        kinds["implicit"] += len(p.eq_rows) > len(eqs)
+        kinds["lineality"] += p.lineality.rank > 0
+    assert all(kinds.values()), kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.randoms(use_true_random=False),
+       st.lists(st.integers(1, 5), min_size=16, max_size=16))
+def test_same_set_same_object(system, rnd, factors):
+    """Permuted, positively scaled and padded descriptions intern alike."""
+    n, ineqs, eqs = system
+    p = polyhedron(n, ineqs, eqs)
+    rows = [([k * x for x in a], k * b) for (a, b), k in zip(ineqs, factors)]
+    rnd.shuffle(rows)
+    if ineqs:
+        (a1, b1), (a2, b2) = rnd.choice(ineqs), rnd.choice(ineqs)
+        rows.append(([x + y for x, y in zip(a1, a2)], b1 + b2))  # a sum
+        rows.append((a1, b1 + factors[-1]))                      # loosened
+        rnd.shuffle(rows)
+    mixed = [([-k * x for x in e], -k * f) for (e, f), k
+             in zip(eqs, factors[8:])]
+    assert polyhedron(n, rows, mixed[::-1]) is p
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.lists(COEF, min_size=4, max_size=4), COEF)
+def test_crosses_matches_slicing_both_sides(system, a, b):
+    """p.crosses(a, b) iff both closed sides of a.x = b are proper and full."""
+    n, ineqs, eqs = system
+    p = polyhedron(n, ineqs, eqs)
+    if p is None:
+        return
+    a = [Q(x) for x in a[:n]]
+    ir, irhs = p.ineqs_rational()
+    base = list(zip(ir, irhs))
+    lo = polyhedron(n, base + [(a, Q(b))], p.eqs_rational())
+    hi = polyhedron(n, base + [([-x for x in a], -Q(b))], p.eqs_rational())
+    sliced = (lo is not None and lo.dim == p.dim and lo != p
+              and hi is not None and hi.dim == p.dim and hi != p)
+    assert p.crosses(a, b) == sliced
+
+
+def test_generators_of_a_half_strip():
+    # 0 <= y <= 1 in R^2: lineality along x, vertices (0, 0) and (0, 1)
+    p = polyhedron(2, _rows((0, 1, 1), (0, -1, 0)))
+    rays, lines = p.generators()
+    assert [[abs(x) for x in ln] for ln in lines] == [[1, 0, 0]]
+    assert sorted(r[1:] for r in rays) == [(0, 1), (1, 1)]

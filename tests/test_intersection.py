@@ -32,6 +32,7 @@ from deltaforms.intersection import (
     value_form,
     wedge_diagonal,
 )
+from deltaforms import polyhedra
 from deltaforms.polyhedra import ray_from, segment, single_point, whole_space
 from deltaforms.superforms import Poly, SuperForm
 
@@ -169,6 +170,20 @@ class TestWedgeDiagonal:
         F = fundamental_cycle(2)
         assert wedge_diagonal(F, L).equals(L)
         assert wedge_diagonal(L, F).equals(L)
+
+    def test_unit_survives_a_cleared_intern_cache(self):
+        # cells built before the clear are equal to, but no longer the same
+        # objects as, the ones built after it
+        L = tropical_line()
+        F = fundamental_cycle(2)
+        assert wedge_diagonal(F, L).equals(L)
+        saved = dict(polyhedra._CACHE)
+        polyhedra._CACHE.clear()
+        try:
+            assert wedge_diagonal(F, L).equals(L)
+        finally:
+            polyhedra._CACHE.clear()
+            polyhedra._CACHE.update(saved)
 
     def test_translated_lines_meet_once(self):
         L = tropical_line()
