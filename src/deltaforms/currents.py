@@ -96,20 +96,8 @@ class AffineMap:
     def apply_linear(self, v):
         return [vec_dot(row, v) for row in self.lin]
 
-    def compose(self, other):
-        """self after other."""
-        if self.n != other.m:
-            raise ValueError("composition dimension mismatch")
-        rows = [[vec_dot(row, [other.lin[i][j] for i in range(other.m)])
-                 for j in range(other.n)] for row in self.lin]
-        shift = self.apply(other.shift)
-        return AffineMap(rows, shift)
-
     def is_surjective(self):
         return rank([list(r) for r in self.lin]) == self.m
-
-    def is_injective(self):
-        return rank([list(r) for r in self.lin]) == self.n
 
     def __repr__(self):
         return "AffineMap(%r, %r)" % (self.lin, self.shift)
@@ -292,10 +280,6 @@ class DeltaForm:
 
     def tridegrees(self):
         return sorted(self.tridegree_components())
-
-    def total_degrees(self):
-        """Current degrees p + q + 2r of the homogeneous components."""
-        return sorted({p + q + 2 * r for p, q, r in self.tridegrees()})
 
     # -- refinement and equality ----------------------------------------------
 

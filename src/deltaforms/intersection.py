@@ -12,6 +12,7 @@ from .currents import (
     DeltaForm,
     PreconditionError,
     _check_balanced_refined,
+    _facet_stars,
     _sliced_terms,
     cell_summary,
     chart_to_ambient,
@@ -23,16 +24,17 @@ from .currents import (
     transport_form,
 )
 from .linalg import rank, solve_linear, vec_dot
-from .lp import lp_feasible, strict_interior
+from .lp import lp_extremum, strict_interior
 from .polyhedra import (
     Complex,
     ComplexError,
     intersect,
+    maximal_cells_of,
     polyhedron,
     primitive_normal,
     stable_weight,
 )
-from .scalars import EpsRational, Q, QONE, qof, qstr
+from .scalars import Q, QONE, QZERO, qof, qstr
 from .superforms import PiecewiseForm, PLFunction, Poly, SuperForm
 
 
@@ -135,12 +137,7 @@ def _divisor_core(phi, R):
                 "function does not cover a cell of the current",
                 {"cell": cell_summary(cell)})
         gradients[cell] = phi.gradient(covering)
-    stars = {}
-    for cell, form, w in R.terms:
-        if cell.dim == 0:
-            continue
-        for tau in cell.facets():
-            stars.setdefault(tau, []).append((cell, form.scale(w)))
+    stars = _facet_stars(R.terms)
     out = {}
     for tau in sorted(stars, key=lambda c: c.sort_key):
         contributions = sorted(stars[tau], key=lambda t: t[0].sort_key)
@@ -310,34 +307,68 @@ def transversal_product(S, T):
 
 
 # ------------------------------------------------------ stable displacement --
+#
+# Displacing T by eps v for an infinitesimal eps > 0 is decided over Q.  For
+# maximal cells c1 of S and c2 of T, the lifted polyhedron
+#
+#     L = {(x, s) in R^(n+1) : x in c1, x - s v in c2, s >= 0}
+#
+# has the rows of c1 padded with 0, the rows of c2 padded with -a.v, and the
+# row -s <= 0, all rational.  Its projection onto s is the closed interval of
+# shifts at which the pair meets, so the pair meets for all small eps > 0
+# exactly when c1 and c2 meet (s = 0) and L has a point with s > 0.  The best
+# common slack of the pair's inequalities is a concave function of s that is
+# >= 0 at s = 0, so it is > 0 for all small s > 0 exactly when L has a point
+# strictly inside every inequality row, -s <= 0 included.  These are the
+# verdicts of the stable intersection (Jensen & Yu 2016) as eps -> 0+.
 
-def _maximal_cells_of(T):
-    cells = [c for c, _, _ in T.terms]
-    out = []
-    for c in cells:
-        if not any(o != c and intersect(c, o) == c for o in cells):
-            out.append(c)
-    return out
-
-
-def _displaced_system(c1, c2, v):
-    """Constraints of c1 and of c2 shifted by eps v, over Q(eps)."""
-    eps = EpsRational.eps()
+def _lifted_system(c1, c2, v):
+    """Rows, right-hand sides and equalities of the lifted polyhedron L."""
     rows, rhs, eqs = [], [], []
-    r1, b1 = c1.ineqs_rational()
-    for a, b in zip(r1, b1):
-        rows.append([EpsRational.coerce(x) for x in a])
-        rhs.append(EpsRational.coerce(b))
-    for a, b in c1.eqs_rational():
-        eqs.append(([EpsRational.coerce(x) for x in a], EpsRational.coerce(b)))
-    r2, b2 = c2.ineqs_rational()
-    for a, b in zip(r2, b2):
-        rows.append([EpsRational.coerce(x) for x in a])
-        rhs.append(EpsRational.coerce(b) + eps * vec_dot(a, v))
-    for a, b in c2.eqs_rational():
-        eqs.append(([EpsRational.coerce(x) for x in a],
-                    EpsRational.coerce(b) + eps * vec_dot(a, v)))
+    for cell, shifted in ((c1, False), (c2, True)):
+        a_rows, b = cell.ineqs_rational()
+        for a, b_i in zip(a_rows, b):
+            rows.append(list(a) + [-vec_dot(a, v) if shifted else QZERO])
+            rhs.append(b_i)
+        for a, b_i in cell.eqs_rational():
+            eqs.append((list(a) + [-vec_dot(a, v) if shifted else QZERO], b_i))
+    rows.append([QZERO] * len(v) + [-QONE])
+    rhs.append(QZERO)
     return rows, rhs, eqs
+
+
+def _stable_pairs(A, B, v):
+    """The pairs of maximal cells that meet after displacing B by eps v.
+
+    A and B are canonical.  Returns (pairs, None), pairs a list of
+    (c1, c2, c1 & c2) in the order of A's and B's terms, or (None, (c1, c2))
+    for the first pair that meets for small eps without a strict interior
+    point or with affine hulls that are not transversal.
+    """
+    n = A.n
+    left = maximal_cells_of([c for c, _, _ in A.terms])
+    right = maximal_cells_of([c for c, _, _ in B.terms])
+    pairs = []
+    for c1 in left:
+        for c2 in right:
+            pi = intersect(c1, c2)
+            if pi is None:
+                continue
+            rows, rhs, eqs = _lifted_system(c1, c2, v)
+            if strict_interior(rows, rhs, eqs=eqs) is not None:
+                eq_lin = ([a for a, _ in c1.eqs_rational()]
+                          + [a for a, _ in c2.eqs_rational()])
+                if rank(eq_lin) != (n - c1.dim) + (n - c2.dim):
+                    return None, (c1, c2)
+                pairs.append((c1, c2, pi))
+                continue
+            # no strict point: fail if the pair still meets at some s > 0
+            top = lp_extremum([QZERO] * n + [QONE],
+                              rows + [[QZERO] * n + [QONE]], rhs + [QONE],
+                              "max", eqs=eqs)
+            if top.value > 0:
+                return None, (c1, c2)
+    return pairs, None
 
 
 def is_generic(v, S, T):
@@ -347,23 +378,9 @@ def is_generic(v, S, T):
     have a strict interior point and transversal affine hulls.  Returns
     (True, None) or (False, (left cell, right cell)).
     """
-    A, B = S.canonicalize(), T.canonicalize()
-    n = A.n
-    v = [qof(x) for x in v]
-    for c1 in _maximal_cells_of(A):
-        for c2 in _maximal_cells_of(B):
-            rows, rhs, eqs = _displaced_system(c1, c2, v)
-            feas = lp_feasible(rows, rhs, eqs=eqs)
-            if feas.status != "feasible":
-                continue
-            if strict_interior(rows, rhs, eqs=eqs) is None:
-                return False, (c1, c2)
-            eq_lin = ([a for a, _ in c1.eqs_rational()]
-                      + [a for a, _ in c2.eqs_rational()])
-            expected = (n - c1.dim) + (n - c2.dim)
-            if rank(eq_lin) != expected:
-                return False, (c1, c2)
-    return True, None
+    _, pair = _stable_pairs(S.canonicalize(), T.canonicalize(),
+                            [qof(x) for x in v])
+    return pair is None, pair
 
 
 def displacement_product(S, T, v):
@@ -376,35 +393,25 @@ def displacement_product(S, T, v):
     if S.n != T.n:
         raise ValueError("product factors live in different spaces")
     v = [qof(x) for x in v]
-    ok, pair = is_generic(v, S, T)
-    if not ok:
+    A, B = S.canonicalize(), T.canonicalize()
+    pairs, failing = _stable_pairs(A, B, v)
+    if failing is not None:
         raise NonGenericError(
             "displacement vector is not generic",
             {"vector": [qstr(x) for x in v],
-             "left": cell_summary(pair[0]),
-             "right": cell_summary(pair[1])})
-    A, B = S.canonicalize(), T.canonicalize()
-    n = A.n
-    max_a = set(_maximal_cells_of(A))
-    max_b = set(_maximal_cells_of(B))
+             "left": cell_summary(failing[0]),
+             "right": cell_summary(failing[1])})
+    terms_a = {c: (f, w) for c, f, w in A.terms}
+    terms_b = {c: (f, w) for c, f, w in B.terms}
     out = []
-    for c1, f1, w1 in A.terms:
-        if c1 not in max_a:
-            continue
-        for c2, f2, w2 in B.terms:
-            if c2 not in max_b:
-                continue
-            rows, rhs, eqs = _displaced_system(c1, c2, v)
-            if lp_feasible(rows, rhs, eqs=eqs).status != "feasible":
-                continue
-            pi = intersect(c1, c2)
-            if pi is None:
-                raise AssertionError("stable pair lost its intersection at eps = 0")
-            idx = stable_weight(c1.span, w1, c2.span, w2)
-            form = chart_to_ambient(f1, c1).restrict(pi.chart).wedge(
-                chart_to_ambient(f2, c2).restrict(pi.chart))
-            out.append((pi, form, idx))
-    return DeltaForm(n, out).canonicalize()
+    for c1, c2, pi in pairs:
+        f1, w1 = terms_a[c1]
+        f2, w2 = terms_b[c2]
+        idx = stable_weight(c1.span, w1, c2.span, w2)
+        form = chart_to_ambient(f1, c1).restrict(pi.chart).wedge(
+            chart_to_ambient(f2, c2).restrict(pi.chart))
+        out.append((pi, form, idx))
+    return DeltaForm(A.n, out).canonicalize()
 
 
 def generic_vector(S, T, limit=64):

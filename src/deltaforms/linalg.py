@@ -31,14 +31,6 @@ def vec_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_scale(a, s):
-    return [x * s for x in a]
-
-
 def rref(rows):
     """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
     m = [ [qof(x) for x in r] for r in rows ]
@@ -131,36 +123,6 @@ def det(rows):
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return d
-
-
-class RatMatrix:
-    """Thin exact rational matrix with the operations the geometry needs."""
-
-    def __init__(self, rows):
-        self.rows = [[qof(x) for x in r] for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("ragged matrix")
-
-    def rank(self):
-        return rank(self.rows)
-
-    def det(self):
-        return det(self.rows)
-
-    def solve(self, b):
-        return solve_linear(self.rows, list(b))
-
-    def kernel(self):
-        """Kernel basis; integral and primitive when the matrix is integral."""
-        if self.rows and all(x.denominator == 1 for r in self.rows for x in r):
-            im = [[int(x) for x in r] for r in self.rows]
-            return [list(map(Q, v)) for v in integer_kernel(im, self.ncols)]
-        return kernel_rational(self.rows, self.ncols)
-
-    def mul_vec(self, v):
-        return mat_mul_vec(self.rows, list(v))
 
 
 def invert(rows):

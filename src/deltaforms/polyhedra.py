@@ -36,7 +36,7 @@ from .linalg import (
 )
 from .cones import double_description, int_dot, integer_rank
 from .lp import strict_interior
-from .scalars import Q, QONE, QZERO, qof
+from .scalars import Q, QONE, QZERO, qof, qstr
 
 _CACHE: dict = {}
 
@@ -571,7 +571,7 @@ class Complex:
                         "cell_a": i,
                         "cell_b": j,
                         "intersection_dim": cap.dim,
-                        "witness_point": [qstr_like(x) for x in cap.relint_point()],
+                        "witness_point": [qstr(x) for x in cap.relint_point()],
                     }
         return None
 
@@ -579,11 +579,7 @@ class Complex:
         return [c for c in self.cells if c.dim == d]
 
     def maximal_cells(self):
-        out = []
-        for c in self.cells:
-            if not any(other != c and intersect(c, other) == c for other in self.cells):
-                out.append(c)
-        return out
+        return maximal_cells_of(self.cells)
 
     def __eq__(self, other):
         return isinstance(other, Complex) and self.cells == other.cells
@@ -592,10 +588,10 @@ class Complex:
         return hash(self.cells)
 
 
-def qstr_like(x):
-    from .scalars import qstr
-
-    return qstr(qof(x))
+def maximal_cells_of(cells):
+    """The cells contained in no other cell of the list, in list order."""
+    return [c for c in cells
+            if not any(o != c and intersect(c, o) == c for o in cells)]
 
 
 def refine_pairs(cells_a, cells_b):

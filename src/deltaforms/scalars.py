@@ -1,8 +1,8 @@
-"""Exact scalars: arbitrary-precision rationals and the ordered field Q(eps).
+"""Exact scalars: arbitrary-precision rationals.
 
-Rationals are fractions.Fraction throughout.  EpsRational adjoins a formal
-symbol eps that is positive but smaller than every positive rational; the
-ordering is decided by the lowest-degree coefficient, never by floats.
+Rationals are fractions.Fraction throughout; no floats and no tolerances.
+Infinitesimal displacements are decided over Q as well, by treating the
+displacement as one more coordinate (see intersection._stable_pairs).
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ def qof(x) -> Fraction:
         return Q(x)
     if isinstance(x, str):
         return Q(x.strip())
-    if isinstance(x, EpsRational):
-        if x.is_rational():
-            return x.rational_part()
-        raise ValueError("cannot coerce a nonconstant Q(eps) element to Q")
     raise TypeError(f"not a rational: {x!r}")
 
 
@@ -34,243 +30,3 @@ def qstr(x) -> str:
     """Serialize a rational as 'p/q' with q > 0."""
     x = qof(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-# -- polynomial helpers over Q, coefficients listed by ascending degree --
-
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else QZERO) + (b[i] if i < len(b) else QZERO)
-                   for i in range(n)])
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [QZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pscale(a, s):
-    if not s:
-        return ()
-    return tuple(x * s for x in a)
-
-
-def _pdivmod(a, b):
-    # b nonzero
-    a = list(a)
-    q = [QZERO] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and _ptrim(a):
-        a = list(_ptrim(a))
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        f = a[-1] / lead
-        q[k] = f
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        a = a[:-1]
-    return _ptrim(q), _ptrim(a)
-
-
-def _pgcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        a = _pscale(a, 1 / a[-1])
-    return a
-
-
-def _low(a):
-    """(index, coeff) of the lowest-degree nonzero term; a nonzero."""
-    for i, x in enumerate(a):
-        if x:
-            return i, x
-    raise ValueError("zero polynomial")
-
-
-class EpsRational:
-    """Element of the ordered field Q(eps), eps an infinitesimal > 0.
-
-    Stored as a reduced fraction of polynomials in eps; the denominator is
-    normalized so its lowest-degree coefficient is 1, hence plain rationals
-    have denominator (1,).  Sign of p/q as eps -> 0+ is the sign of the
-    lowest-order coefficient of p.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num=0, den=None):
-        if isinstance(num, EpsRational):
-            self.num, self.den = num.num, num.den
-            return
-        if isinstance(num, (int, Fraction, str)):
-            num = (qof(num),)
-        num = _ptrim(tuple(qof(c) for c in num))
-        if den is None:
-            den = (QONE,)
-        else:
-            den = _ptrim(tuple(qof(c) for c in den))
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(eps)")
-        if not num:
-            self.num, self.den = (), (QONE,)
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1 or g[0] != 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        _, lc = _low(den)
-        if lc != 1:
-            num = _pscale(num, 1 / lc)
-            den = _pscale(den, 1 / lc)
-        self.num, self.den = num, den
-
-    @staticmethod
-    def eps() -> "EpsRational":
-        return EpsRational((QZERO, QONE))
-
-    @staticmethod
-    def coerce(x) -> "EpsRational":
-        return x if isinstance(x, EpsRational) else EpsRational(x)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == (QONE,)
-
-    def is_polynomial(self) -> bool:
-        return self.den == (QONE,)
-
-    def rational_part(self) -> Fraction:
-        """Value at eps = 0; requires a denominator nonzero at 0."""
-        if self.den[0] == 0:
-            raise ZeroDivisionError("pole at eps = 0")
-        return (self.num[0] if self.num else QZERO) / self.den[0]
-
-    def coefficients(self):
-        """Polynomial coefficients by ascending degree (polynomials only)."""
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial in eps")
-        return self.num if self.num else (QZERO,)
-
-    def sign(self) -> int:
-        if not self.num:
-            return 0
-        _, c = _low(self.num)
-        return 1 if c > 0 else -1
-
-    def __add__(self, other):
-        o = EpsRational.coerce(other)
-        return EpsRational(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                           _pmul(self.den, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = EpsRational.__new__(EpsRational)
-        r.num, r.den = _pneg(self.num), self.den
-        return r
-
-    def __sub__(self, other):
-        return self + (-EpsRational.coerce(other))
-
-    def __rsub__(self, other):
-        return EpsRational.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = EpsRational.coerce(other)
-        return EpsRational(_pmul(self.num, o.num), _pmul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = EpsRational.coerce(other)
-        if not o.num:
-            raise ZeroDivisionError("division by zero in Q(eps)")
-        return EpsRational(_pmul(self.num, o.den), _pmul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        return EpsRational.coerce(other) / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, EpsRational)):
-            o = EpsRational.coerce(other)
-            return self.num == o.num and self.den == o.den
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.num[0] if self.num else QZERO)
-        return hash((self.num, self.den))
-
-    def __lt__(self, other):
-        return (self - EpsRational.coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - EpsRational.coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - EpsRational.coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - EpsRational.coerce(other)).sign() >= 0
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __repr__(self):
-        if not self.num:
-            return "EpsRational(0)"
-        terms = []
-        for i, c in enumerate(self.num):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*eps")
-            else:
-                terms.append(f"{c}*eps^{i}")
-        s = " + ".join(terms)
-        if self.den != (QONE,):
-            s = f"({s})/({self.den})"
-        return f"EpsRational({s})"
-
-    def serialize(self):
-        """Coefficient list by ascending eps-degree, as 'p/q' strings."""
-        return [qstr(c) for c in self.coefficients()]
-
-
-EPS = EpsRational.eps()
-
-
-def eps_at(x, value: Fraction) -> Fraction:
-    """Evaluate an EpsRational (or rational) at a rational eps = value."""
-    if not isinstance(x, EpsRational):
-        return qof(x)
-    num = sum((c * value ** i for i, c in enumerate(x.num)), QZERO)
-    den = sum((c * value ** i for i, c in enumerate(x.den)), QZERO)
-    if den == 0:
-        raise ZeroDivisionError("denominator vanishes at this eps")
-    return num / den

@@ -6,9 +6,9 @@ redundant rows with one more LP per row.  Not collected by pytest.
 """
 
 from deltaforms.linalg import clear_denominators, rref, vec_dot
-from deltaforms.lp import lp_extremum, lp_feasible
 from deltaforms.polyhedra import _row_reduce_mod_eqs
 from deltaforms.scalars import Q, qof
+from eps_oracle import lp_extremum, lp_feasible
 
 
 def lp_canonicalize(n, ineqs, eqs):

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from deltaforms.lp import lp_extremum, lp_feasible, strict_interior
-from deltaforms.scalars import EPS, EpsRational
+import eps_oracle
+from deltaforms.lp import lp_extremum, strict_interior
+from eps_oracle import EPS, EpsRational, lp_feasible
 
 Q = Fraction
 
@@ -165,15 +166,19 @@ def test_determinism():
 
 def test_eps_objective():
     # max x subject to x <= 1 - eps
-    res = lp_extremum([EpsRational.coerce(1)], [[EpsRational.coerce(1)]], [1 - EPS], "max")
+    res = eps_oracle.lp_extremum([EpsRational.coerce(1)], [[EpsRational.coerce(1)]], [1 - EPS], "max")
     assert res.status == "optimal"
     assert res.value == 1 - EPS
 
 
 def test_eps_feasibility_matches_small_rational_substitution():
     # the Q(eps) verdict must agree with the rational verdict at eps = q for
-    # any q strictly between 0 and the first breakpoint of the feasible-eps set
+    # any q strictly between 0 and the first breakpoint of the feasible-eps
+    # set, and with the lifted predicate over Q: feasible at e = 0 and at
+    # some e > 0.  A strict point over Q(eps) must likewise match a strict
+    # point of the lifted system, whose row -e <= 0 makes e > 0 strict.
     rng = random.Random(2718)
+    lifted_feasible = lifted_strict = 0
     for _ in range(40):
         n = rng.randint(1, 2)
         m = rng.randint(2, 5)
@@ -181,7 +186,8 @@ def test_eps_feasibility_matches_small_rational_substitution():
         base = [Q(rng.randint(-2, 2)) for _ in range(m)]
         shift = [Q(rng.randint(-1, 1)) for _ in range(m)]
         rhs = [b + s * EPS for b, s in zip(base, shift)]
-        verdict = lp_feasible([[EpsRational.coerce(x) for x in r] for r in rows], rhs)
+        eps_rows = [[EpsRational.coerce(x) for x in r] for r in rows]
+        verdict = lp_feasible(eps_rows, rhs)
 
         # feasible-eps interval endpoints via an LP in (x, e) with e >= 0
         ext_rows = [r + [-s] for r, s in zip(rows, shift)]
@@ -201,5 +207,17 @@ def test_eps_feasibility_matches_small_rational_substitution():
         else:
             bp = Q(1)  # interval is exactly {0}
         q = bp / 2
-        rat = lp_feasible(rows, [b + s * q for b, s in zip(base, shift)])
-        assert (verdict.status == "feasible") == (rat.status == "feasible")
+        rat = lp_extremum([Q(0)] * n, rows,
+                          [b + s * q for b, s in zip(base, shift)])
+        assert (verdict.status == "feasible") == (rat.status != "infeasible")
+
+        at_zero = lp_extremum([Q(0)] * n, rows, base).status != "infeasible"
+        lifted = at_zero and (hi.status == "unbounded"
+                              or (hi.status == "optimal" and hi.value > 0))
+        assert (verdict.status == "feasible") == lifted
+        strict = eps_oracle.strict_interior(eps_rows, rhs) is not None
+        assert strict == (at_zero
+                          and strict_interior(ext_rows, ext_rhs) is not None)
+        lifted_feasible += lifted
+        lifted_strict += strict
+    assert lifted_feasible and lifted_strict

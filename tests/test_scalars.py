@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from deltaforms.scalars import EPS, EpsRational, Q, eps_at, qof, qstr
+from deltaforms.scalars import Q, qof, qstr
+from eps_oracle import EPS, EpsRational, eps_at
 
 
 def test_qof_parsing():
