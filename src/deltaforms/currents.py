@@ -8,6 +8,7 @@ normalized multiplier is always 1.
 """
 
 from .linalg import (
+    clear_denominators,
     det,
     integer_kernel,
     invert,
@@ -125,30 +126,19 @@ def chart_to_ambient(form, cell):
 # ------------------------------------------------------ hyperplane slicing --
 
 def normalize_hyperplane(a, b):
-    """Canonical key for the hyperplane a.x = b, or None when degenerate."""
-    a = [qof(x) for x in a]
-    b = qof(b)
-    nz = [x for x in a if x != 0]
-    if not nz:
-        return None
-    from math import gcd
+    """Canonical key for the hyperplane a.x = b, or None when degenerate.
 
-    den = 1
-    for x in a + [b]:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ia = [int(x * den) for x in a]
-    ib = b * den
-    g = 0
-    for x in ia:
-        g = gcd(g, abs(x))
-    if g:
-        ia = [x // g for x in ia]
-        ib = ib / g
-    lead = next(x for x in ia if x != 0)
-    if lead < 0:
+    a becomes the primitive integer vector with a positive leading entry,
+    and b is scaled by the same factor.
+    """
+    a = [qof(x) for x in a]
+    if not any(a):
+        return None
+    ia = clear_denominators(a)
+    j = next(j for j, x in enumerate(ia) if x)
+    if ia[j] < 0:
         ia = [-x for x in ia]
-        ib = -ib
-    return (tuple(ia), ib)
+    return tuple(ia), qof(b) * ia[j] / a[j]
 
 
 def hyperplane_pool(cells):
@@ -440,27 +430,12 @@ def _check_balanced_refined(R):
                     "residues": [repr(b) for b in residues],
                 }
                 if constant_coeffs and any(x != 0 for x in direction):
-                    cert["residue_vector"] = _primitive_direction(direction)
+                    iv = clear_denominators(direction)
+                    if next(x for x in iv if x) < 0:
+                        iv = [-x for x in iv]
+                    cert["residue_vector"] = iv
                 return False, cert
     return True, None
-
-
-def _primitive_direction(v):
-    from math import gcd
-
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    iv = [int(x * den) for x in v]
-    g = 0
-    for x in iv:
-        g = gcd(g, abs(x))
-    if g:
-        iv = [x // g for x in iv]
-    lead = next((x for x in iv if x != 0), 0)
-    if lead < 0:
-        iv = [-x for x in iv]
-    return iv
 
 
 def require_balanced(T):

@@ -24,10 +24,10 @@ from .currents import (
     transport_form,
 )
 from .linalg import rank, solve_linear, vec_dot
-from .lp import lp_extremum, strict_interior
 from .polyhedra import (
     Complex,
     ComplexError,
+    implicit_rows,
     intersect,
     maximal_cells_of,
     polyhedron,
@@ -319,8 +319,12 @@ def transversal_product(S, T):
 # exactly when c1 and c2 meet (s = 0) and L has a point with s > 0.  The best
 # common slack of the pair's inequalities is a concave function of s that is
 # >= 0 at s = 0, so it is > 0 for all small s > 0 exactly when L has a point
-# strictly inside every inequality row, -s <= 0 included.  These are the
-# verdicts of the stable intersection (Jensen & Yu 2016) as eps -> 0+.
+# strictly inside every inequality row, -s <= 0 included.  Both verdicts are
+# read off L's implicit rows (polyhedra.implicit_rows), the rows every
+# generator of L's homogenized cone is tight on: a strict point exists when
+# there are none, and a point with s > 0 when -s <= 0 is not one of them.
+# These are the verdicts of the stable intersection (Jensen & Yu 2016) as
+# eps -> 0+.
 
 def _lifted_system(c1, c2, v):
     """Rows, right-hand sides and equalities of the lifted polyhedron L."""
@@ -355,18 +359,15 @@ def _stable_pairs(A, B, v):
             if pi is None:
                 continue
             rows, rhs, eqs = _lifted_system(c1, c2, v)
-            if strict_interior(rows, rhs, eqs=eqs) is not None:
+            implicit = implicit_rows(n + 1, rows, rhs, eqs)
+            if not implicit:
                 eq_lin = ([a for a, _ in c1.eqs_rational()]
                           + [a for a, _ in c2.eqs_rational()])
                 if rank(eq_lin) != (n - c1.dim) + (n - c2.dim):
                     return None, (c1, c2)
                 pairs.append((c1, c2, pi))
-                continue
-            # no strict point: fail if the pair still meets at some s > 0
-            top = lp_extremum([QZERO] * n + [QONE],
-                              rows + [[QZERO] * n + [QONE]], rhs + [QONE],
-                              "max", eqs=eqs)
-            if top.value > 0:
+            elif len(rows) - 1 not in implicit:
+                # no strict point, but the pair still meets at some s > 0
                 return None, (c1, c2)
     return pairs, None
 

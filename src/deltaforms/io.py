@@ -19,6 +19,12 @@ class DocumentError(ValueError):
     """Input document malformed or inconsistent with its schema."""
 
 
+# Largest total degree of a monomial in a document.  Evaluation and affine
+# substitution take one multiplication per unit of exponent, so an unbounded
+# exponent would let a short document hang the process.
+MAX_DEGREE = 64
+
+
 # ------------------------------------------------------------------ rationals
 
 def parse_q(value):
@@ -123,6 +129,9 @@ def parse_poly(doc, n):
         if (not isinstance(exps, list) or len(exps) != n
                 or any(not isinstance(e, int) or e < 0 for e in exps)):
             raise DocumentError(f"monomial exponents must be {n} nonneg ints")
+        if sum(exps) > MAX_DEGREE:
+            raise DocumentError(
+                f"monomial total degree exceeds the maximum {MAX_DEGREE}")
         key = tuple(exps)
         if key in terms:
             raise DocumentError("duplicate monomial in polynomial")

@@ -6,13 +6,17 @@ and sorted) and interned, so equal polyhedra share one object and its cached
 charts and face lattices.  Interning saves work only: compare polyhedra with
 ==, never with `is`, because a cleared intern table makes equal copies.
 
-The canonical form is computed without linear programming: emptiness,
-implicit equalities and facets are read off the lineality, vertices and
-extreme rays of the homogenized cone {(u, t) : a.u <= b t, t >= 0}, found by
-exact integer double description (see cones and _canonicalize).  Implicit
-rows join the equalities in RREF; facet rows are reduced modulo them, scaled
-to primitive integers, deduplicated and sorted.  Polyhedra cache these
-generators, which tell on which sides of a hyperplane they lie (crosses).
+There is no linear programming: emptiness, implicit equalities and facets
+are read off the lineality, vertices and extreme rays of the homogenized cone
+{(u, t) : a.u <= b t, t >= 0}, found by exact integer double description
+(see cones and _canonicalize).  Implicit rows join the equalities in RREF;
+facet rows are reduced modulo them, scaled to primitive integers,
+deduplicated and sorted.  implicit_rows answers the same question for any
+system, which decides whether it has a point strictly inside a given row.
+Polyhedra cache their generators, and read off them the vertices (rays with
+t > 0), boundedness (no lines and no ray with t = 0), a relative-interior
+point (the sum of the rays) and on which sides of a hyperplane they lie
+(crosses).
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .linalg import (
     vec_dot,
 )
 from .cones import double_description, int_dot, integer_rank
-from .lp import strict_interior
 from .scalars import Q, QONE, QZERO, qof, qstr
 
 _CACHE: dict = {}
@@ -61,8 +64,8 @@ def _homogenized_cone(n, rows, rhs, eqs):
     The equalities are brought to RREF and their pivot coordinates eliminated;
     u runs over the remaining coordinates.  Row 0 of the cone is t >= 0 and
     row i + 1 is inequality i.  Returns (eq_red, pivots, free, lines, rays,
-    zeros) as in cones.double_description, or None if the equalities are
-    inconsistent.
+    zeros) as in cones.double_description, or None if the set is empty: the
+    equalities are inconsistent or no generator has t > 0.
     """
     eq_red, pivots = rref([list(e) + [f] for e, f in eqs])
     if n in pivots:
@@ -72,7 +75,31 @@ def _homogenized_cone(n, rows, rhs, eqs):
     for a, b in zip(rows, rhs):
         a, b = _row_reduce_mod_eqs(a, b, eq_red)
         cone.append(clear_denominators([a[j] for j in free] + [-b]))
-    return (eq_red, pivots, free) + double_description(cone, len(free) + 1)
+    lines, rays, zeros = double_description(cone, len(free) + 1)
+    if not any(r[-1] > 0 for r in rays):
+        return None
+    return eq_red, pivots, free, lines, rays, zeros
+
+
+def _tight_rows(m, zeros):
+    """Indices i < m of the inequality rows that every ray is tight on.
+
+    Lines are tight on every row, so these rows hold with equality on the
+    whole cone.
+    """
+    return [i for i in range(m) if all(z >> (i + 1) & 1 for z in zeros)]
+
+
+def implicit_rows(n, rows, rhs, eqs):
+    """Indices of the rows a.x <= b that hold with equality on the whole set.
+
+    rows and rhs are rationals and eqs a list of (e, f) for e.x = f.  Returns
+    None when the set is empty.  The set has a point strictly inside every
+    inequality row exactly when the list is empty, and a point strictly
+    inside row i exactly when i is not in it.
+    """
+    cone = _homogenized_cone(n, rows, rhs, eqs)
+    return None if cone is None else _tight_rows(len(rows), cone[5])
 
 
 def _canonicalize(n, ineqs, eqs):
@@ -91,11 +118,9 @@ def _canonicalize(n, ineqs, eqs):
     if cone is None:
         return None
     eq_red, _, _, lines, rays, zeros = cone
-    if not any(r[-1] > 0 for r in rays):
-        return None
 
     m = len(rows)
-    implicit = [i for i in range(m) if all(z >> (i + 1) & 1 for z in zeros)]
+    implicit = _tight_rows(m, zeros)
     facet_rank = integer_rank(lines + rays) - 1
     facets = []
     for i in range(m):
@@ -180,8 +205,7 @@ class Polyhedron:
     """Canonical interned rational polyhedron {x : A x <= b, E x = f}."""
 
     __slots__ = ("n", "eq_rows", "ineq_rows", "_span", "_chart", "_base",
-                 "_facets", "_faces", "_relint", "_bounded", "_local_hrep",
-                 "_generators")
+                 "_facets", "_faces", "_local_hrep", "_generators")
 
     def __init__(self, n, eq_rows, ineq_rows, _token=None):
         if _token is not _SENTINEL:
@@ -194,8 +218,6 @@ class Polyhedron:
         self._base = None
         self._facets = None
         self._faces = None
-        self._relint = None
-        self._bounded = None
         self._local_hrep = None
         self._generators = None
 
@@ -287,10 +309,7 @@ class Polyhedron:
                         + [(list(minv[k]), QZERO) for k in range(comp.rank, n)])
                     self._base = tuple(cut.base_point)
                 else:
-                    verts = self.vertices()
-                    if not verts:
-                        raise AssertionError("pointed polyhedron with no vertex")
-                    self._base = tuple(min(tuple(v) for v in verts))
+                    self._base = min(tuple(v) for v in self.vertices())
         return self._base
 
     @property
@@ -315,13 +334,15 @@ class Polyhedron:
         return self._local_hrep
 
     def relint_point(self):
-        if self._relint is None:
-            rows, rhs = self.ineqs_rational()
-            p = strict_interior(rows, rhs, eqs=self.eqs_rational())
-            if p is None:
-                raise AssertionError("canonical polyhedron with empty relint")
-            self._relint = tuple(p) if p else tuple(self.base_point)
-        return list(self._relint)
+        """The sum of the cone's rays, dehomogenized.
+
+        A strictly positive combination of the rays lies in the relative
+        interior of the cone, and its t is > 0 because some ray's is, so
+        dividing by t gives a relative-interior point of the polyhedron.
+        """
+        rays, _ = self.generators()
+        total = [sum(col) for col in zip(*rays)]
+        return [Q(x, total[-1]) for x in total[:-1]]
 
     def generators(self):
         """(rays, lines) of the cone over the polyhedron, in R^(n+1).
@@ -356,10 +377,9 @@ class Polyhedron:
         return any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
     def is_bounded(self) -> bool:
-        if self._bounded is None:
-            rec = recession_cone(self)
-            self._bounded = (rec.dim == 0)
-        return self._bounded
+        """No lines and no ray with t = 0, i.e. no recession direction."""
+        rays, lines = self.generators()
+        return not lines and all(r[-1] > 0 for r in rays)
 
     # -- faces --------------------------------------------------------------
     def facets(self):
@@ -394,7 +414,11 @@ class Polyhedron:
         return list(self._faces)
 
     def vertices(self):
-        return [list(f.base_point) for f in self.faces() if f.dim == 0]
+        """The rays with t > 0 as points, or [] when there are lines."""
+        rays, lines = self.generators()
+        if lines:
+            return []
+        return [[Q(x, r[-1]) for x in r[:-1]] for r in rays if r[-1] > 0]
 
 
 _SENTINEL = object()

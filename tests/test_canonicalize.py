@@ -4,7 +4,9 @@ The canonical form of a polyhedron (affine hull in integer RREF plus its
 sorted primitive facet rows) depends only on the set, so the LP-free
 canonicalizer must reproduce the LP canonicalizer row for row, and
 polyhedron() must hand back the same interned object for every description
-of the same set.
+of the same set.  What is read off the cached cone generators (implicit rows,
+relative-interior points, vertices, boundedness) is checked against the LP
+oracle and against the face lattice.
 """
 
 import random
@@ -13,8 +15,11 @@ from fractions import Fraction as Q
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eps_oracle import lp_extremum, lp_feasible, strict_interior
 from lp_canonicalize import lp_canonicalize
-from deltaforms.polyhedra import _canonicalize, polyhedron
+from deltaforms.linalg import vec_dot
+from deltaforms.polyhedra import (_canonicalize, implicit_rows, polyhedron,
+                                  recession_cone)
 
 COEF = st.integers(-3, 3)
 
@@ -123,3 +128,56 @@ def test_generators_of_a_half_strip():
     rays, lines = p.generators()
     assert [[abs(x) for x in ln] for ln in lines] == [[1, 0, 0]]
     assert sorted(r[1:] for r in rays) == [(0, 1), (1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example((2, _rows((1, 0, 0), (-1, 0, -1)), []))              # empty
+@example((2, _rows((1, 1, 2), (-1, -1, -2), (0, 1, 5)), []))  # implicit eq
+@example((2, _rows((1, 0, 0), (0, 1, 1)), _rows((1, 0, 0))))  # 0 <= 0 row
+@example((2, _rows((0, -1, 0), (1, -1, 0), (-1, 0, 0)), []))  # only y = 0
+def test_implicit_rows_agree_with_the_lp_oracle(system):
+    """Emptiness, strictness and each row's tightness match the simplex."""
+    n, ineqs, eqs = system
+    rows = [a for a, _ in ineqs]
+    rhs = [b for _, b in ineqs]
+    got = implicit_rows(n, rows, rhs, eqs)
+    assert (got is None) == (lp_feasible(rows, rhs, eqs).status == "infeasible")
+    if got is None:
+        return
+    assert (got == []) == (strict_interior(rows, rhs, eqs) is not None)
+    for i, (a, b) in enumerate(ineqs):
+        lo = lp_extremum(a, rows, rhs, "min", eqs=eqs)
+        assert (i in got) == (lo.status == "optimal" and lo.value == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_relint_point_is_strictly_inside(system):
+    p = polyhedron(*system)
+    if p is None:
+        return
+    x = p.relint_point()
+    assert all(vec_dot(r[:-1], x) == r[-1] for r in p.eq_rows)
+    assert all(vec_dot(r[:-1], x) < r[-1] for r in p.ineq_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_vertices_are_the_zero_dimensional_faces(system):
+    p = polyhedron(*system)
+    if p is None:
+        return
+    walked = {f.base_point for f in p.faces() if f.dim == 0}
+    assert {tuple(v) for v in p.vertices()} == walked
+    if p.lineality.rank == 0:
+        assert p.base_point == min(walked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_is_bounded_matches_the_recession_cone(system):
+    p = polyhedron(*system)
+    if p is None:
+        return
+    assert p.is_bounded() == (recession_cone(p).dim == 0)

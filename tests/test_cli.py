@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -80,6 +81,17 @@ class TestParseErrors:
         code, out = run(capsys, "check-balance", path)
         assert code == 1
         assert "missing keys" in json.loads(out)["error"]["message"]
+
+    def test_huge_exponent_fails_fast(self, tmp_path, capsys):
+        doc = deltaform_json(tropical_line())
+        doc["terms"][0]["form"]["terms"][0]["poly"][0]["exps"] = [10 ** 9]
+        path = write(tmp_path, "huge.json", doc)
+        start = time.perf_counter()
+        code, out = run(capsys, "check-balance", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "parse" and "total degree" in err["message"]
 
     def test_bad_parallelism_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DELTAFORMS_PARALLELISM", "many")

@@ -1,9 +1,14 @@
 """Tests for delta-forms: balancing, differentials, products, pairings."""
 
 from fractions import Fraction as Q
+from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deltaforms import currents
 from deltaforms.currents import (
     AffineMap,
     BalancingError,
@@ -15,6 +20,7 @@ from deltaforms.currents import (
     chart_to_ambient,
     exterior_product,
     fundamental_cycle,
+    normalize_hyperplane,
     piecewise_to_delta,
     ps_multiply,
     pullback_surjective,
@@ -22,6 +28,7 @@ from deltaforms.currents import (
     translate_delta,
     transport_form,
 )
+from deltaforms.linalg import clear_denominators
 from deltaforms.polyhedra import (
     Complex,
     box,
@@ -538,3 +545,85 @@ class TestPullbackSurjective:
         f = AffineMap([[1, 0], [0, 1]], [5, 7])
         P = pullback_surjective(f, tropical_line())
         assert P.equals(tropical_line(apex=(-5, -7)))
+
+
+# ------------------------------------------------- primitive integer vectors --
+#
+# normalize_hyperplane and the residue vector of a balancing certificate are
+# built on linalg.clear_denominators.  The copies below are the versions that
+# cleared denominators by hand; pool keys and certificate bytes must not move.
+
+
+def _old_normalize_hyperplane(a, b):
+    a = [Q(x) for x in a]
+    b = Q(b)
+    nz = [x for x in a if x != 0]
+    if not nz:
+        return None
+    den = 1
+    for x in a + [b]:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ia = [int(x * den) for x in a]
+    ib = b * den
+    g = 0
+    for x in ia:
+        g = gcd(g, abs(x))
+    if g:
+        ia = [x // g for x in ia]
+        ib = ib / g
+    lead = next(x for x in ia if x != 0)
+    if lead < 0:
+        ia = [-x for x in ia]
+        ib = -ib
+    return (tuple(ia), ib)
+
+
+def _old_primitive_direction(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    iv = [int(x * den) for x in v]
+    g = 0
+    for x in iv:
+        g = gcd(g, abs(x))
+    if g:
+        iv = [x // g for x in iv]
+    lead = next((x for x in iv if x != 0), 0)
+    if lead < 0:
+        iv = [-x for x in iv]
+    return iv
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+WEIGHTS = st.fractions(min_value=Q(1, 6), max_value=4, max_denominator=6)
+DIRECTIONS = [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 2), (-2, 1),
+              (3, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=4), RATIONALS)
+def test_hyperplane_key_is_unchanged(a, b):
+    new = normalize_hyperplane(a, b)
+    old = _old_normalize_hyperplane(a, b)
+    assert new == old
+    if new is not None:
+        assert all(type(x) is int for x in new[0])
+        assert type(new[1]) is type(old[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DIRECTIONS), WEIGHTS), min_size=1,
+                max_size=4, unique_by=lambda t: t[0]),
+       st.tuples(RATIONALS, RATIONALS))
+def test_residue_vector_is_unchanged(rays, apex):
+    T = DeltaForm(2, [(ray_from(apex, d), SuperForm.scalar(1, w), 1)
+                      for d, w in rays])
+    with mock.patch.object(currents, "clear_denominators",
+                           wraps=clear_denominators) as spy:
+        ok, cert = T.is_balanced()
+    if ok or "residue_vector" not in cert:
+        return
+    # the residue vector is the last vector the balancing check clears
+    direction = spy.call_args.args[0]
+    assert cert["residue_vector"] == _old_primitive_direction(direction)
+    assert all(type(x) is int for x in cert["residue_vector"])

@@ -3,8 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import eps_oracle
-from deltaforms.lp import lp_extremum, strict_interior
-from eps_oracle import EPS, EpsRational, lp_feasible
+from eps_oracle import EPS, EpsRational, lp_extremum, lp_feasible, strict_interior
 
 Q = Fraction
 
