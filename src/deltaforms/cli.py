@@ -9,8 +9,7 @@ import argparse
 import os
 import sys
 
-from .currents import (DeltaForm, PreconditionError, pullback_surjective,
-                       pushforward)
+from .currents import PreconditionError, pullback_surjective, pushforward
 from .intersection import (displacement_product, generic_vector,
                            product_property_suite, pullback_general,
                            transversal_product, wedge_diagonal)

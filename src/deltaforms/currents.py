@@ -21,7 +21,6 @@ from .linalg import (
 )
 from .polyhedra import (
     Complex,
-    ComplexError,
     WeightedCell,
     affine_preimage,
     intersect,
@@ -35,7 +34,6 @@ from .polyhedra import (
 )
 from .scalars import Q, QONE, QZERO, qof, qstr
 from .superforms import (
-    ContinuityError,
     PiecewiseForm,
     Poly,
     SuperForm,
@@ -306,11 +304,7 @@ class DeltaForm:
 
     def is_balanced(self):
         """Verdict plus a certificate naming a facet with nonzero residue."""
-        R = self.canonicalize()
-        if not R.terms:
-            return True, None
-        R = R.refine()
-        return _check_balanced_refined(R)
+        return _check_balanced_refined(self.canonicalize().refine())
 
     # -- differential operators -------------------------------------------------
 
@@ -578,6 +572,16 @@ def _boundary_contraction(T, slot, sign):
 
 # --------------------------------------------------------------- products --
 
+def _covering_cell(maximal, cell, what):
+    """The first maximal cell, in sort order, containing the cell's relint point."""
+    rp = cell.relint_point()
+    for M in sorted(maximal, key=lambda c: c.sort_key):
+        if M.contains(rp):
+            return M
+    raise PreconditionError("%s does not cover a cell of the current" % what,
+                            {"cell": cell_summary(cell)})
+
+
 def ps_multiply(alpha, T):
     """Multiply a piecewise smooth form into a current, cell by cell.
 
@@ -589,14 +593,8 @@ def ps_multiply(alpha, T):
     R = T.canonicalize()
     pool = hyperplane_pool(alpha.maximal)
     out = []
-    order = sorted(alpha.maximal, key=lambda c: c.sort_key)
     for cell, form, w in _sliced_terms(R.terms, pool):
-        rp = cell.relint_point()
-        covering = next((M for M in order if M.contains(rp)), None)
-        if covering is None:
-            raise PreconditionError(
-                "piecewise form does not cover a cell of the current",
-                {"cell": cell_summary(cell)})
+        covering = _covering_cell(alpha.maximal, cell, "piecewise form")
         restricted = alpha.pieces[covering].restrict(cell.chart)
         out.append((cell, restricted.wedge(form), w))
     return DeltaForm(T.n, out).canonicalize()

@@ -12,6 +12,7 @@ from .currents import (
     DeltaForm,
     PreconditionError,
     _check_balanced_refined,
+    _covering_cell,
     _facet_stars,
     _sliced_terms,
     cell_summary,
@@ -127,16 +128,8 @@ def _divisor_core(phi, R):
     cell contributes the gradient jump against its inward normal.
     """
     n = R.n
-    order = sorted(phi.maximal, key=lambda c: c.sort_key)
-    gradients = {}
-    for cell, form, w in R.terms:
-        rp = cell.relint_point()
-        covering = next((M for M in order if M.contains(rp)), None)
-        if covering is None:
-            raise PreconditionError(
-                "function does not cover a cell of the current",
-                {"cell": cell_summary(cell)})
-        gradients[cell] = phi.gradient(covering)
+    gradients = {cell: phi.gradient(_covering_cell(phi.maximal, cell, "function"))
+                 for cell, _, _ in R.terms}
     stars = _facet_stars(R.terms)
     out = {}
     for tau in sorted(stars, key=lambda c: c.sort_key):

@@ -6,6 +6,7 @@ output, and serialization is byte-stable (sorted keys, fixed separators).
 """
 
 import json
+import re
 from fractions import Fraction as Q
 
 from .currents import AffineMap, DeltaForm
@@ -24,6 +25,16 @@ class DocumentError(ValueError):
 # exponent would let a short document hang the process.
 MAX_DEGREE = 64
 
+# The rational pattern of the schemas.  Fraction alone also takes "1.5",
+# " 2 " and exponent notation, where "1e100000000" builds an integer of a
+# hundred million digits.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _is_int(value):
+    """A JSON integer: bool is a subclass of int, but true is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 # ------------------------------------------------------------------ rationals
 
@@ -33,6 +44,8 @@ def parse_q(value):
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise DocumentError(f"malformed rational {value!r}")
         try:
             return Q(value)
         except (ValueError, ZeroDivisionError):
@@ -100,7 +113,7 @@ def _parse_constraint(doc, n, what):
 def parse_polyhedron(doc):
     _require_keys(doc, ["n", "ineqs"], optional=["eqs"], what="polyhedron")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise DocumentError("polyhedron dimension must be a nonneg integer")
     if not isinstance(doc["ineqs"], list):
         raise DocumentError("polyhedron inequalities must be a list")
@@ -127,7 +140,7 @@ def parse_poly(doc, n):
         _require_keys(mono, ["exps", "c"], what="monomial")
         exps = mono["exps"]
         if (not isinstance(exps, list) or len(exps) != n
-                or any(not isinstance(e, int) or e < 0 for e in exps)):
+                or any(not _is_int(e) or e < 0 for e in exps)):
             raise DocumentError(f"monomial exponents must be {n} nonneg ints")
         if sum(exps) > MAX_DEGREE:
             raise DocumentError(
@@ -146,7 +159,7 @@ def _index_set_json(idx):
 
 
 def _parse_index_set(doc, n, what):
-    if not isinstance(doc, list) or any(not isinstance(i, int) for i in doc):
+    if not isinstance(doc, list) or any(not _is_int(i) for i in doc):
         raise DocumentError(f"{what} must be a list of integers")
     if any(i < 0 or i >= n for i in doc):
         raise DocumentError(f"{what} index out of range for {n} variables")
@@ -221,7 +234,7 @@ def deltaform_json(T):
 def parse_deltaform(doc):
     _require_keys(doc, ["n", "terms"], what="delta-form")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise DocumentError("delta-form dimension must be a nonneg integer")
     if not isinstance(doc["terms"], list):
         raise DocumentError("delta-form terms must be a list")
@@ -267,7 +280,7 @@ def parse_plfunction(doc):
     for piece in doc["pieces"]:
         _require_keys(piece, ["cell", "linear", "const"], what="piece")
         idx = piece["cell"]
-        if not isinstance(idx, int) or not 0 <= idx < len(cells):
+        if not _is_int(idx) or not 0 <= idx < len(cells):
             raise DocumentError(f"piece refers to unknown cell {idx}")
         cell = cells[idx]
         if cell in pieces:

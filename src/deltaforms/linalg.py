@@ -7,7 +7,6 @@ equal lattices have identical bases.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .scalars import Q, QZERO, QONE, qof
@@ -351,29 +350,6 @@ def saturate(vectors, n=None):
     return Lattice(n, sat_rows), index
 
 
-def lattice_index(sub_rows, sup: Lattice):
-    """Index [sup : sub] as a positive rational covolume ratio.
-
-    sub_rows must span the same rational subspace as sup; the result is an
-    integer precisely when sub is contained in sup.
-    """
-    sub = [r for r in ([list(map(qof, v)) for v in sub_rows]) if any(r)]
-    if len(sub) != sup.rank or rank(sub) != sup.rank:
-        raise ValueError("sublattice must span the same subspace")
-    if sup.rank == 0:
-        return Q(1)
-    coords = []
-    for v in sub:
-        c = sup.coords(v)
-        if c is None:
-            raise ValueError("sublattice not contained in the span")
-        coords.append(c)
-    d = det(coords)
-    if d == 0:
-        raise ValueError("sublattice basis is degenerate")
-    return abs(d)
-
-
 def integer_kernel(rows, ncols=None):
     """Canonical basis of {x in Z^n : A x = 0} for an integer matrix A."""
     if ncols is None:
@@ -389,15 +365,6 @@ def integer_kernel(rows, ncols=None):
     ints = [clear_denominators(v) for v in ker]
     lat, _ = saturate(ints, ncols)
     return lat.basis()
-
-
-def span_lattice(vectors, n):
-    """Z^n intersected with the rational span of the given vectors."""
-    ints = [clear_denominators(v) for v in vectors if any(qof(x) != 0 for x in v)]
-    if not ints:
-        return Lattice(n, [])
-    lat, _ = saturate(ints, n)
-    return lat
 
 
 def complement_lattice(lat: Lattice) -> Lattice:

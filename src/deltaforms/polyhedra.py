@@ -1,4 +1,4 @@
-"""Rational polyhedra in canonical form, charts, face lattices, refinements.
+"""Rational polyhedra in canonical form, charts, face lattices.
 
 Every polyhedron is reduced to a canonical irredundant description (implicit
 equalities in integer RREF, inequalities primitive, deduplicated, irredundant
@@ -22,17 +22,14 @@ point (the sum of the rays) and on which sides of a hyperplane they lie
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .linalg import (
     Lattice,
     clear_denominators,
     complement_lattice,
-    det,
     hnf,
     integer_kernel,
     invert,
-    mat_mul_vec,
     rref,
     saturate,
     solve_linear,
@@ -599,9 +596,6 @@ class Complex:
                     }
         return None
 
-    def cells_of_dim(self, d):
-        return [c for c in self.cells if c.dim == d]
-
     def maximal_cells(self):
         return maximal_cells_of(self.cells)
 
@@ -618,24 +612,7 @@ def maximal_cells_of(cells):
             if not any(o != c and intersect(c, o) == c for o in cells)]
 
 
-def refine_pairs(cells_a, cells_b):
-    """All nonempty pairwise intersections with provenance (piece, a, b)."""
-    out = []
-    for a in cells_a:
-        for b in cells_b:
-            cap = intersect(a, b)
-            if cap is not None:
-                out.append((cap, a, b))
-    return out
-
-
-def common_refinement(c1: Complex, c2: Complex) -> Complex:
-    """Complex of all nonempty intersections of a c1 cell with a c2 cell."""
-    pieces = [cap for cap, _, _ in refine_pairs(c1.cells, c2.cells)]
-    return Complex(pieces, validate=False)
-
-
-# ---------------------------------------------------- triangulation, volume --
+# ------------------------------------------------------------ triangulation --
 
 def triangulate(p: Polyhedron):
     """Pulling triangulation into simplices, each a tuple of ambient vertices.
@@ -655,32 +632,6 @@ def triangulate(p: Polyhedron):
         for s in triangulate(f):
             out.append(s + (apex,))
     return out
-
-
-def volume_in_chart(p: Polyhedron, chart: Chart):
-    """Lebesgue volume of p measured in the given chart's coordinates.
-
-    p must have the chart's dimension and lie in a translate of its span.
-    """
-    d = chart.dim
-    if p.dim != d:
-        raise ValueError("dimension mismatch")
-    if d == 0:
-        return QONE
-    total = QZERO
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    for simplex in triangulate(p):
-        loc = [chart.to_local(v) for v in simplex]
-        mat = [[loc[i + 1][j] - loc[0][j] for j in range(d)] for i in range(d)]
-        total += abs(det(mat))
-    return total / fact
-
-
-def lattice_volume(p: Polyhedron):
-    """Volume of a bounded cell relative to its own canonical lattice chart."""
-    return volume_in_chart(p, p.chart)
 
 
 # ---------------------------------------------------------- lattice normals --
@@ -777,53 +728,6 @@ def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
     return w
 
 
-def sum_lattice_index(l1: Lattice, l2: Lattice):
-    """(saturation of l1+l2, index [saturation : l1+l2])."""
-    gens = [list(r) for r in l1.rows] + [list(r) for r in l2.rows]
-    if not gens:
-        return Lattice(l1.n, []), 1
-    return saturate(gens, l1.n)
-
-
-def intersection_lattice(l1: Lattice, l2: Lattice) -> Lattice:
-    """Z^n intersected with span(l1) ∩ span(l2)."""
-    n = l1.n
-    duals = []
-    for lat in (l1, l2):
-        if lat.rank == n:
-            continue
-        if lat.rank == 0:
-            return Lattice(n, [])
-        for v in integer_kernel([list(r) for r in lat.rows], n):
-            duals.append(v)
-    if not duals:
-        return Lattice(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    return Lattice(n, integer_kernel(duals, n))
-
-
-def sublattice_complement_in(sub: Lattice, sup: Lattice) -> list:
-    """Basis of a direct complement of sub inside sup (both saturated in Z^n).
-
-    Returns vectors c with sup = sub (+) span_Z(c), found by complementing
-    sub's coordinate lattice inside Z^rank(sup).
-    """
-    coords = []
-    for v in sub.basis():
-        c = sup.coords(v)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise ValueError("sub is not a sublattice of sup")
-        coords.append([int(x) for x in c])
-    inner = Lattice(sup.rank, coords)
-    if inner.rank != sub.rank:
-        raise AssertionError("degenerate sublattice basis")
-    comp = complement_lattice(inner)
-    out = []
-    for crow in comp.rows:
-        out.append([sum(crow[k] * sup.rows[k][i] for k in range(sup.rank))
-                    for i in range(sup.n)])
-    return out
-
-
 # --------------------------------------------------------- weighted cells ----
 
 class WeightedCell:
@@ -849,56 +753,14 @@ class WeightedCell:
         return f"WeightedCell({self.cell!r}, weight={self.weight})"
 
 
-def normal_vector(tau: WeightedCell, sigma: WeightedCell):
-    """Lattice normal of the facet tau in sigma scaled to the given weights.
-
-    Satisfies mu_sigma = mu_tau ∧ n for the stored weights: the primitive
-    inward lattice normal times lambda_sigma / lambda_tau.
-    """
-    w = primitive_normal(sigma.cell, tau.cell)
-    factor = sigma.weight / tau.weight
-    return [factor * x for x in w]
-
-
-def _check_nested(sub: Lattice, sup: Lattice):
-    for v in sub.basis():
-        if sup.coords(v) is None:
-            raise ValueError("spans are not nested")
-
-
-def weight_wedge(sub: Lattice, sup: Lattice, lam1, lam3):
-    """Multiplier on sup from multipliers on sub and on the quotient sup/sub.
-
-    Saturated sublattices split off exactly, so the canonical lattice of the
-    quotient lifts to a complement and the multipliers simply multiply.
-    """
-    _check_nested(sub, sup)
-    if sub.rank < sup.rank:
-        comp = sublattice_complement_in(sub, sup)
-        joined = Lattice(sup.n, [list(r) for r in sub.rows] + comp)
-        if joined.rows != sup.rows:
-            raise AssertionError("complement does not rebuild the big lattice")
-    return qof(lam1) * qof(lam3)
-
-
-def weight_quotient(sub: Lattice, sup: Lattice, lam2, lam1):
-    """Multiplier induced on the quotient sup/sub; inverse of weight_wedge."""
-    _check_nested(sub, sup)
-    return qof(lam2) / qof(lam1)
-
-
 def stable_weight(l1: Lattice, lam1, l2: Lattice, lam2):
     """Multiplier on span(l1) ∩ span(l2) for transversal stable intersection.
 
     Requires span(l1) + span(l2) = R^n; the multiplier is
     lam1 * lam2 * [Z^n : l1 + l2].
     """
-    summed, index = sum_lattice_index(l1, l2)
+    gens = [list(r) for r in l1.rows] + [list(r) for r in l2.rows]
+    summed, index = saturate(gens, l1.n) if gens else (Lattice(l1.n, []), 1)
     if summed.rank != l1.n:
         raise ValueError("spans are not transversal")
     return qof(lam1) * qof(lam2) * index
-
-
-def cell_product(c1: WeightedCell, c2: WeightedCell) -> WeightedCell:
-    """[sigma1 x sigma2] with multiplied weights (canonical lattices multiply)."""
-    return WeightedCell(product_polyhedron(c1.cell, c2.cell), c1.weight * c2.weight)

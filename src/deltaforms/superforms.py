@@ -478,9 +478,9 @@ def integrate_poly_over_simplex(p: Poly, verts):
     return jac * total
 
 
-def integrate_local(g: Poly, cell: Polyhedron, chart: Chart = None):
+def integrate_local(g: Poly, cell: Polyhedron):
     """Integral of a chart-coordinate polynomial over the cell's chart image."""
-    chart = chart or cell.chart
+    chart = cell.chart
     if g.n != chart.dim:
         raise ValueError("polynomial lives in the wrong chart")
     if cell.dim == 0:

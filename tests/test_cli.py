@@ -10,9 +10,11 @@ import pytest
 
 from deltaforms.cli import main
 from deltaforms.currents import DeltaForm, fundamental_cycle
-from deltaforms.io import (deltaform_json, dumps_canonical, map_json,
-                           parse_deltaform, polyhedron_json, superform_json)
+from deltaforms.io import (DocumentError, deltaform_json, dumps_canonical,
+                           map_json, parse_deltaform, parse_plfunction,
+                           plfunction_json, polyhedron_json, superform_json)
 from deltaforms.currents import AffineMap
+from deltaforms.intersection import pl_max
 from deltaforms.polyhedra import box, polyhedron, ray_from, single_point
 from deltaforms.superforms import SuperForm
 
@@ -33,6 +35,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def boolean_document(where):
+    """A valid document with one schema integer replaced by JSON true."""
+    if where == "piece cell":
+        doc = plfunction_json(pl_max(1, [([1], 0), ([0], 0)]))
+        doc["pieces"][1]["cell"] = True
+        return doc
+    doc = deltaform_json(fundamental_cycle(2 if where == "dp" else 1))
+    term = doc["terms"][0]
+    if where == "delta-form n":
+        doc["n"] = True
+    elif where == "polyhedron n":
+        term["cell"]["n"] = True
+    elif where == "exps":
+        term["form"]["terms"][0]["poly"][0]["exps"] = [True]
+    else:
+        term["form"]["terms"][0]["dp"] = [True]
+    return doc
 
 
 class TestCheckBalance:
@@ -92,6 +113,35 @@ class TestParseErrors:
         assert code == 1
         err = json.loads(out)["error"]
         assert err["kind"] == "parse" and "total degree" in err["message"]
+
+    @pytest.mark.parametrize("c", ["1e100000000", "1.5"])
+    def test_rational_outside_the_schema_fails_fast(self, tmp_path, capsys, c):
+        doc = deltaform_json(tropical_line())
+        doc["terms"][0]["form"]["terms"][0]["poly"][0]["c"] = c
+        path = write(tmp_path, "rational.json", doc)
+        start = time.perf_counter()
+        code, out = run(capsys, "check-balance", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "parse"
+        assert err["message"] == "malformed rational %r" % c
+
+    @pytest.mark.parametrize("where", ["exps", "polyhedron n", "dp",
+                                       "delta-form n", "piece cell"])
+    def test_boolean_is_not_an_integer(self, tmp_path, capsys, where):
+        doc = boolean_document(where)
+        if where == "piece cell":
+            # no verb reads a PL function document
+            with pytest.raises(DocumentError):
+                parse_plfunction(doc)
+            return
+        with pytest.raises(DocumentError):
+            parse_deltaform(doc)
+        code, out = run(capsys, "check-balance",
+                        write(tmp_path, "bool.json", doc))
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "parse"
 
     def test_bad_parallelism_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DELTAFORMS_PARALLELISM", "many")

@@ -171,6 +171,7 @@ class TestBalancing:
     def test_fundamental_balanced(self):
         ok, _ = fundamental_cycle(3).is_balanced()
         assert ok
+        assert DeltaForm(2).is_balanced() == (True, None)
 
     def test_polynomial_coefficients(self):
         # global polynomial restricted to the cells of a balanced cycle
@@ -376,6 +377,14 @@ class TestPiecewise:
         alpha = PiecewiseForm(Complex([right]), {right: SuperForm.scalar(1, 1)})
         with pytest.raises(PreconditionError):
             ps_multiply(alpha, fundamental_cycle(1))
+        # alpha lives on y >= 0, which misses the ray (-1, -1) from the origin
+        upper = halfplane(2, [0, 1])
+        alpha = PiecewiseForm(Complex([upper]), {upper: SuperForm.scalar(2, 1)})
+        with pytest.raises(PreconditionError) as exc:
+            ps_multiply(alpha, tropical_line())
+        assert str(exc.value) == "piecewise form does not cover a cell of the current"
+        assert exc.value.certificate == {
+            "cell": {"dim": 1, "base_point": ["0/1", "0/1"]}}
 
     def test_ps_multiply_kink(self):
         left = halfplane(1, [-1])

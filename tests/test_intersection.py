@@ -8,6 +8,7 @@ from deltaforms.currents import (
     AffineMap,
     BalancingError,
     DeltaForm,
+    PreconditionError,
     fundamental_cycle,
     ps_multiply,
     pullback_surjective,
@@ -33,8 +34,9 @@ from deltaforms.intersection import (
     wedge_diagonal,
 )
 from deltaforms import polyhedra
-from deltaforms.polyhedra import ray_from, segment, single_point, whole_space
-from deltaforms.superforms import Poly, SuperForm
+from deltaforms.polyhedra import (Complex, polyhedron, ray_from, segment,
+                                  single_point, whole_space)
+from deltaforms.superforms import PLFunction, Poly, SuperForm
 
 
 def tropical_line(weights=(1, 1, 1), apex=(0, 0)):
@@ -127,6 +129,16 @@ class TestDivisor:
         phi = pl_max(2, [([1, 0], 0), ([0, 0], 0)])
         with pytest.raises(BalancingError):
             divisor_intersect(phi, bad)
+
+    def test_requires_the_function_to_cover_the_current(self):
+        # phi lives on y >= 0, which misses the ray (-1, -1) from the origin
+        upper = polyhedron(2, [([0, -1], 0)])
+        phi = PLFunction(Complex([upper]), {upper: ([1, 0], 0)})
+        with pytest.raises(PreconditionError) as exc:
+            divisor_intersect(phi, tropical_line())
+        assert str(exc.value) == "function does not cover a cell of the current"
+        assert exc.value.certificate == {
+            "cell": {"dim": 1, "base_point": ["0/1", "0/1"]}}
 
     def test_successive_cuts_commute(self):
         phi1 = pl_max(2, [([1, 0], 0), ([0, 1], 0), ([0, 0], 0)])

@@ -10,13 +10,11 @@ from deltaforms.linalg import (
     integer_kernel,
     invert,
     kernel_rational,
-    lattice_index,
     rank,
     rref,
     saturate,
     smith_normal_form,
     solve_linear,
-    span_lattice,
 )
 
 Q = Fraction
@@ -212,14 +210,6 @@ def test_lattice_contains_and_coords():
     assert lat.coords([3, 4]) == [Q(3), Q(2)]
 
 
-def test_lattice_index():
-    sub = Lattice(2, hnf([[1, 0], [1, 2]]))
-    sup = Lattice(2, [[1, 0], [0, 1]])
-    assert lattice_index(sub.rows, sup) == 2
-    assert lattice_index(sup.rows, sup) == 1
-    assert lattice_index([[3]], Lattice(1, [[1]])) == 3
-
-
 def test_saturate_rejects_degenerate_input():
     import pytest
 
@@ -268,9 +258,3 @@ def test_complement_lattice():
         if full:
             assert abs(det([[Q(x) for x in row] for row in full])) == 1
 
-
-def test_span_lattice_of_rational_vectors():
-    lat = span_lattice([[Q(1, 2), Q(0)], [Q(0), Q(1, 3)]], 2)
-    # directions (1,0) and (0,1)
-    assert lat.rank == 2
-    assert lat.contains([1, 0]) and lat.contains([0, 1])

@@ -3,42 +3,70 @@ from fractions import Fraction
 
 import pytest
 
-from deltaforms.linalg import Lattice, det
+from deltaforms.linalg import Lattice, complement_lattice, det, integer_kernel
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,
-    WeightedCell,
     box,
-    cell_product,
-    common_refinement,
     intersect,
-    intersection_lattice,
-    lattice_volume,
-    normal_vector,
     polyhedron,
     primitive_normal,
     product_polyhedron,
     ray_from,
     recession_cone,
-    refine_pairs,
     segment,
     single_point,
     stable_weight,
-    sublattice_complement_in,
-    sum_lattice_index,
     translate,
     triangulate,
-    volume_in_chart,
-    weight_quotient,
-    weight_wedge,
     whole_space,
 )
+from deltaforms.superforms import Poly, integrate_local
 
 Q = Fraction
 
 
 def halfplane(a, b):
     return polyhedron(len(a), [([Q(x) for x in a], Q(b))])
+
+
+def volume(p):
+    """Volume of a bounded cell in its own canonical lattice chart."""
+    return integrate_local(Poly.const(p.dim, 1), p)
+
+
+def intersection_lattice(l1, l2):
+    """Z^n intersected with span(l1) ∩ span(l2)."""
+    n = l1.n
+    duals = []
+    for lat in (l1, l2):
+        if lat.rank == n:
+            continue
+        if lat.rank == 0:
+            return Lattice(n, [])
+        for v in integer_kernel([list(r) for r in lat.rows], n):
+            duals.append(v)
+    if not duals:
+        return Lattice(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return Lattice(n, integer_kernel(duals, n))
+
+
+def sublattice_complement_in(sub, sup):
+    """Basis c of a direct complement of sub inside sup: sup = sub (+) span_Z(c).
+
+    Both lattices are saturated in Z^n; the complement is found by
+    complementing sub's coordinate lattice inside Z^rank(sup).
+    """
+    coords = []
+    for v in sub.basis():
+        c = sup.coords(v)
+        assert c is not None and all(x.denominator == 1 for x in c)
+        coords.append([int(x) for x in c])
+    inner = Lattice(sup.rank, coords)
+    assert inner.rank == sub.rank
+    comp = complement_lattice(inner)
+    return [[sum(crow[k] * sup.rows[k][i] for k in range(sup.rank))
+             for i in range(sup.n)] for crow in comp.rows]
 
 
 def test_canonicalization_dedupes_representations():
@@ -126,30 +154,6 @@ def test_chart_round_trip():
     assert ch.to_local(pt) == [Q(3)]
 
 
-def test_common_refinement_breakpoints():
-    c0 = Complex([halfplane([1], 0), halfplane([-1], 0)])
-    c1 = Complex([halfplane([1], 1), halfplane([-1], -1)])
-    ref = common_refinement(c0, c1)
-    zero_cells = ref.cells_of_dim(0)
-    pts = sorted(c.base_point[0] for c in zero_cells)
-    assert pts == [Q(0), Q(1)]
-    assert len(ref.cells_of_dim(1)) == 3
-
-
-def test_common_refinement_idempotent():
-    c = Complex([halfplane([1], 0), halfplane([-1], 0)])
-    assert common_refinement(c, c) == c
-
-
-def test_common_refinement_two_fans():
-    fan_xy = Complex([halfplane([1, -1], 0), halfplane([-1, 1], 0)])
-    fan_x0 = Complex([halfplane([1, 0], 0), halfplane([-1, 0], 0)])
-    ref = common_refinement(fan_xy, fan_x0)
-    assert len(ref.cells_of_dim(2)) == 4
-    assert len(ref.cells_of_dim(1)) == 4
-    assert len(ref.cells_of_dim(0)) == 1
-
-
 def test_complex_validation_rejects_bad_pair():
     # two squares overlapping in a half-square: intersection is not a face
     a = box([0, 0], [2, 2])
@@ -171,9 +175,10 @@ def test_refinement_volume_bookkeeping():
         cb = [intersect(outer, halfplane([0, 1], cb_cut)),
               intersect(outer, halfplane([0, -1], -cb_cut))]
         for cell in ca:
-            pieces = [cap for cap, a, b in refine_pairs([cell], cb) if cap.dim == cell.dim]
-            total = sum(volume_in_chart(piece, cell.chart) for piece in pieces)
-            assert total == volume_in_chart(cell, cell.chart)
+            caps = [intersect(cell, b) for b in cb]
+            total = sum(volume(cap) for cap in caps
+                        if cap is not None and cap.dim == cell.dim)
+            assert total == volume(cell)
 
 
 def test_primitive_normal_examples():
@@ -187,25 +192,6 @@ def test_primitive_normal_examples():
     assert n == [0, 1]
     # determinant test: basis of diag with n spans Z^2
     assert abs(det([[Q(1), Q(1)], [Q(x) for x in n]])) == 1
-
-
-def test_normal_vector_weight_scaling():
-    origin = single_point([0, 0])
-    rx = ray_from([0, 0], [1, 0])
-    assert normal_vector(WeightedCell(origin, 1), WeightedCell(rx, 1)) == [1, 0]
-    assert normal_vector(WeightedCell(origin, 1), WeightedCell(rx, 2)) == [2, 0]
-    assert normal_vector(WeightedCell(origin, 2), WeightedCell(rx, 1)) == [Q(1, 2), 0]
-
-
-def test_weight_quotient_examples():
-    xaxis = Lattice(2, [[1, 0]])
-    full = Lattice(2, [[1, 0], [0, 1]])
-    assert weight_quotient(xaxis, full, 1, 1) == 1
-    diag = Lattice(2, [[1, 1]])
-    assert weight_quotient(diag, full, 1, 1) == 1
-    assert weight_wedge(diag, full, 2, 3) == 6
-    # scaling mu1 by 2 scales mu2 by 2 with mu3 fixed
-    assert weight_wedge(diag, full, 2, 1) == 2 * weight_wedge(diag, full, 1, 1)
 
 
 def test_stable_weight_examples():
@@ -239,7 +225,7 @@ def test_stable_weight_identity_oracle():
         if not gens2:
             continue
         l2, _ = saturate(gens2, 3)
-        summed, _ = sum_lattice_index(l1, l2)
+        summed, _ = saturate(l1.rows + l2.rows, 3)
         if summed.rank != 3:
             continue
         tried += 1
@@ -252,19 +238,13 @@ def test_stable_weight_identity_oracle():
         assert stable_weight(l1, lam1, l2, lam2) == lam1 * lam2 * abs(det(mat))
 
 
-def test_cell_product():
-    seg = WeightedCell(box([0], [1]), 1)
-    sq = cell_product(seg, seg)
-    assert sq.cell is box([0, 0], [1, 1])
-    assert sq.weight == 1
+def test_product_polyhedron():
+    seg = box([0], [1])
+    assert product_polyhedron(seg, seg) is box([0, 0], [1, 1])
 
-    pt = WeightedCell(single_point([2]), 1)
-    emb = cell_product(pt, seg)
-    assert emb.cell.dim == 1
-    assert emb.cell.base_point == (Q(2), Q(0))
-
-    w = cell_product(WeightedCell(box([0], [1]), 2), WeightedCell(box([0], [1]), 3))
-    assert w.weight == 6
+    emb = product_polyhedron(single_point([2]), seg)
+    assert emb.dim == 1
+    assert emb.base_point == (Q(2), Q(0))
 
 
 def test_translate():
@@ -286,17 +266,17 @@ def test_triangulate_and_volume():
     sq = box([0, 0], [1, 1])
     tris = triangulate(sq)
     assert len(tris) == 2
-    assert lattice_volume(sq) == 1
+    assert volume(sq) == 1
 
     cube = box([0, 0, 0], [2, 2, 2])
-    assert lattice_volume(cube) == 8
+    assert volume(cube) == 8
 
     tri = polyhedron(2, [([Q(-1), Q(0)], Q(0)), ([Q(0), Q(-1)], Q(0)), ([Q(1), Q(1)], Q(1))])
-    assert lattice_volume(tri) == Q(1, 2)
+    assert volume(tri) == Q(1, 2)
 
     # lattice length of a diagonal segment: one lattice step
     seg = segment([0, 0], [2, 2])
-    assert lattice_volume(seg) == 2
+    assert volume(seg) == 2
 
 
 def test_whole_space_and_point_charts():
