@@ -4,7 +4,8 @@ double_description enumerates the generators of a cone {y : h.y <= 0 for
 every row h} by the incremental double description method with lineality
 (Fukuda & Prodon, *Double description method revisited*, 1996).  All vectors
 stay primitive integer vectors, and ranks are taken by fraction-free
-elimination (Bareiss 1968), so no rational arithmetic is involved.
+elimination (Bareiss 1968), so no rational arithmetic is involved: the
+polyhedron rows that the cones come from are integers already.
 """
 
 from __future__ import annotations

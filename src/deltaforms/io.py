@@ -117,6 +117,8 @@ def parse_polyhedron(doc):
         raise DocumentError("polyhedron dimension must be a nonneg integer")
     if not isinstance(doc["ineqs"], list):
         raise DocumentError("polyhedron inequalities must be a list")
+    if not isinstance(doc.get("eqs", []), list):
+        raise DocumentError("polyhedron equalities must be a list")
     ineqs = [_parse_constraint(c, n, "inequality") for c in doc["ineqs"]]
     eqs = [_parse_constraint(c, n, "equality") for c in doc.get("eqs", [])]
     cell = polyhedron(n, ineqs, eqs=eqs)

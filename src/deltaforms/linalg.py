@@ -7,7 +7,7 @@ equal lattices have identical bases.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Q, QZERO, QONE, qof
 
@@ -146,8 +146,36 @@ def _ivec_primitive(v):
     return [x // g for x in v]
 
 
+def _int_rref(rows):
+    """Reduced row echelon form of integer rows, in integers.
+
+    Gauss-Jordan with the pivot rows chosen as in rref, each row kept
+    primitive with a positive pivot.  Returns (rows, pivot_columns); row i
+    is clear_denominators of row i of rref(rows).
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        top = _ivec_primitive(m[piv])
+        if top[c] < 0:
+            top = [-x for x in top]
+        m[piv], m[r] = m[r], top
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = _ivec_primitive([top[c] * x - row[c] * y
+                                        for x, y in zip(row, top)])
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
+    if all(type(x) is int for x in v):
+        return _ivec_primitive(v)
     den = 1
     for x in v:
         x = qof(x)
@@ -356,14 +384,18 @@ def integer_kernel(rows, ncols=None):
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    ker = kernel_rational([[Q(x) for x in row] for row in rows], ncols)
-    if not ker:
+    red, pivots = _int_rref([clear_denominators(r) for r in rows])
+    if len(pivots) == ncols:
         return []
-    ints = [clear_denominators(v) for v in ker]
-    lat, _ = saturate(ints, ncols)
+    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
+    ker = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * scale // row[p]
+        ker.append(_ivec_primitive(v))
+    lat, _ = saturate(ker, ncols)
     return lat.basis()
 
 

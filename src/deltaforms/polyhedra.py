@@ -9,28 +9,31 @@ charts and face lattices.  Interning saves work only: compare polyhedra with
 There is no linear programming: emptiness, implicit equalities and facets
 are read off the lineality, vertices and extreme rays of the homogenized cone
 {(u, t) : a.u <= b t, t >= 0}, found by exact integer double description
-(see cones and _canonicalize).  Implicit rows join the equalities in RREF;
-facet rows are reduced modulo them, scaled to primitive integers,
-deduplicated and sorted.  implicit_rows answers the same question for any
-system, which decides whether it has a point strictly inside a given row.
-Polyhedra cache their generators, and read off them the vertices (rays with
-t > 0), boundedness (no lines and no ray with t = 0), a relative-interior
-point (the sum of the rays) and on which sides of a hyperplane they lie
-(crosses).
+(see cones and _canonicalize).  Rows are integers from entry to canonical
+form: polyhedron() clears each row's denominators once.  Implicit rows join
+the equalities in RREF; facet rows are reduced modulo them, scaled to
+primitive integers, deduplicated and sorted.  implicit_rows answers the same
+question for any system, which decides whether it has a point strictly
+inside a given row.  Polyhedra cache their generators, seeded from the
+canonicalization when the cone is pointed (with lines, the rays are not
+unique), and read off them the vertices (rays with t > 0), boundedness (no
+lines and no ray with t = 0), a relative-interior point (the sum of the
+rays) and on which sides of a hyperplane they lie (crosses).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     Lattice,
+    _int_rref,
+    _ivec_primitive as _primitive,
     clear_denominators,
     complement_lattice,
     hnf,
     integer_kernel,
     invert,
-    rref,
     saturate,
     solve_linear,
     vec_dot,
@@ -41,41 +44,59 @@ from .scalars import Q, QONE, QZERO, qof, qstr
 _CACHE: dict = {}
 
 
-def _row_reduce_mod_eqs(a, b, eq_rows):
-    """Eliminate equality-pivot coordinates from an inequality row."""
-    a = list(a)
-    b = b
-    for erow in eq_rows:
-        ea, eb = erow[:-1], erow[-1]
-        p = next(j for j, x in enumerate(ea) if x != 0)
-        if a[p] != 0:
-            f = Fraction(a[p], ea[p])
-            a = [x - f * y for x, y in zip(a, ea)]
-            b = b - f * eb
-    return a, b
+def _reduce_mod_eqs(row, eq_rows, pivots):
+    """A positive multiple of row, minus integer RREF rows, zero at their pivots."""
+    for erow, p in zip(eq_rows, pivots):
+        f = row[p]
+        if f:
+            c = erow[p]
+            row = [c * x - f * y for x, y in zip(row, erow)]
+    return row
 
 
-def _homogenized_cone(n, rows, rhs, eqs):
+def _homogenized_cone(n, ineqs, eqs):
     """Generators of {(u, t) : a.u <= b t, t >= 0} over the free coordinates.
 
-    The equalities are brought to RREF and their pivot coordinates eliminated;
-    u runs over the remaining coordinates.  Row 0 of the cone is t >= 0 and
-    row i + 1 is inequality i.  Returns (eq_red, pivots, free, lines, rays,
-    zeros) as in cones.double_description, or None if the set is empty: the
-    equalities are inconsistent or no generator has t > 0.
+    The rows are integer.  The equalities are brought to RREF and their
+    pivot coordinates eliminated; u runs over the remaining coordinates.
+    Row 0 of the cone is t >= 0 and row i + 1 is inequality i.  Returns
+    (eq_red, pivots, free, lines, rays, zeros) as in cones.double_description,
+    or None if the set is empty: the equalities are inconsistent or no
+    generator has t > 0.
     """
-    eq_red, pivots = rref([list(e) + [f] for e, f in eqs])
+    eq_red, pivots = _int_rref(eqs)
     if n in pivots:
         return None
     free = [j for j in range(n) if j not in pivots]
     cone = [[0] * len(free) + [-1]]
-    for a, b in zip(rows, rhs):
-        a, b = _row_reduce_mod_eqs(a, b, eq_red)
-        cone.append(clear_denominators([a[j] for j in free] + [-b]))
+    for row in ineqs:
+        row = _reduce_mod_eqs(row, eq_red, pivots)
+        cone.append(_primitive([row[j] for j in free] + [-row[-1]]))
     lines, rays, zeros = double_description(cone, len(free) + 1)
     if not any(r[-1] > 0 for r in rays):
         return None
     return eq_red, pivots, free, lines, rays, zeros
+
+
+def _cone_generators(n, cone):
+    """(rays, lines) of a _homogenized_cone lifted to primitive vectors (x, t).
+
+    The free coordinates and t are scaled by the lcm of the pivots, so each
+    pivot coordinate is an exact integer quotient.
+    """
+    eq_red, pivots, free, lines, rays, _ = cone
+    scale = lcm(*(row[p] for row, p in zip(eq_red, pivots)))
+
+    def lift(y):
+        x = [0] * n
+        for k, j in enumerate(free):
+            x[j] = scale * y[k]
+        t = scale * y[-1]
+        for row, p in zip(eq_red, pivots):
+            x[p] = (row[-1] * t - int_dot(row[:-1], x)) // row[p]
+        return tuple(_primitive(x + [t]))
+
+    return tuple(map(lift, rays)), tuple(map(lift, lines))
 
 
 def _tight_rows(m, zeros):
@@ -95,28 +116,28 @@ def implicit_rows(n, rows, rhs, eqs):
     inequality row exactly when the list is empty, and a point strictly
     inside row i exactly when i is not in it.
     """
-    cone = _homogenized_cone(n, rows, rhs, eqs)
+    cone = _homogenized_cone(
+        n, [clear_denominators([*a, b]) for a, b in zip(rows, rhs)],
+        [clear_denominators([*e, f]) for e, f in eqs])
     return None if cone is None else _tight_rows(len(rows), cone[5])
 
 
 def _canonicalize(n, ineqs, eqs):
-    """Canonical (eq_rows, ineq_rows) as integer tuples, or None if empty.
+    """Canonical (eq_rows, ineq_rows, generators), or None if empty.
 
-    Row layout: each row is (a_1, ..., a_n, b) for a.x <= b resp. a.x = b.
-    The given equalities are eliminated first.  The set is empty when no
-    generator of its homogenized cone has t > 0.  A row is an implicit
-    equality when every generator is tight on it, and a facet when the
-    lineality and its tight rays have rank one less than the cone.
+    Row layout: each row is (a_1, ..., a_n, b) in integers for a.x <= b
+    resp. a.x = b.  The given equalities are eliminated first.  The set is
+    empty when no generator of its homogenized cone has t > 0.  A row is an
+    implicit equality when every generator is tight on it, and a facet when
+    the lineality and its tight rays have rank one less than the cone.
+    generators is Polyhedron.generators() of a pointed cone, else None.
     """
-    rows = [[qof(x) for x in a] for a, _ in ineqs]
-    rhs = [qof(b) for _, b in ineqs]
-    eqlist = [([qof(x) for x in e], qof(f)) for e, f in eqs]
-    cone = _homogenized_cone(n, rows, rhs, eqlist)
+    cone = _homogenized_cone(n, ineqs, eqs)
     if cone is None:
         return None
-    eq_red, _, _, lines, rays, zeros = cone
+    eq_red, pivots, _, lines, rays, zeros = cone
 
-    m = len(rows)
+    m = len(ineqs)
     implicit = _tight_rows(m, zeros)
     facet_rank = integer_rank(lines + rays) - 1
     facets = []
@@ -128,21 +149,18 @@ def _canonicalize(n, ineqs, eqs):
                 and integer_rank(lines + tight) == facet_rank):
             facets.append(i)
 
+    generators = None if lines else _cone_generators(n, cone)
     if implicit:
-        eq_aug = [list(e) + [f] for e, f in eqlist]
-        eq_aug += [rows[i] + [rhs[i]] for i in implicit]
-        eq_red, pivots = rref(eq_aug)
-        if any(p == n for p in pivots):
+        eq_red, pivots = _int_rref(eqs + [ineqs[i] for i in implicit])
+        if n in pivots:
             raise AssertionError("inconsistent equalities on a feasible set")
-    eq_rows = [tuple(clear_denominators(r)) for r in eq_red]
 
     seen = set()
     for i in facets:
-        a, b = _row_reduce_mod_eqs(rows[i], rhs[i], eq_rows)
-        if all(x == 0 for x in a):
-            continue
-        seen.add(tuple(clear_denominators(a + [b])))
-    return tuple(eq_rows), tuple(sorted(seen))
+        row = _reduce_mod_eqs(ineqs[i], eq_red, pivots)
+        if any(row[:-1]):
+            seen.add(tuple(_primitive(row)))
+    return tuple(map(tuple, eq_red)), tuple(sorted(seen)), generators
 
 
 class Chart:
@@ -299,11 +317,10 @@ class Polyhedron:
                     m = [[Q(comp.rows[k][i]) if k < comp.rank else Q(lin.rows[k - comp.rank][i])
                           for k in range(n)] for i in range(n)]
                     minv = invert(m)
-                    ir, rhs = self.ineqs_rational()
                     cut = polyhedron(
-                        n, list(zip(ir, rhs)),
-                        eqs=self.eqs_rational()
-                        + [(list(minv[k]), QZERO) for k in range(comp.rank, n)])
+                        n, _pairs(self.ineq_rows),
+                        eqs=_pairs(self.eq_rows)
+                        + [(minv[k], QZERO) for k in range(comp.rank, n)])
                     self._base = tuple(cut.base_point)
                 else:
                     self._base = min(tuple(v) for v in self.vertices())
@@ -349,19 +366,8 @@ class Polyhedron:
         lineality space (t = 0).
         """
         if self._generators is None:
-            ir, irhs = self.ineqs_rational()
-            eq_red, pivots, free, lines, rays, _ = _homogenized_cone(
-                self.n, ir, irhs, self.eqs_rational())
-
-            def lift(y):
-                x = [QZERO] * self.n
-                for k, j in enumerate(free):
-                    x[j] = Q(y[k])
-                for row, p in zip(eq_red, pivots):
-                    x[p] = row[-1] * y[-1] - vec_dot(row[:-1], x)
-                return tuple(clear_denominators(x + [Q(y[-1])]))
-
-            self._generators = (tuple(map(lift, rays)), tuple(map(lift, lines)))
+            self._generators = _cone_generators(self.n, _homogenized_cone(
+                self.n, self.ineq_rows, self.eq_rows))
         return self._generators
 
     def crosses(self, a, b) -> bool:
@@ -382,11 +388,10 @@ class Polyhedron:
     def facets(self):
         if self._facets is None:
             out = []
-            ir, irhs = self.ineqs_rational()
-            eqs = self.eqs_rational()
-            for k in range(len(self.ineq_rows)):
-                f = polyhedron(self.n, list(zip(ir, irhs)),
-                               eqs=eqs + [(ir[k], irhs[k])])
+            ineqs = _pairs(self.ineq_rows)
+            eqs = _pairs(self.eq_rows)
+            for row in ineqs:
+                f = polyhedron(self.n, ineqs, eqs=eqs + [row])
                 if f is None:
                     raise AssertionError("facet of a canonical row is empty")
                 if f not in out:
@@ -424,32 +429,39 @@ _SENTINEL = object()
 def polyhedron(n, ineqs=(), eqs=()):
     """Canonical interned polyhedron from inequalities a.x <= b (and equalities).
 
-    ineqs and eqs are iterables of (a, b).  Returns None when the set is empty.
+    ineqs and eqs are iterables of (a, b) with rational entries.  Returns None
+    when the set is empty.  A new pointed polyhedron keeps the generators its
+    canonicalization found.
     """
-    canon = _canonicalize(n, list(ineqs), list(eqs))
+    canon = _canonicalize(n, [clear_denominators([*a, b]) for a, b in ineqs],
+                          [clear_denominators([*e, f]) for e, f in eqs])
     if canon is None:
         return None
-    key = (n, canon[0], canon[1])
+    eq_rows, ineq_rows, generators = canon
+    key = (n, eq_rows, ineq_rows)
     inst = _CACHE.get(key)
     if inst is None:
-        inst = Polyhedron(n, canon[0], canon[1], _token=_SENTINEL)
+        inst = Polyhedron(n, eq_rows, ineq_rows, _token=_SENTINEL)
+        inst._generators = generators
         _CACHE[key] = inst
     return inst
+
+
+def _pairs(rows):
+    """Canonical integer rows as the (a, b) pairs polyhedron() takes."""
+    return [(r[:-1], r[-1]) for r in rows]
 
 
 def intersect(p: Polyhedron, q: Polyhedron):
     if p.n != q.n:
         raise ValueError("ambient dimensions differ")
-    ir_p, rhs_p = p.ineqs_rational()
-    ir_q, rhs_q = q.ineqs_rational()
-    return polyhedron(p.n, list(zip(ir_p, rhs_p)) + list(zip(ir_q, rhs_q)),
-                      eqs=p.eqs_rational() + q.eqs_rational())
+    return polyhedron(p.n, _pairs(p.ineq_rows) + _pairs(q.ineq_rows),
+                      eqs=_pairs(p.eq_rows) + _pairs(q.eq_rows))
 
 
 def recession_cone(p: Polyhedron):
-    ir, _ = p.ineqs_rational()
-    eqs = [(e, QZERO) for e, _ in p.eqs_rational()]
-    return polyhedron(p.n, [(a, QZERO) for a in ir], eqs=eqs)
+    return polyhedron(p.n, [(r[:-1], 0) for r in p.ineq_rows],
+                      eqs=[(r[:-1], 0) for r in p.eq_rows])
 
 
 def translate(p: Polyhedron, v):
@@ -463,18 +475,11 @@ def translate(p: Polyhedron, v):
 def product_polyhedron(p: Polyhedron, q: Polyhedron):
     """p x q inside R^{p.n + q.n}."""
     n1, n2 = p.n, q.n
-    ineqs = []
-    eqs = []
-    ir, rhs = p.ineqs_rational()
-    for a, b in zip(ir, rhs):
-        ineqs.append((a + [QZERO] * n2, b))
-    for e, f in p.eqs_rational():
-        eqs.append((e + [QZERO] * n2, f))
-    ir, rhs = q.ineqs_rational()
-    for a, b in zip(ir, rhs):
-        ineqs.append(([QZERO] * n1 + a, b))
-    for e, f in q.eqs_rational():
-        eqs.append(([QZERO] * n1 + e, f))
+    left, right = (0,) * n1, (0,) * n2
+    ineqs = ([(r[:-1] + right, r[-1]) for r in p.ineq_rows]
+             + [(left + r[:-1], r[-1]) for r in q.ineq_rows])
+    eqs = ([(r[:-1] + right, r[-1]) for r in p.eq_rows]
+           + [(left + r[:-1], r[-1]) for r in q.eq_rows])
     return polyhedron(n1 + n2, ineqs, eqs=eqs)
 
 

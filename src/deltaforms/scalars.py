@@ -4,8 +4,10 @@ Rationals are fractions.Fraction throughout; no floats and no tolerances.
 Infinitesimal displacements are decided over Q as well, by treating the
 displacement as one more coordinate and reading the verdicts off the
 implicit rows of the lifted polyhedron (see intersection._stable_pairs and
-polyhedra.implicit_rows).  Integer vectors are the other exact scalars: the
-double description in cones runs on primitive integer vectors only.
+polyhedra.implicit_rows).  Integer vectors are the other exact scalars:
+polyhedron rows are cleared of denominators once, on entry, and stay
+integers through canonicalization, and the double description in cones runs
+on primitive integer vectors only.
 """
 
 from __future__ import annotations

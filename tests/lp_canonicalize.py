@@ -5,10 +5,25 @@ implicit equalities with one exact simplex LP per inequality row and drops
 redundant rows with one more LP per row.  Not collected by pytest.
 """
 
+from fractions import Fraction
+
 from deltaforms.linalg import clear_denominators, rref, vec_dot
-from deltaforms.polyhedra import _row_reduce_mod_eqs
 from deltaforms.scalars import Q, qof
 from eps_oracle import lp_extremum, lp_feasible
+
+
+def _row_reduce_mod_eqs(a, b, eq_rows):
+    """Eliminate equality-pivot coordinates from an inequality row."""
+    a = list(a)
+    b = b
+    for erow in eq_rows:
+        ea, eb = erow[:-1], erow[-1]
+        p = next(j for j, x in enumerate(ea) if x != 0)
+        if a[p] != 0:
+            f = Fraction(a[p], ea[p])
+            a = [x - f * y for x, y in zip(a, ea)]
+            b = b - f * eb
+    return a, b
 
 
 def lp_canonicalize(n, ineqs, eqs):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from eps_oracle import lp_extremum, lp_feasible, strict_interior
 from lp_canonicalize import lp_canonicalize
-from deltaforms.linalg import vec_dot
+from deltaforms.linalg import clear_denominators, vec_dot
 from deltaforms.polyhedra import (_canonicalize, implicit_rows, polyhedron,
                                   recession_cone)
 
@@ -50,6 +50,18 @@ def _rows(*rows):
     return [([Q(x) for x in r[:-1]], Q(r[-1])) for r in rows]
 
 
+def canonicalized(n, ineqs, eqs):
+    """_canonicalize of rational (a, b) pairs, cleared as polyhedron() clears them."""
+    return _canonicalize(n, [clear_denominators(list(a) + [b]) for a, b in ineqs],
+                         [clear_denominators(list(e) + [f]) for e, f in eqs])
+
+
+def canonical_rows(n, ineqs, eqs):
+    """(eq_rows, ineq_rows) without the seeded generators, or None if empty."""
+    canon = canonicalized(n, ineqs, eqs)
+    return None if canon is None else canon[:2]
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems())
 @example((2, _rows((1, 0, 0), (-1, 0, -1)), []))              # empty
@@ -59,7 +71,7 @@ def _rows(*rows):
 @example((2, [], _rows((1, 1, 1), (2, 2, 3))))                 # eqs clash
 def test_agrees_with_the_lp_oracle(system):
     n, ineqs, eqs = system
-    assert _canonicalize(n, ineqs, eqs) == lp_canonicalize(n, ineqs, eqs)
+    assert canonical_rows(n, ineqs, eqs) == lp_canonicalize(n, ineqs, eqs)
 
 
 def test_agrees_with_the_lp_oracle_on_a_seeded_corpus():
@@ -74,7 +86,7 @@ def test_agrees_with_the_lp_oracle_on_a_seeded_corpus():
             ineqs.append(([-x for x in a], -b))
         eqs = [([Q(rng.randint(-3, 3)) for _ in range(n)], Q(rng.randint(-3, 3)))
                for _ in range(rng.choice((0, 0, 1, 2)))]
-        got = _canonicalize(n, ineqs, eqs)
+        got = canonical_rows(n, ineqs, eqs)
         assert got == lp_canonicalize(n, ineqs, eqs)
         if got is None:
             kinds["empty"] += 1
@@ -120,6 +132,33 @@ def test_crosses_matches_slicing_both_sides(system, a, b):
     sliced = (lo is not None and lo.dim == p.dim and lo != p
               and hi is not None and hi.dim == p.dim and hi != p)
     assert p.crosses(a, b) == sliced
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example((2, _rows((1, 0, 1), (0, 1, 1), (-1, -1, 0)), []))       # triangle
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 0)), _rows((0, 2, -1, 1))))
+def test_seeded_generators_match_recomputed(system):
+    """A pointed polyhedron keeps the generators its canonicalization found.
+
+    They must be the ones Polyhedron.generators() computes from the
+    canonical rows, as sets: without lines the primitive extreme rays are
+    unique.  Cones with lines are not seeded.
+    """
+    n, ineqs, eqs = system
+    p = polyhedron(n, ineqs, eqs)
+    if p is None:
+        return
+    seeded = canonicalized(n, ineqs, eqs)[2]
+    if p.lineality.rank > 0:
+        assert seeded is None
+        return
+    kept = p.generators()
+    p._generators = None
+    rays, lines = p.generators()
+    assert lines == () and seeded[1] == () and kept[1] == ()
+    assert len(set(seeded[0])) == len(seeded[0])
+    assert set(seeded[0]) == set(rays) == set(kept[0])
 
 
 def test_generators_of_a_half_strip():

@@ -143,6 +143,17 @@ class TestParseErrors:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("eqs", [5, None, True])
+    def test_equalities_must_be_a_list(self, tmp_path, capsys, eqs):
+        doc = deltaform_json(tropical_line())
+        doc["terms"][0]["cell"]["eqs"] = eqs
+        code, out = run(capsys, "check-balance",
+                        write(tmp_path, "eqs.json", doc))
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "parse"
+        assert err["message"] == "polyhedron equalities must be a list"
+
     def test_bad_parallelism_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DELTAFORMS_PARALLELISM", "many")
         path = write(tmp_path, "line.json", deltaform_json(tropical_line()))

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from deltaforms.linalg import (
     Lattice,
+    _int_rref,
     clear_denominators,
     complement_lattice,
     det,
@@ -240,6 +244,66 @@ def test_integer_kernel_primitive():
     lat = Lattice(3, ker)
     assert lat.contains([1, -1, 0])
     assert lat.contains([2, 0, -1])
+
+
+# Rows of rationals p/q with small p and q; duplicated, negated and zero rows
+# and a last column that a pivot can land in (an inconsistent system) are
+# all common.
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def rational_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_RATIONAL, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    if rows and draw(st.booleans()):
+        r = draw(st.sampled_from(rows))
+        rows.append([-2 * x for x in r] if draw(st.booleans()) else list(r))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Q(0)] * ncols)
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices())
+@example([])
+@example([[Q(0), Q(0)], [Q(0), Q(0)]])                   # zero rows
+@example([[Q(1), Q(2), Q(3)], [Q(1), Q(2), Q(3)]])       # duplicates
+@example([[Q(1), Q(1), Q(1)], [Q(1), Q(1), Q(2)]])       # pivot in last column
+@example([[Q(-2), Q(4), Q(0)], [Q(0), Q(-3), Q(6)]])     # negative pivots
+@example([[Q(1, 2), Q(-1, 3)], [Q(3, 4), Q(5, 6)]])      # cleared rationals
+def test_int_rref_is_cleared_rref(rows):
+    """Integer RREF equals clear_denominators of the rational RREF, row for row.
+
+    Clearing each input row first is a positive scaling, which changes
+    neither the row space nor where the zeros are, so the pivots agree too.
+    """
+    red, pivots = rref(rows)
+    assert _int_rref([clear_denominators(r) for r in rows]) == (
+        [clear_denominators(r) for r in red], pivots)
+
+
+def _integer_kernel_oracle(rows, ncols):
+    """The rational route: kernel_rational, clear_denominators, saturate."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    ker = kernel_rational([[Q(x) for x in row] for row in rows], ncols)
+    if not ker:
+        return []
+    lat, _ = saturate([clear_denominators(v) for v in ker], ncols)
+    return lat.basis()
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices())
+@example([[Q(1), Q(1), Q(2)]])
+@example([[Q(2), Q(4)], [Q(1), Q(3)]])                   # full rank
+@example([[Q(0), Q(0), Q(0)]])                           # only zero rows
+def test_integer_kernel_matches_the_rational_route(rows):
+    ncols = len(rows[0]) if rows else 3
+    assert integer_kernel(rows, ncols) == _integer_kernel_oracle(rows, ncols)
 
 
 def test_complement_lattice():
