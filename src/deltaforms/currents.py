@@ -7,6 +7,7 @@ weight.  Canonicalization folds the weight into the coefficient, so the
 normalized multiplier is always 1.
 """
 
+from .cones import int_dot
 from .linalg import (
     clear_denominators,
     det,
@@ -495,7 +496,6 @@ def _split_coordinates(sigma, tau):
     """
     nvec = primitive_normal(sigma, tau)
     tch, sch = tau.chart, sigma.chart
-    m = tau.dim
     j0 = None
     for j, w_row in enumerate(tch.w_rows):
         if vec_dot(w_row, nvec) != 0:
@@ -505,9 +505,7 @@ def _split_coordinates(sigma, tau):
         raise AssertionError("facet normal lies in the facet span")
     w = tch.w_rows[j0]
     scale = vec_dot(w, nvec)
-    rows = [[vec_dot(tch.u_rows[i], sch.basis[k]) for k in range(sigma.dim)]
-            for i in range(m)]
-    rows.append([vec_dot(w, sch.basis[k]) for k in range(sigma.dim)])
+    rows = [[int_dot(u, b) for b in sch.basis] for u in tch.u_rows + (w,)]
     off = list(tch.to_local(sch.base))
     off.append(vec_dot(w, vec_sub(list(sch.base), list(tch.base))))
     inv = invert(rows)
@@ -632,8 +630,7 @@ def translate_delta(T, v):
     for cell, form, w in T.canonicalize().terms:
         moved = translate(cell, v)
         mch, cch = moved.chart, cell.chart
-        lin = [[vec_dot(cch.u_rows[i], mch.basis[k]) for k in range(mch.dim)]
-               for i in range(cch.dim)]
+        lin = [[int_dot(u, b) for b in mch.basis] for u in cch.u_rows]
         off = [vec_dot(u, vec_sub(vec_sub(list(mch.base), v), list(cch.base)))
                for u in cch.u_rows]
         out.append((moved, form.pullback_affine(lin, off, k=moved.dim), w))
@@ -714,8 +711,7 @@ def pushforward(f, T):
             raise AssertionError("image of a nonempty cell is empty")
         idx = abs(det([nu.span.coords(col) for col in mcols]))
         nch = nu.chart
-        a_rows = [[sum(nch.u_rows[j][i] * mrows[i][k] for i in range(m))
-                   for k in range(d)] for j in range(d)]
+        a_rows = [[int_dot(u, col) for col in mcols] for u in nch.u_rows]
         a_off = [vec_dot(nch.u_rows[j], vec_sub(c0, list(nch.base)))
                  for j in range(d)]
         ainv = invert(a_rows)

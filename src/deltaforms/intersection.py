@@ -24,7 +24,7 @@ from .currents import (
     pushforward,
     transport_form,
 )
-from .linalg import rank, solve_linear, vec_dot
+from .linalg import rank, vec_dot
 from .polyhedra import (
     Complex,
     ComplexError,
@@ -135,11 +135,13 @@ def _divisor_core(phi, R):
     for tau in sorted(stars, key=lambda c: c.sort_key):
         contributions = sorted(stars[tau], key=lambda t: t[0].sort_key)
         g0 = gradients[contributions[0][0]]
+        # the gradient that agrees with g0 on tau and is zero on the
+        # complement: sum_k (g0 . basis_k) u_k over the chart's dual rows
         ch = tau.chart
-        rows = [list(b) for b in ch.basis] + [list(c) for c in ch.comp]
-        rhs = ([vec_dot(g0, b) for b in ch.basis]
-               + [Q(0)] * len(ch.comp))
-        base_grad = solve_linear(rows, rhs)
+        base_grad = [QZERO] * n
+        for b, u in zip(ch.basis, ch.u_rows):
+            c = vec_dot(g0, b)
+            base_grad = [x + c * y for x, y in zip(base_grad, u)]
         beta = SuperForm.zero(tau.dim)
         for sigma, form in contributions:
             jump = [a - b for a, b in zip(gradients[sigma], base_grad)]

@@ -30,6 +30,13 @@ MAX_DEGREE = 64
 # hundred million digits.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# Most digits in the numerator or the denominator of an input rational.  The
+# product of two input weights then stays below Python's 4300-digit limit on
+# converting an integer to a string, which writing the output would hit.
+MAX_RATIONAL_DIGITS = 1000
+_TOO_MANY_DIGITS = (f"rational has more than MAX_RATIONAL_DIGITS = "
+                    f"{MAX_RATIONAL_DIGITS} digits in its numerator or denominator")
+
 
 def _is_int(value):
     """A JSON integer: bool is a subclass of int, but true is not 1."""
@@ -42,10 +49,15 @@ def parse_q(value):
     if isinstance(value, bool):
         raise DocumentError("expected a rational, got a boolean")
     if isinstance(value, int):
+        if len(str(abs(value))) > MAX_RATIONAL_DIGITS:
+            raise DocumentError(_TOO_MANY_DIGITS)
         return Q(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise DocumentError(f"malformed rational {value!r}")
+        if any(len(part) > MAX_RATIONAL_DIGITS
+               for part in value.lstrip("-").split("/")):
+            raise DocumentError(_TOO_MANY_DIGITS)
         try:
             return Q(value)
         except (ValueError, ZeroDivisionError):
@@ -349,5 +361,6 @@ def load_document(path):
             return json.load(fh)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise DocumentError(f"{path} is not valid JSON: {e}")

@@ -98,7 +98,7 @@ def kernel_rational(rows, ncols=None):
 
 
 def det(rows):
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
+    """Determinant by Gaussian elimination over Q."""
     m = mat_copy(rows)
     n = len(m)
     if any(len(r) != n for r in m):
@@ -170,6 +170,40 @@ def _int_rref(rows):
                                         for x, y in zip(row, top)])
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+def _int_det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        top = m[c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(top[c] * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = top[c]
+    return sign * prev
+
+
+def _unimodular_inverse(rows):
+    """Inverse of a square integer matrix of determinant +-1, in integers.
+
+    The integer RREF of [M | I] is [I | M^-1] exactly when M^-1 is integral;
+    a pivot other than 1, or outside the first n columns, means M is not
+    unimodular.
+    """
+    n = len(rows)
+    red, pivots = _int_rref([list(r) + [int(i == j) for j in range(n)]
+                             for i, r in enumerate(rows)])
+    if pivots != list(range(n)) or any(row[i] != 1 for i, row in enumerate(red)):
+        raise ValueError("matrix is not unimodular")
+    return [row[n:] for row in red]
 
 
 def clear_denominators(v):
@@ -324,21 +358,23 @@ class Lattice:
     def basis(self):
         return [list(r) for r in self.rows]
 
-    def contains(self, v) -> bool:
-        """Membership of an integer vector in the lattice."""
-        v = [qof(x) for x in v]
-        if any(x.denominator != 1 for x in v):
-            return False
-        c = self.coords(v)
-        return c is not None and all(x.denominator == 1 for x in c)
-
     def coords(self, v):
-        """Rational coordinates of v in the basis, or None if off-span."""
-        if not self.rows:
-            return [] if all(qof(x) == 0 for x in v) else None
-        # solve basis^T * c = v
-        at = [[Q(self.rows[i][j]) for i in range(len(self.rows))] for j in range(self.n)]
-        return solve_linear(at, [qof(x) for x in v])
+        """Rational coordinates of v in the basis, or None if off-span.
+
+        The HNF pivot columns increase, so each coordinate is read off its
+        pivot column once the rows before it are subtracted.  An integer v
+        in the lattice is reduced in integers.
+        """
+        rest = list(v)
+        out = []
+        for row in self.rows:
+            p = next(j for j, x in enumerate(row) if x)
+            c = Q(rest[p], row[p])
+            if c:
+                f = c.numerator if c.denominator == 1 else c
+                rest = [x - f * y for x, y in zip(rest, row)]
+            out.append(c)
+        return None if any(rest) else out
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.n == other.n and self.rows == other.rows
@@ -413,7 +449,6 @@ def complement_lattice(lat: Lattice) -> Lattice:
     # complementarity depends only on the spanned lattice, so the canonical
     # HNF basis of these rows is still a complement
     comp = Lattice(n, cti[lat.rank:])
-    full = [list(r) for r in lat.rows] + [list(r) for r in comp.rows]
-    if abs(det([[Q(x) for x in r] for r in full])) != 1:
+    if abs(_int_det(lat.rows + comp.rows)) != 1:
         raise AssertionError("complement construction failed")
     return comp

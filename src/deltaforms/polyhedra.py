@@ -29,13 +29,12 @@ from .linalg import (
     Lattice,
     _int_rref,
     _ivec_primitive as _primitive,
+    _unimodular_inverse,
     clear_denominators,
     complement_lattice,
     hnf,
     integer_kernel,
-    invert,
     saturate,
-    solve_linear,
     vec_dot,
 )
 from .cones import double_description, int_dot, integer_rank
@@ -167,7 +166,10 @@ class Chart:
     """Affine chart of a polyhedron: x = base + sum_k u_k basis_k.
 
     u_rows are the dual functionals recovering u from x (zero on the chosen
-    integral complement), w_rows the complement duals.
+    integral complement), w_rows the complement duals.  They are the rows of
+    the inverse of the matrix with columns basis and comp.  The basis
+    generates the cell's lattice and comp a complement of it in Z^n, so that
+    matrix is unimodular and the duals are integer vectors.
     """
 
     __slots__ = ("n", "base", "basis", "comp", "u_rows", "w_rows")
@@ -180,14 +182,9 @@ class Chart:
         d = len(self.basis)
         if d + len(self.comp) != n:
             raise ValueError("basis and complement must fill the ambient space")
-        if n:
-            m = [[Q(self.basis[k][i]) if k < d else Q(self.comp[k - d][i])
-                  for k in range(n)] for i in range(n)]
-            minv = invert(m)
-        else:
-            minv = []
-        self.u_rows = tuple(tuple(minv[k]) for k in range(d))
-        self.w_rows = tuple(tuple(minv[k]) for k in range(d, n))
+        minv = _unimodular_inverse(list(zip(*(self.basis + self.comp))))
+        self.u_rows = tuple(map(tuple, minv[:d]))
+        self.w_rows = tuple(map(tuple, minv[d:]))
 
     @property
     def dim(self):
@@ -210,7 +207,7 @@ class Chart:
         d = self.dim
         cols = []
         for k in range(d):
-            cols.append([vec_dot(u, self.basis[k]) for u in other.u_rows])
+            cols.append([int_dot(u, self.basis[k]) for u in other.u_rows])
         m_rows = [[cols[k][j] for k in range(d)] for j in range(other.dim)]
         off = other.to_local(self.base)
         return m_rows, off
@@ -306,21 +303,17 @@ class Polyhedron:
         """
         if self._base is None:
             if self.dim == 0:
-                sol = solve_linear([[Q(x) for x in r[:-1]] for r in self.eq_rows],
-                                   [Q(r[-1]) for r in self.eq_rows])
-                self._base = tuple(sol)
+                red, pivots = _int_rref(self.eq_rows)
+                self._base = tuple(Q(r[-1], r[p]) for r, p in zip(red, pivots))
             else:
                 lin = self.lineality
                 if lin.rank > 0:
                     comp = complement_lattice(lin)
-                    n = self.n
-                    m = [[Q(comp.rows[k][i]) if k < comp.rank else Q(lin.rows[k - comp.rank][i])
-                          for k in range(n)] for i in range(n)]
-                    minv = invert(m)
+                    minv = _unimodular_inverse(list(zip(*(comp.rows + lin.rows))))
                     cut = polyhedron(
-                        n, _pairs(self.ineq_rows),
+                        self.n, _pairs(self.ineq_rows),
                         eqs=_pairs(self.eq_rows)
-                        + [(minv[k], QZERO) for k in range(comp.rank, n)])
+                        + [(row, 0) for row in minv[comp.rank:]])
                     self._base = tuple(cut.base_point)
                 else:
                     self._base = min(tuple(v) for v in self.vertices())
@@ -688,11 +681,11 @@ def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
     bs = sigma.span.basis()
     d = len(bs)
     coords = []
-    for t in tau.span.basis():
+    for t in tau.span.rows:
         c = sigma.span.coords(t)
         if c is None or any(x.denominator != 1 for x in c):
             raise ValueError("tau is not a subcell of sigma")
-        coords.append([int(x) for x in c])
+        coords.append([x.numerator for x in c])
     if coords:
         fker = integer_kernel(coords, d)
         if len(fker) != 1:
@@ -711,24 +704,22 @@ def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
     # the facet-defining inequality of sigma that is tight on tau
     arow = None
     tau_base = tau.base_point
-    tau_basis = tau.span.basis()
     for r in sigma.ineq_rows:
-        a = [Q(x) for x in r[:-1]]
-        if vec_dot(a, tau_base) != r[-1]:
-            continue
-        if all(vec_dot(a, t) == 0 for t in tau_basis):
+        a = r[:-1]
+        if not any(int_dot(a, t) for t in tau.span.rows) and (
+                int_dot(a, tau_base) == r[-1]):
             arow = a
             break
     if arow is None:
         raise ValueError("tau is not a facet of sigma")
     w = [sum(u[k] * bs[k][i] for k in range(d)) for i in range(sigma.n)]
-    pairing = vec_dot(arow, [Q(x) for x in w])
+    pairing = int_dot(arow, w)
     if pairing == 0:
         raise AssertionError("normal candidate lies in the facet span")
     if pairing > 0:
         u = _reduce_mod_rows([-x for x in u], h)
         w = [sum(u[k] * bs[k][i] for k in range(d)) for i in range(sigma.n)]
-        if vec_dot(arow, [Q(x) for x in w]) >= 0:
+        if int_dot(arow, w) >= 0:
             raise AssertionError("normal direction flip failed")
     return w
 

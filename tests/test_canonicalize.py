@@ -6,7 +6,9 @@ canonicalizer must reproduce the LP canonicalizer row for row, and
 polyhedron() must hand back the same interned object for every description
 of the same set.  What is read off the cached cone generators (implicit rows,
 relative-interior points, vertices, boundedness) is checked against the LP
-oracle and against the face lattice.
+oracle and against the face lattice.  Charts, base points and lattice
+normals are computed in integers; each is checked on every face against a
+rational route kept here as an oracle.
 """
 
 import random
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 
 from eps_oracle import lp_extremum, lp_feasible, strict_interior
 from lp_canonicalize import lp_canonicalize
-from deltaforms.linalg import clear_denominators, vec_dot
-from deltaforms.polyhedra import (_canonicalize, implicit_rows, polyhedron,
+from deltaforms.linalg import (clear_denominators, complement_lattice, hnf,
+                               integer_kernel, invert, solve_linear, vec_dot)
+from deltaforms.polyhedra import (_canonicalize, _reduce_mod_rows, _xgcd_vector,
+                                  implicit_rows, polyhedron, primitive_normal,
                                   recession_cone)
 
 COEF = st.integers(-3, 3)
@@ -220,3 +224,142 @@ def test_is_bounded_matches_the_recession_cone(system):
     if p is None:
         return
     assert p.is_bounded() == (recession_cone(p).dim == 0)
+
+
+# ------------------------------------------- charts, base points and normals --
+# The rational routes below are the ones the integer code replaced, kept as
+# oracles.  Each reads only the canonical rows, and the recursion and lattice
+# coordinates go through the oracles too, so no integer helper is shared.
+
+def _pairs(rows):
+    return [(r[:-1], r[-1]) for r in rows]
+
+
+def base_point_oracle(p):
+    """Polyhedron.base_point by rational solve and rational inverse."""
+    if p.dim == 0:
+        sol = solve_linear([[Q(x) for x in r[:-1]] for r in p.eq_rows],
+                           [Q(r[-1]) for r in p.eq_rows])
+        return tuple(sol)
+    lin = p.lineality
+    if lin.rank > 0:
+        comp = complement_lattice(lin)
+        n = p.n
+        m = [[Q(comp.rows[k][i]) if k < comp.rank else Q(lin.rows[k - comp.rank][i])
+              for k in range(n)] for i in range(n)]
+        minv = invert(m)
+        cut = polyhedron(
+            n, _pairs(p.ineq_rows),
+            eqs=_pairs(p.eq_rows)
+            + [(minv[k], Q(0)) for k in range(comp.rank, n)])
+        return tuple(base_point_oracle(cut))
+    return min(tuple(v) for v in p.vertices())
+
+
+def coords_oracle(lat, v):
+    """Lattice.coords by solving basis^T c = v over Q."""
+    if not lat.rows:
+        return [] if all(Q(x) == 0 for x in v) else None
+    at = [[Q(lat.rows[i][j]) for i in range(len(lat.rows))] for j in range(lat.n)]
+    return solve_linear(at, [Q(x) for x in v])
+
+
+def primitive_normal_oracle(sigma, tau):
+    """primitive_normal with rational coordinates and rational pairings."""
+    if tau.dim != sigma.dim - 1:
+        raise ValueError("tau must be a facet of sigma")
+    bs = sigma.span.basis()
+    d = len(bs)
+    coords = []
+    for t in tau.span.basis():
+        c = coords_oracle(sigma.span, t)
+        if c is None or any(x.denominator != 1 for x in c):
+            raise ValueError("tau is not a subcell of sigma")
+        coords.append([int(x) for x in c])
+    if coords:
+        fker = integer_kernel(coords, d)
+        if len(fker) != 1:
+            raise ValueError("tau is not a facet of sigma")
+        f = fker[0]
+    else:
+        if d != 1:
+            raise ValueError("tau is not a facet of sigma")
+        f = [1]
+    u, g = _xgcd_vector(f)
+    if g != 1:
+        raise AssertionError("kernel functional is not primitive")
+    h = hnf(coords) if coords else []
+    u = _reduce_mod_rows(u, h)
+
+    arow = None
+    tau_base = base_point_oracle(tau)
+    tau_basis = tau.span.basis()
+    for r in sigma.ineq_rows:
+        a = [Q(x) for x in r[:-1]]
+        if vec_dot(a, tau_base) != r[-1]:
+            continue
+        if all(vec_dot(a, t) == 0 for t in tau_basis):
+            arow = a
+            break
+    if arow is None:
+        raise ValueError("tau is not a facet of sigma")
+    w = [sum(u[k] * bs[k][i] for k in range(d)) for i in range(sigma.n)]
+    pairing = vec_dot(arow, [Q(x) for x in w])
+    if pairing == 0:
+        raise AssertionError("normal candidate lies in the facet span")
+    if pairing > 0:
+        u = _reduce_mod_rows([-x for x in u], h)
+        w = [sum(u[k] * bs[k][i] for k in range(d)) for i in range(sigma.n)]
+        if vec_dot(arow, [Q(x) for x in w]) >= 0:
+            raise AssertionError("normal direction flip failed")
+    return w
+
+
+def _fresh_faces(system):
+    """Faces of the system's polyhedron with base points and charts uncached."""
+    p = polyhedron(*system)
+    if p is None:
+        return []
+    faces = p.faces()
+    for f in faces:
+        f._base = f._chart = None
+    return faces
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example((2, _rows((1, 0, 1), (0, 1, 1), (-1, -1, 0)), []))       # triangle
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 1)), []))              # slab
+@example((2, [], _rows((2, 0, 1), (0, 3, 1))))                     # point (1/2, 1/3)
+@example((3, _rows((1, 2, 0, 4), (-2, 1, 0, 1)), _rows((0, 1, 3, 1))))
+def test_charts_are_the_rational_inverse_in_integers(system):
+    for f in _fresh_faces(system):
+        ch = f.chart
+        cols = ch.basis + ch.comp
+        m = [[Q(col[i]) for col in cols] for i in range(f.n)]
+        assert list(ch.u_rows + ch.w_rows) == [tuple(r) for r in invert(m)]
+        assert all(type(x) is int for r in ch.u_rows + ch.w_rows for x in r)
+        assert f.contains(ch.base) and ch.to_local(ch.base) == [0] * f.dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example((2, [], _rows((2, 0, 1), (0, 3, 1))))                     # point (1/2, 1/3)
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 1)), []))              # lineality 2
+@example((3, _rows((1, 2, 0, 4), (-2, 1, 0, 1)), _rows((0, 1, 3, 1))))
+def test_base_points_match_the_rational_route(system):
+    for f in _fresh_faces(system):
+        assert f.base_point == base_point_oracle(f)
+        assert all(type(x) is Q for x in f.base_point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example((2, _rows((1, 0, 1), (0, 1, 1), (-1, -1, 0)), []))       # triangle
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 1)), []))              # slab
+@example((2, _rows((2, 3, 6), (-1, 0, 0), (0, -1, 0)), []))       # non-unit pivots
+@example((3, _rows((1, 2, 0, 4), (-2, 1, 0, 1)), _rows((0, 1, 3, 1))))
+def test_primitive_normals_match_the_rational_route(system):
+    for sigma in _fresh_faces(system):
+        for tau in sigma.facets():
+            assert primitive_normal(sigma, tau) == primitive_normal_oracle(sigma, tau)

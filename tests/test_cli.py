@@ -10,9 +10,10 @@ import pytest
 
 from deltaforms.cli import main
 from deltaforms.currents import DeltaForm, fundamental_cycle
-from deltaforms.io import (DocumentError, deltaform_json, dumps_canonical,
-                           map_json, parse_deltaform, parse_plfunction,
-                           plfunction_json, polyhedron_json, superform_json)
+from deltaforms.io import (MAX_RATIONAL_DIGITS, DocumentError, deltaform_json,
+                           dumps_canonical, map_json, parse_deltaform,
+                           parse_plfunction, plfunction_json, polyhedron_json,
+                           superform_json)
 from deltaforms.currents import AffineMap
 from deltaforms.intersection import pl_max
 from deltaforms.polyhedra import box, polyhedron, ray_from, single_point
@@ -126,6 +127,51 @@ class TestParseErrors:
         err = json.loads(out)["error"]
         assert err["kind"] == "parse"
         assert err["message"] == "malformed rational %r" % c
+
+    @staticmethod
+    def axis_line(normal, weight):
+        """The line normal . x = 0 in R^2, form 1, with a weight as written."""
+        T = DeltaForm(2, [(polyhedron(2, [], eqs=[(normal, 0)]),
+                           SuperForm.scalar(1, 1), 1)])
+        doc = deltaform_json(T)
+        doc["terms"][0]["weight"] = weight
+        return doc
+
+    def test_rational_over_the_digit_cap_fails_fast(self, tmp_path, capsys):
+        weight = "9" * 3000 + "/1"
+        h = write(tmp_path, "h.json", self.axis_line([0, 1], weight))
+        v = write(tmp_path, "v.json", self.axis_line([1, 0], weight))
+        start = time.perf_counter()
+        code, out = run(capsys, "wedge", h, v)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "parse"
+        assert "MAX_RATIONAL_DIGITS = %d" % MAX_RATIONAL_DIGITS in err["message"]
+
+    @pytest.mark.parametrize("weight", [
+        "9" * MAX_RATIONAL_DIGITS + "/1", "1/" + "9" * MAX_RATIONAL_DIGITS,
+        int("9" * MAX_RATIONAL_DIGITS)])
+    def test_rational_at_the_digit_cap_parses(self, tmp_path, capsys, weight):
+        h = write(tmp_path, "h.json", self.axis_line([0, 1], weight))
+        v = write(tmp_path, "v.json", self.axis_line([1, 0], weight))
+        code, out = run(capsys, "wedge", "--method", "diagonal", h, v)
+        assert code == 0
+        json.loads(out)
+
+    @pytest.mark.parametrize("weight", ["1/" + "9" * (MAX_RATIONAL_DIGITS + 1),
+                                        int("9" * (MAX_RATIONAL_DIGITS + 1))])
+    def test_digit_cap_holds_for_denominators_and_integers(self, weight):
+        with pytest.raises(DocumentError, match="MAX_RATIONAL_DIGITS"):
+            parse_deltaform(self.axis_line([0, 1], weight))
+
+    def test_integer_past_the_json_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(dumps_canonical(self.axis_line([0, 1], "@")).replace(
+            '"@"', "9" * 5000))
+        code, out = run(capsys, "check-balance", str(path))
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "parse"
 
     @pytest.mark.parametrize("where", ["exps", "polyhedron n", "dp",
                                        "delta-form n", "piece cell"])

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltaforms.linalg import (
     Lattice,
+    _int_det,
     _int_rref,
+    _unimodular_inverse,
     clear_denominators,
     complement_lattice,
     det,
@@ -31,6 +34,15 @@ def rand_int_matrix(rng, m, n, lo=-4, hi=4):
 def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
+
+
+def lattice_contains(lat, v):
+    """Membership of an integer vector in the lattice."""
+    v = [Q(x) for x in v]
+    if any(x.denominator != 1 for x in v):
+        return False
+    c = lat.coords(v)
+    return c is not None and all(x.denominator == 1 for x in c)
 
 
 def test_rref_and_rank_basics():
@@ -204,19 +216,17 @@ def test_saturate_against_coset_oracle():
         assert index == coset_count_oracle(gens, n)
         # saturation contains every generator
         for g in gens:
-            assert lat.contains(list(g))
+            assert lattice_contains(lat, list(g))
 
 
 def test_lattice_contains_and_coords():
     lat = Lattice(2, [[1, 0], [0, 2]])
-    assert lat.contains([3, 4])
-    assert not lat.contains([0, 1])
+    assert lattice_contains(lat, [3, 4])
+    assert not lattice_contains(lat, [0, 1])
     assert lat.coords([3, 4]) == [Q(3), Q(2)]
 
 
 def test_saturate_rejects_degenerate_input():
-    import pytest
-
     with pytest.raises(ValueError):
         saturate([], 2)
     with pytest.raises(ValueError):
@@ -242,8 +252,8 @@ def test_integer_kernel_primitive():
         assert v[0] + v[1] + 2 * v[2] == 0
     # saturated: (1,-1,0) and (2,0,-1) must lie inside
     lat = Lattice(3, ker)
-    assert lat.contains([1, -1, 0])
-    assert lat.contains([2, 0, -1])
+    assert lattice_contains(lat, [1, -1, 0])
+    assert lattice_contains(lat, [2, 0, -1])
 
 
 # Rows of rationals p/q with small p and q; duplicated, negated and zero rows
@@ -322,3 +332,97 @@ def test_complement_lattice():
         if full:
             assert abs(det([[Q(x) for x in row] for row in full])) == 1
 
+
+# ---------------------------------------------- integer charts and lattices --
+# Each integer routine is checked against the rational route it replaced.
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary integer row operations: swaps, negations and
+    row additions with multipliers -3..3, starting from the identity."""
+    n = draw(st.integers(1, 5))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1),
+                                           st.integers(-3, 3)), max_size=12)):
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        elif k == 0:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(unimodular_matrices())
+@example([[2, 1], [1, 1]])
+@example([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+def test_unimodular_inverse_equals_invert(m):
+    inv = _unimodular_inverse(m)
+    assert inv == invert([[Q(x) for x in row] for row in m])
+    assert all(type(x) is int for row in inv for x in row)
+    assert abs(_int_det(m)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@example([[2, 0], [0, 1]])            # |det| = 2
+@example([[1, 2], [2, 4]])            # singular
+@example([[0, 0], [0, 0]])
+@example([[3, 1], [5, 2]])            # |det| = 1
+def test_unimodular_inverse_rejects_other_matrices(m):
+    d = det([[Q(x) for x in row] for row in m])
+    assert _int_det(m) == d
+    if abs(d) == 1:
+        assert _unimodular_inverse(m) == invert([[Q(x) for x in r] for r in m])
+    else:
+        with pytest.raises(ValueError):
+            _unimodular_inverse(m)
+
+
+def _coords_oracle(lat, v):
+    """The rational route: solve basis^T c = v with solve_linear."""
+    if not lat.rows:
+        return [] if all(Q(x) == 0 for x in v) else None
+    at = [[Q(lat.rows[i][j]) for i in range(len(lat.rows))] for j in range(lat.n)]
+    return solve_linear(at, [Q(x) for x in v])
+
+
+@st.composite
+def lattices_and_vectors(draw):
+    """A saturated lattice and a vector on its span (integer or rational
+    combination of the generators) or off it."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         max_size=n))
+    gens = [g for g in gens if any(g)]
+    lat = saturate(gens, n)[0] if gens else Lattice(n, [])
+    coef = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    kind = draw(st.sampled_from(["span", "any"]))
+    if kind == "span":
+        cs = draw(st.lists(coef, min_size=len(gens), max_size=len(gens)))
+        v = [sum((c * g[i] for c, g in zip(cs, gens)), Q(0)) for i in range(n)]
+    else:
+        v = draw(st.lists(coef, min_size=n, max_size=n))
+    return lat, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattices_and_vectors())
+@example((Lattice(2, [[1, 0], [0, 2]]), [3, 4]))
+@example((Lattice(2, [[1, 0], [0, 2]]), [0, 1]))     # span, not lattice
+@example((Lattice(3, [[1, 2, 0]]), [0, 0, 1]))       # off the span
+@example((Lattice(3, [[2, 3, 0], [0, 0, 1]]), [4, 6, Q(1, 2)]))
+@example((Lattice(2, []), [0, 0]))
+@example((Lattice(2, []), [0, 1]))
+def test_coords_matches_the_rational_solve(case):
+    lat, v = case
+    c = lat.coords(v)
+    assert c == _coords_oracle(lat, v)
+    assert c is None or all(type(x) is Fraction for x in c)
+    ints = [int(x) for x in v] if all(Q(x).denominator == 1 for x in v) else None
+    if ints is not None:
+        assert lat.coords(ints) == c
