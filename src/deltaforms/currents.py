@@ -7,6 +7,8 @@ weight.  Canonicalization folds the weight into the coefficient, so the
 normalized multiplier is always 1.
 """
 
+from copy import deepcopy
+
 from .cones import int_dot
 from .linalg import (
     clear_denominators,
@@ -192,10 +194,11 @@ def _sliced_terms(terms, hyperplanes):
 class DeltaForm:
     """Finite sum of coefficient-weighted polyhedral integration currents."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_balancing")
 
     def __init__(self, n, terms=()):
         self.n = int(n)
+        self._balancing = None  # memo of _balanced_refinement
         norm = []
         for cell, form, weight in terms:
             if cell.n != self.n:
@@ -305,7 +308,8 @@ class DeltaForm:
 
     def is_balanced(self):
         """Verdict plus a certificate naming a facet with nonzero residue."""
-        return _check_balanced_refined(self.canonicalize().refine())
+        _, ok, cert = _balanced_refinement(self)
+        return ok, deepcopy(cert)
 
     # -- differential operators -------------------------------------------------
 
@@ -395,50 +399,59 @@ def _facet_stars(terms):
 
 
 def _check_balanced_refined(R):
-    """Balancing check for a presentation whose cells share facets exactly."""
+    """Balancing check for a presentation whose cells share facets exactly.
+
+    Each coefficient is transported to the facet once, with its normal, and
+    reused for every complement row and for the residue direction.
+    """
     for (p, q, r), comp in R.tridegree_components().items():
         stars = _facet_stars(comp.terms)
         for tau in sorted(stars, key=lambda c: c.sort_key):
-            contributions = stars[tau]
+            spokes = [(primitive_normal(sigma, tau), transport_form(form, sigma, tau))
+                      for sigma, form in stars[tau]]
             residues = []
-            direction = [QZERO] * R.n
-            constant_coeffs = True
             for w_row in tau.chart.w_rows:
                 beta = SuperForm.zero(tau.dim)
-                for sigma, form in contributions:
-                    c = vec_dot(w_row, primitive_normal(sigma, tau))
+                for nv, rest in spokes:
+                    c = vec_dot(w_row, nv)
                     if c:
-                        beta = beta + transport_form(form, sigma, tau).scale(c)
+                        beta = beta + rest.scale(c)
                 residues.append(beta)
-            for sigma, form in contributions:
-                rest = transport_form(form, sigma, tau)
-                if rest.bidegrees() in ([], [(0, 0)]):
-                    c = rest.eval_scalar(list(tau.chart.to_local(tau.base_point)))
-                    nv = primitive_normal(sigma, tau)
+            if all(b.is_zero() for b in residues):
+                continue
+            cert = {
+                "face": cell_summary(tau),
+                "tridegree": (p, q, r),
+                "residues": [repr(b) for b in residues],
+            }
+            if all(rest.bidegrees() in ([], [(0, 0)]) for _, rest in spokes):
+                local = list(tau.chart.to_local(tau.base_point))
+                direction = [QZERO] * R.n
+                for nv, rest in spokes:
+                    c = rest.eval_scalar(local)
                     direction = [d + c * x for d, x in zip(direction, nv)]
-                else:
-                    constant_coeffs = False
-            if any(not b.is_zero() for b in residues):
-                cert = {
-                    "face": cell_summary(tau),
-                    "tridegree": (p, q, r),
-                    "residues": [repr(b) for b in residues],
-                }
-                if constant_coeffs and any(x != 0 for x in direction):
+                if any(x != 0 for x in direction):
                     iv = clear_denominators(direction)
                     if next(x for x in iv if x) < 0:
                         iv = [-x for x in iv]
                     cert["residue_vector"] = iv
-                return False, cert
+            return False, cert
     return True, None
+
+
+def _balanced_refinement(T):
+    """(refined presentation, verdict, certificate) of T, computed once per current."""
+    if T._balancing is None:
+        R = T.canonicalize().refine()
+        T._balancing = (R,) + _check_balanced_refined(R)
+    return T._balancing
 
 
 def require_balanced(T):
     """Refined presentation of T, or BalancingError with certificate."""
-    R = T.canonicalize().refine()
-    ok, cert = _check_balanced_refined(R)
+    R, ok, cert = _balanced_refinement(T)
     if not ok:
-        raise BalancingError("current is not balanced", cert)
+        raise BalancingError("current is not balanced", deepcopy(cert))
     return R
 
 

@@ -421,6 +421,15 @@ def integer_kernel(rows, ncols=None):
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
     red, pivots = _int_rref([clear_denominators(r) for r in rows])
+    return _rref_kernel(red, pivots, ncols)
+
+
+def _rref_kernel(red, pivots, ncols):
+    """integer_kernel of integer rows already in reduced row echelon form.
+
+    red[i] has a nonzero entry in column pivots[i], and every other row is
+    zero there; the rows need not be primitive.
+    """
     if len(pivots) == ncols:
         return []
     scale = lcm(*(row[p] for row, p in zip(red, pivots)))

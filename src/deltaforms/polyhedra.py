@@ -29,6 +29,7 @@ from .linalg import (
     Lattice,
     _int_rref,
     _ivec_primitive as _primitive,
+    _rref_kernel,
     _unimodular_inverse,
     clear_denominators,
     complement_lattice,
@@ -278,7 +279,11 @@ class Polyhedron:
         """Integral lattice of directions along the affine hull."""
         if self._span is None:
             if self.eq_rows:
-                ker = integer_kernel([list(r[:-1]) for r in self.eq_rows], self.n)
+                # the canonical equalities are an integer RREF with every
+                # pivot among the first n columns
+                rows = [r[:-1] for r in self.eq_rows]
+                ker = _rref_kernel(rows, [next(j for j, x in enumerate(r) if x)
+                                          for r in rows], self.n)
             else:
                 ker = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
             self._span = Lattice(self.n, ker)

@@ -31,7 +31,28 @@ def qof(x) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
+# Integers of smaller magnitude have fewer digits than the interpreter's
+# default limit on int -> str conversion (4300 digits).
+_STR_BOUND = 10 ** 4000
+
+
+def _decimal(m: int) -> str:
+    """str(m), converted in pieces that stay below the int -> str limit.
+
+    Outputs are bounded by the input caps of io (degree and digit count) but
+    can still pass that limit: the integral of x^64 over an interval with
+    1000-digit endpoints has about 65,000 digits.
+    """
+    if -_STR_BOUND < m < _STR_BOUND:
+        return str(m)
+    if m < 0:
+        return "-" + _decimal(-m)
+    half = m.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(m, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def qstr(x) -> str:
     """Serialize a rational as 'p/q' with q > 0."""
     x = qof(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
+from operator import add
 
 from .linalg import det, vec_dot
 from .polyhedra import (Chart, Complex, Polyhedron, WeightedCell, intersect,
@@ -19,6 +20,33 @@ from .scalars import Q, QONE, QZERO, qof
 
 
 # ---------------------------------------------------------------- polynomials
+
+def _poly(n, terms):
+    """Poly over terms already in normal form, without re-validating them.
+
+    Arithmetic results come here: the exponents are tuples of n ints and no
+    coefficient is zero.  Input from documents and callers goes through
+    Poly(n, terms), which checks both.
+    """
+    p = object.__new__(Poly)
+    p.n = n
+    p.terms = terms
+    return p
+
+
+def _convolve(a, b):
+    """Product of two {exponents: coefficient} dicts; may hold zeros."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
 
 class Poly:
     """Polynomial with rational coefficients in n variables."""
@@ -35,17 +63,18 @@ class Poly:
                 if len(exps) != n or any(e < 0 for e in exps):
                     raise ValueError("bad exponent tuple")
                 clean[exps] = clean.get(exps, QZERO) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        self.terms = _nonzero(clean)
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {tuple([0] * n): qof(c)})
+        c = qof(c)
+        return _poly(n, {(0,) * n: c} if c else {})
 
     @classmethod
     def variable(cls, n, i):
         e = [0] * n
         e[i] = 1
-        return cls(n, {tuple(e): QONE})
+        return _poly(n, {tuple(e): QONE})
 
     @classmethod
     def affine(cls, lin, c):
@@ -71,26 +100,28 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, QZERO) + c
-        return Poly(self.n, out)
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return _poly(self.n, out)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
+        return _poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
             c = qof(other)
-            return Poly(self.n, {e: c * v for e, v in self.terms.items()})
+            if not c:
+                return _poly(self.n, {})
+            return _poly(self.n, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, QZERO) + c1 * c2
-        return Poly(self.n, out)
+        return _poly(self.n, _nonzero(_convolve(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -99,7 +130,7 @@ class Poly:
             if other.n != self.n:
                 raise ValueError("variable count mismatch")
             return other
-        return Poly.const(self.n, qof(other))
+        return Poly.const(self.n, other)
 
     def partial(self, i):
         out = {}
@@ -107,8 +138,8 @@ class Poly:
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), QZERO) + c * e[i]
-        return Poly(self.n, out)
+                out[tuple(e2)] = c * e[i]
+        return _poly(self.n, out)
 
     def eval(self, pt):
         pt = [qof(x) for x in pt]
@@ -122,26 +153,43 @@ class Poly:
         return total
 
     def compose_affine(self, lin_rows, shift, k):
-        """Substitute x_i = shift_i + sum_j lin_rows[i][j] u_j; result in k vars."""
-        subs = [Poly.affine([qof(lin_rows[i][j]) for j in range(k)], shift[i])
-                if k else Poly.const(0, qof(shift[i]))
-                for i in range(self.n)]
-        out = Poly.const(k, 0)
-        powers = [{} for _ in range(self.n)]
+        """Substitute x_i = shift_i + sum_j lin_rows[i][j] u_j; result in k vars.
+
+        Each substitution is an integer affine form over its own denominator,
+        so its powers and their products are expanded in ints.  The terms are
+        summed over the common denominator of their scales, and each monomial
+        of the result becomes one Fraction at the end.
+        """
+        zero = (0,) * k
+        monomials = [zero[:j] + (1,) + zero[j + 1:] for j in range(k)] + [zero]
+        subs, dens = [], []
+        for i in range(self.n):
+            row = [qof(lin_rows[i][j]) for j in range(k)] + [qof(shift[i])]
+            den = lcm(*(x.denominator for x in row))
+            subs.append({m: x.numerator * (den // x.denominator)
+                         for m, x in zip(monomials, row) if x})
+            dens.append(den)
+        powers = [[{zero: 1}] for _ in range(self.n)]
+        expanded = []
+        common = 1
         for e, c in self.terms.items():
-            term = Poly.const(k, c)
+            term = None
+            den = c.denominator
             for i, exp in enumerate(e):
-                if exp == 0:
-                    continue
-                cache = powers[i]
-                if exp not in cache:
-                    p = Poly.const(k, 1)
-                    for _ in range(exp):
-                        p = p * subs[i]
-                    cache[exp] = p
-                term = term * cache[exp]
-            out = out + term
-        return out
+                if exp:
+                    cache = powers[i]
+                    while len(cache) <= exp:
+                        cache.append(_convolve(cache[-1], subs[i]))
+                    term = cache[exp] if term is None else _convolve(term, cache[exp])
+                    den *= dens[i] ** exp
+            expanded.append(({zero: 1} if term is None else term, c.numerator, den))
+            common = lcm(common, den)
+        out = {}
+        for term, num, den in expanded:
+            scale = num * (common // den)
+            for m, v in term.items():
+                out[m] = out[m] + scale * v if m in out else scale * v
+        return _poly(k, {m: Fraction(v, common) for m, v in out.items() if v})
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -397,22 +445,30 @@ class SuperForm:
         if k is None:
             k = len(lin_rows[0]) if n and lin_rows else 0
         lin = [[qof(x) for x in row] for row in lin_rows]
+        shift = [qof(s) for s in shift]
+        minors = {}
+
+        def nonzero_minors(rows):
+            """(cols, det) for the nonzero minors of lin on the given rows."""
+            if rows not in minors:
+                pairs = [((), QONE)] if not rows else [
+                    (cols, det([[lin[r][c] for c in cols] for r in rows]))
+                    for cols in combinations(range(k), len(rows))]
+                minors[rows] = [(cols, d) for cols, d in pairs if d]
+            return minors[rows]
+
         out = {}
         for (ii, jj), p in self.terms.items():
-            comp = p.compose_affine(lin, [qof(s) for s in shift], k)
+            scales = [((kk, mm), di * dj) for kk, di in nonzero_minors(ii)
+                      for mm, dj in nonzero_minors(jj)]
+            if not scales:
+                continue
+            comp = p.compose_affine(lin, shift, k)
             if comp.is_zero():
                 continue
-            for kk in combinations(range(k), len(ii)):
-                di = det([[lin[r][c] for c in kk] for r in ii]) if ii else QONE
-                if di == 0:
-                    continue
-                for mm in combinations(range(k), len(jj)):
-                    dj = det([[lin[r][c] for c in mm] for r in jj]) if jj else QONE
-                    if dj == 0:
-                        continue
-                    q = comp * (di * dj)
-                    key = (kk, mm)
-                    out[key] = out[key] + q if key in out else q
+            for key, c in scales:
+                q = comp * c
+                out[key] = out[key] + q if key in out else q
         return SuperForm(k, out)
 
     def restrict(self, chart: Chart):

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from eps_oracle import lp_extremum, lp_feasible, strict_interior
 from lp_canonicalize import lp_canonicalize
-from deltaforms.linalg import (clear_denominators, complement_lattice, hnf,
-                               integer_kernel, invert, solve_linear, vec_dot)
+from deltaforms.linalg import (Lattice, clear_denominators, complement_lattice,
+                               hnf, integer_kernel, invert, solve_linear,
+                               vec_dot)
 from deltaforms.polyhedra import (_canonicalize, _reduce_mod_rows, _xgcd_vector,
                                   implicit_rows, polyhedron, primitive_normal,
                                   recession_cone)
@@ -363,3 +364,17 @@ def test_primitive_normals_match_the_rational_route(system):
     for sigma in _fresh_faces(system):
         for tau in sigma.facets():
             assert primitive_normal(sigma, tau) == primitive_normal_oracle(sigma, tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example((2, [], _rows((2, 0, 1), (0, 3, 1))))                     # point (1/2, 1/3)
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 1)), []))              # slab
+@example((3, [], _rows((2, 4, 0, 1))))                             # non-primitive linear part
+@example((3, _rows((1, 2, 0, 4), (-2, 1, 0, 1)), _rows((0, 1, 3, 1))))
+def test_span_is_the_integer_kernel_of_the_equalities(system):
+    for f in _fresh_faces(system):
+        f._span = None
+        ker = integer_kernel([list(r[:-1]) for r in f.eq_rows], f.n)
+        assert f.span.rows == Lattice(f.n, ker).rows
+        assert all(type(x) is int for r in f.span.rows for x in r)

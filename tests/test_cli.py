@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,12 +13,14 @@ from deltaforms.cli import main
 from deltaforms.currents import DeltaForm, fundamental_cycle
 from deltaforms.io import (MAX_RATIONAL_DIGITS, DocumentError, deltaform_json,
                            dumps_canonical, map_json, parse_deltaform,
-                           parse_plfunction, plfunction_json, polyhedron_json,
-                           superform_json)
+                           parse_plfunction, parse_polyhedron, parse_superform,
+                           plfunction_json, polyhedron_json, superform_json)
 from deltaforms.currents import AffineMap
 from deltaforms.intersection import pl_max
-from deltaforms.polyhedra import box, polyhedron, ray_from, single_point
-from deltaforms.superforms import SuperForm
+from deltaforms.polyhedra import (WeightedCell, box, polyhedron, ray_from,
+                                  single_point)
+from deltaforms.scalars import qstr
+from deltaforms.superforms import SuperForm, integrate_top
 
 
 def tropical_line(weights=(1, 1, 1), apex=(0, 0)):
@@ -340,6 +343,38 @@ class TestPairings:
         path = write(tmp_path, "ray.json", doc)
         code, out = run(capsys, "integrate", path)
         assert code == 2
+
+    def test_integrate_prints_a_value_past_the_str_digit_limit(self, tmp_path,
+                                                              capsys):
+        # x^64 d'x d''x over -(10^1000 - 1) <= x <= 1: every input is within
+        # the caps, and the exact integral has about 65,000 digits
+        nines = "9" * MAX_RATIONAL_DIGITS
+        text = ('{"cell":{"n":1,"ineqs":[{"a":["1/1"],"b":"1/1"},'
+                '{"a":["-1/1"],"b":"%s/1"}]},"form":{"terms":[{"dp":[0],'
+                '"ds":[0],"poly":[{"exps":[64],"c":"1/1"}]}]}}' % nines)
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, out = run(capsys, "integrate", str(path))
+        assert code == 0
+        value = json.loads(out)["value"]
+        num, den = value.split("/")
+        assert len(num) > 60000
+
+        def big_int(digits):
+            """int(digits) in pieces below the str -> int limit."""
+            total = 0
+            for i in range(0, len(digits), 4000):
+                piece = digits[i:i + 4000]
+                total = total * 10 ** len(piece) + int(piece)
+            return total
+
+        a = -(10 ** MAX_RATIONAL_DIGITS - 1)
+        assert Fraction(big_int(num), big_int(den)) == Fraction(1 - a ** 65, 65)
+        doc = json.loads(text)
+        cell = parse_polyhedron(doc["cell"])
+        exact = integrate_top(parse_superform(doc["form"], 1),
+                              WeightedCell(cell, 1))
+        assert qstr(exact) == value
 
     def test_stokes_fixture_square_function(self, tmp_path, capsys):
         from deltaforms.superforms import Poly
