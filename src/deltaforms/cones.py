@@ -3,9 +3,10 @@
 double_description enumerates the generators of a cone {y : h.y <= 0 for
 every row h} by the incremental double description method with lineality
 (Fukuda & Prodon, *Double description method revisited*, 1996).  All vectors
-stay primitive integer vectors, and ranks are taken by fraction-free
-elimination (Bareiss 1968), so no rational arithmetic is involved: the
-polyhedron rows that the cones come from are integers already.
+stay primitive integer vectors, so no rational arithmetic is involved: the
+polyhedron rows that the cones come from are integers already.  The ranks
+that decide facets (polyhedra._canonicalize) are taken in integers too, by
+the fraction-free elimination linalg._bareiss.
 """
 
 from __future__ import annotations
@@ -15,27 +16,6 @@ from .linalg import _ivec_primitive as _primitive
 
 def int_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def integer_rank(vectors):
-    """Rank of integer vectors by fraction-free (Bareiss) elimination."""
-    m = [list(v) for v in vectors]
-    r = 0
-    prev = 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            f = row[c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-        r += 1
-    return r
 
 
 def double_description(rows, dim):

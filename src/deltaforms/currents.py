@@ -25,6 +25,7 @@ from .linalg import (
 from .polyhedra import (
     Complex,
     WeightedCell,
+    _pairs,
     affine_preimage,
     intersect,
     polyhedron,
@@ -146,9 +147,8 @@ def hyperplane_pool(cells):
     """Sorted canonical hyperplanes carrying any constraint of the cells."""
     seen = set()
     for c in cells:
-        ir, irhs = c.ineqs_rational()
-        for a, b in list(zip(ir, irhs)) + c.eqs_rational():
-            key = normalize_hyperplane(a, b)
+        for r in c.ineq_rows + c.eq_rows:
+            key = normalize_hyperplane(r[:-1], r[-1])
             if key is not None:
                 seen.add(key)
     return sorted(seen)
@@ -169,9 +169,8 @@ def slice_cell(cell, hyperplanes):
             if not p.crosses(ar, b):
                 nxt.append(p)
                 continue
-            ir, irhs = p.ineqs_rational()
-            base_ineqs = list(zip(ir, irhs))
-            eqs = p.eqs_rational()
+            base_ineqs = _pairs(p.ineq_rows)
+            eqs = _pairs(p.eq_rows)
             nxt.append(polyhedron(p.n, base_ineqs + [(ar, qof(b))], eqs=eqs))
             nxt.append(polyhedron(p.n, base_ineqs + [([-x for x in ar], -qof(b))], eqs=eqs))
         pieces = nxt

@@ -251,8 +251,7 @@ def wedge_diagonal(S, T):
 # ------------------------------------------------- transversal intersection --
 
 def _touches_own_boundary(cell, pt):
-    rows, rhs = cell.ineqs_rational()
-    return any(vec_dot(a, pt) == b for a, b in zip(rows, rhs))
+    return any(vec_dot(r[:-1], pt) == r[-1] for r in cell.ineq_rows)
 
 
 def transversal_product(S, T):
@@ -325,12 +324,11 @@ def _lifted_system(c1, c2, v):
     """Rows, right-hand sides and equalities of the lifted polyhedron L."""
     rows, rhs, eqs = [], [], []
     for cell, shifted in ((c1, False), (c2, True)):
-        a_rows, b = cell.ineqs_rational()
-        for a, b_i in zip(a_rows, b):
-            rows.append(list(a) + [-vec_dot(a, v) if shifted else QZERO])
-            rhs.append(b_i)
-        for a, b_i in cell.eqs_rational():
-            eqs.append((list(a) + [-vec_dot(a, v) if shifted else QZERO], b_i))
+        for r in cell.ineq_rows:
+            rows.append([*r[:-1], -vec_dot(r[:-1], v) if shifted else 0])
+            rhs.append(r[-1])
+        for r in cell.eq_rows:
+            eqs.append(([*r[:-1], -vec_dot(r[:-1], v) if shifted else 0], r[-1]))
     rows.append([QZERO] * len(v) + [-QONE])
     rhs.append(QZERO)
     return rows, rhs, eqs
@@ -356,8 +354,7 @@ def _stable_pairs(A, B, v):
             rows, rhs, eqs = _lifted_system(c1, c2, v)
             implicit = implicit_rows(n + 1, rows, rhs, eqs)
             if not implicit:
-                eq_lin = ([a for a, _ in c1.eqs_rational()]
-                          + [a for a, _ in c2.eqs_rational()])
+                eq_lin = [r[:-1] for r in c1.eq_rows + c2.eq_rows]
                 if rank(eq_lin) != (n - c1.dim) + (n - c2.dim):
                     return None, (c1, c2)
                 pairs.append((c1, c2, pi))

@@ -105,12 +105,10 @@ def _require_keys(doc, required, optional=(), what="document"):
 
 def polyhedron_json(cell):
     rows = []
-    for a, b in cell.eqs_rational():
-        rows.append((tuple(a), b))
-        rows.append((tuple(-x for x in a), -b))
-    ineq_rows, ineq_rhs = cell.ineqs_rational()
-    for a, b in zip(ineq_rows, ineq_rhs):
-        rows.append((tuple(a), b))
+    for r in cell.eq_rows:
+        rows.append((r[:-1], r[-1]))
+        rows.append((tuple(-x for x in r[:-1]), -r[-1]))
+    rows += [(r[:-1], r[-1]) for r in cell.ineq_rows]
     rows.sort()
     return {"n": cell.n,
             "ineqs": [{"a": vector_json(a), "b": q_json(b)}

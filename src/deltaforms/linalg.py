@@ -1,5 +1,10 @@
 """Exact linear algebra over Q and lattice computations over Z.
 
+There is one elimination of each kind, in integers: Gauss-Jordan
+(_int_rref) and fraction-free Bareiss (_bareiss).  The rational rref, rank
+and det clear denominators and run them, and invert, solve_linear and
+kernel_rational go through rref.
+
 Lattices are full sublattices of their rational span intersected with Z^n;
 bases are kept in a canonical row echelon form (Hermite normal form) so that
 equal lattices have identical bases.
@@ -14,10 +19,6 @@ from .scalars import Q, QZERO, QONE, qof
 
 # ---------------------------------------------------------------- rational --
 
-def mat_copy(m):
-    return [list(r) for r in m]
-
-
 def mat_mul_vec(m, v):
     return [sum((r[j] * v[j] for j in range(len(v))), QZERO) for r in m]
 
@@ -31,37 +32,18 @@ def vec_sub(a, b):
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
-    m = [ [qof(x) for x in r] for r in rows ]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row echelon form. Returns (rref_rows, pivot_columns).
+
+    Clearing each row of denominators is a positive scaling, which keeps the
+    row space, so the integer RREF divided by its pivots is the (unique)
+    rational one.
+    """
+    red, pivots = _int_rref([clear_denominators(r) for r in rows])
+    return [[Q(x, row[p]) for x in row] for row, p in zip(red, pivots)], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return _bareiss([clear_denominators(r) for r in rows])[0]
 
 
 def solve_linear(a_rows, b):
@@ -98,30 +80,18 @@ def kernel_rational(rows, ncols=None):
 
 
 def det(rows):
-    """Determinant by Gaussian elimination over Q."""
-    m = mat_copy(rows)
-    n = len(m)
-    if any(len(r) != n for r in m):
+    """Determinant over Q, by Bareiss on the matrix scaled to integers.
+
+    Scaling by den, the lcm of the denominators, multiplies the determinant
+    by den**n.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a nonsquare matrix")
-    d = QONE
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return QZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d
+    m = [[qof(x) for x in r] for r in rows]
+    den = lcm(*(x.denominator for r in m for x in r))
+    return Q(_bareiss([[x.numerator * (den // x.denominator) for x in r]
+                       for r in m])[1], den ** n)
 
 
 def invert(rows):
@@ -149,9 +119,9 @@ def _ivec_primitive(v):
 def _int_rref(rows):
     """Reduced row echelon form of integer rows, in integers.
 
-    Gauss-Jordan with the pivot rows chosen as in rref, each row kept
-    primitive with a positive pivot.  Returns (rows, pivot_columns); row i
-    is clear_denominators of row i of rref(rows).
+    Gauss-Jordan taking the first row with a nonzero entry as the pivot row,
+    each row kept primitive with a positive pivot.  Returns (rows,
+    pivot_columns).
     """
     m = [list(r) for r in rows]
     pivots = []
@@ -172,23 +142,32 @@ def _int_rref(rows):
     return m[:len(pivots)], pivots
 
 
-def _int_det(rows):
-    """Determinant of a square integer matrix by Bareiss elimination."""
+def _bareiss(rows):
+    """(rank, det) of integer rows by fraction-free elimination (Bareiss 1968).
+
+    The rank-revealing form: a column with no pivot left is skipped, and
+    every entry stays an integer minor, so each division is exact.  det is
+    the determinant of a square matrix of full rank, and 0 otherwise.
+    """
     m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+    r, sign, prev = 0, 1, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        top = m[c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(top[c] * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = top[c]
-    return sign * prev
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        r += 1
+    full = r == len(m) and all(len(row) == r for row in m)
+    return r, (sign * prev if full else 0)
 
 
 def _unimodular_inverse(rows):
@@ -210,12 +189,9 @@ def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
     if all(type(x) is int for x in v):
         return _ivec_primitive(v)
-    den = 1
-    for x in v:
-        x = qof(x)
-        den = den * x.denominator // gcd(den, x.denominator)
-    iv = [int(qof(x) * den) for x in v]
-    return _ivec_primitive(iv)
+    v = [qof(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    return _ivec_primitive([x.numerator * (den // x.denominator) for x in v])
 
 
 def hnf(rows):
@@ -458,6 +434,6 @@ def complement_lattice(lat: Lattice) -> Lattice:
     # complementarity depends only on the spanned lattice, so the canonical
     # HNF basis of these rows is still a complement
     comp = Lattice(n, cti[lat.rank:])
-    if abs(_int_det(lat.rows + comp.rows)) != 1:
+    if abs(_bareiss(lat.rows + comp.rows)[1]) != 1:
         raise AssertionError("complement construction failed")
     return comp

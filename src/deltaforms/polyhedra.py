@@ -10,7 +10,8 @@ There is no linear programming: emptiness, implicit equalities and facets
 are read off the lineality, vertices and extreme rays of the homogenized cone
 {(u, t) : a.u <= b t, t >= 0}, found by exact integer double description
 (see cones and _canonicalize).  Rows are integers from entry to canonical
-form: polyhedron() clears each row's denominators once.  Implicit rows join
+form: polyhedron() clears each row's denominators once, and a polyhedron's
+rows are read only as its canonical integer eq_rows and ineq_rows.  Implicit rows join
 the equalities in RREF; facet rows are reduced modulo them, scaled to
 primitive integers, deduplicated and sorted.  implicit_rows answers the same
 question for any system, which decides whether it has a point strictly
@@ -27,6 +28,7 @@ from math import lcm
 
 from .linalg import (
     Lattice,
+    _bareiss,
     _int_rref,
     _ivec_primitive as _primitive,
     _rref_kernel,
@@ -38,7 +40,7 @@ from .linalg import (
     saturate,
     vec_dot,
 )
-from .cones import double_description, int_dot, integer_rank
+from .cones import double_description, int_dot
 from .scalars import Q, QONE, QZERO, qof, qstr
 
 _CACHE: dict = {}
@@ -139,14 +141,14 @@ def _canonicalize(n, ineqs, eqs):
 
     m = len(ineqs)
     implicit = _tight_rows(m, zeros)
-    facet_rank = integer_rank(lines + rays) - 1
+    facet_rank = _bareiss(lines + rays)[0] - 1
     facets = []
     for i in range(m):
         if i in implicit:
             continue
         tight = [r for r, z in zip(rays, zeros) if z >> (i + 1) & 1]
         if (len(lines) + len(tight) >= facet_rank
-                and integer_rank(lines + tight) == facet_rank):
+                and _bareiss(lines + tight)[0] == facet_rank):
             facets.append(i)
 
     generators = None if lines else _cone_generators(n, cone)
@@ -257,20 +259,13 @@ class Polyhedron:
     def dim(self):
         return self.n - len(self.eq_rows)
 
-    def eqs_rational(self):
-        return [([Q(x) for x in r[:-1]], Q(r[-1])) for r in self.eq_rows]
-
-    def ineqs_rational(self):
-        return ([ [Q(x) for x in r[:-1]] for r in self.ineq_rows ],
-                [Q(r[-1]) for r in self.ineq_rows])
-
     def contains(self, pt) -> bool:
         pt = [qof(x) for x in pt]
         for r in self.eq_rows:
-            if vec_dot([Q(x) for x in r[:-1]], pt) != r[-1]:
+            if vec_dot(r[:-1], pt) != r[-1]:
                 return False
         for r in self.ineq_rows:
-            if vec_dot([Q(x) for x in r[:-1]], pt) > r[-1]:
+            if vec_dot(r[:-1], pt) > r[-1]:
                 return False
         return True
 
@@ -338,10 +333,9 @@ class Polyhedron:
             rows = []
             rhs = []
             for r in self.ineq_rows:
-                a = [Q(x) for x in r[:-1]]
-                arow = [vec_dot(a, bs) for bs in ch.basis]
-                rows.append(arow)
-                rhs.append(Q(r[-1]) - vec_dot(a, ch.base))
+                a = r[:-1]
+                rows.append([vec_dot(a, bs) for bs in ch.basis])
+                rhs.append(r[-1] - vec_dot(a, ch.base))
             self._local_hrep = (rows, rhs)
         return self._local_hrep
 
@@ -464,9 +458,8 @@ def recession_cone(p: Polyhedron):
 
 def translate(p: Polyhedron, v):
     v = [qof(x) for x in v]
-    ir, rhs = p.ineqs_rational()
-    ineqs = [(a, b + vec_dot(a, v)) for a, b in zip(ir, rhs)]
-    eqs = [(e, f + vec_dot(e, v)) for e, f in p.eqs_rational()]
+    ineqs = [(a, b + vec_dot(a, v)) for a, b in _pairs(p.ineq_rows)]
+    eqs = [(e, f + vec_dot(e, v)) for e, f in _pairs(p.eq_rows)]
     return polyhedron(p.n, ineqs, eqs=eqs)
 
 
@@ -483,17 +476,14 @@ def product_polyhedron(p: Polyhedron, q: Polyhedron):
 
 def affine_preimage(p: Polyhedron, lin_rows, shift, domain_n):
     """{x : lin.x + shift in p} as a polyhedron in R^domain_n."""
-    ineqs = []
-    eqs = []
-    ir, rhs = p.ineqs_rational()
+    lin = [[qof(x) for x in r] for r in lin_rows]
     shift = [qof(s) for s in shift]
-    for a, b in zip(ir, rhs):
-        row = [sum(a[i] * qof(lin_rows[i][j]) for i in range(p.n)) for j in range(domain_n)]
-        ineqs.append((row, b - vec_dot(a, shift)))
-    for e, f in p.eqs_rational():
-        row = [sum(e[i] * qof(lin_rows[i][j]) for i in range(p.n)) for j in range(domain_n)]
-        eqs.append((row, f - vec_dot(e, shift)))
-    return polyhedron(domain_n, ineqs, eqs=eqs)
+
+    def pull(rows):
+        return [([sum(r[i] * lin[i][j] for i in range(p.n)) for j in range(domain_n)],
+                 r[-1] - vec_dot(r[:-1], shift)) for r in rows]
+
+    return polyhedron(domain_n, pull(p.ineq_rows), eqs=pull(p.eq_rows))
 
 
 # ------------------------------------------------------------- constructors --

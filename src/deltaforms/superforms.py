@@ -519,8 +519,11 @@ def integrate_poly_over_simplex(p: Poly, verts):
         raise ValueError("vertex count mismatch")
     if d == 0:
         return p.constant_value()
-    v0 = verts[0]
-    lin = [[verts[i + 1][j] - v0[j] for i in range(d)] for j in range(d)]
+    # substitute from the last vertex: a simplex of triangulate ends with its
+    # cell's smallest vertex, the chart base, so in chart coordinates the
+    # substitution has no shift
+    v0 = verts[-1]
+    lin = [[verts[i][j] - v0[j] for i in range(d)] for j in range(d)]
     jac = abs(det(lin))
     if jac == 0:
         return QZERO

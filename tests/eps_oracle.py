@@ -11,9 +11,21 @@ from fractions import Fraction
 
 from deltaforms.currents import DeltaForm, cell_summary, chart_to_ambient
 from deltaforms.intersection import NonGenericError
-from deltaforms.linalg import rank, vec_dot
+from deltaforms.linalg import vec_dot
 from deltaforms.polyhedra import intersect, stable_weight
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
+from linalg_oracle import rank
+
+
+def _eqs_rational(p):
+    """The former Polyhedron.eqs_rational: equalities as rational (e, f)."""
+    return [([Q(x) for x in r[:-1]], Q(r[-1])) for r in p.eq_rows]
+
+
+def _ineqs_rational(p):
+    """The former Polyhedron.ineqs_rational: rational rows and right sides."""
+    return ([ [Q(x) for x in r[:-1]] for r in p.ineq_rows ],
+            [Q(r[-1]) for r in p.ineq_rows])
 
 
 # -- polynomial helpers over Q, coefficients listed by ascending degree --
@@ -564,17 +576,17 @@ def _displaced_system(c1, c2, v):
     """Constraints of c1 and of c2 shifted by eps v, over Q(eps)."""
     eps = EpsRational.eps()
     rows, rhs, eqs = [], [], []
-    r1, b1 = c1.ineqs_rational()
+    r1, b1 = _ineqs_rational(c1)
     for a, b in zip(r1, b1):
         rows.append([EpsRational.coerce(x) for x in a])
         rhs.append(EpsRational.coerce(b))
-    for a, b in c1.eqs_rational():
+    for a, b in _eqs_rational(c1):
         eqs.append(([EpsRational.coerce(x) for x in a], EpsRational.coerce(b)))
-    r2, b2 = c2.ineqs_rational()
+    r2, b2 = _ineqs_rational(c2)
     for a, b in zip(r2, b2):
         rows.append([EpsRational.coerce(x) for x in a])
         rhs.append(EpsRational.coerce(b) + eps * vec_dot(a, v))
-    for a, b in c2.eqs_rational():
+    for a, b in _eqs_rational(c2):
         eqs.append(([EpsRational.coerce(x) for x in a],
                     EpsRational.coerce(b) + eps * vec_dot(a, v)))
     return rows, rhs, eqs
@@ -598,8 +610,8 @@ def is_generic(v, S, T):
                 continue
             if strict_interior(rows, rhs, eqs=eqs) is None:
                 return False, (c1, c2)
-            eq_lin = ([a for a, _ in c1.eqs_rational()]
-                      + [a for a, _ in c2.eqs_rational()])
+            eq_lin = ([a for a, _ in _eqs_rational(c1)]
+                      + [a for a, _ in _eqs_rational(c2)])
             expected = (n - c1.dim) + (n - c2.dim)
             if rank(eq_lin) != expected:
                 return False, (c1, c2)

@@ -1,0 +1,185 @@
+"""The rational and integer eliminations that deltaforms used before they
+were merged into one integer Gauss-Jordan (_int_rref) and one Bareiss loop.
+
+Kept verbatim as the reference oracle for the tests, and not collected by
+pytest: Gauss-Jordan over Q (rref, and rank, solve_linear, kernel_rational
+and invert on it), Gaussian elimination over Q (det), and the two Bareiss
+loops, rank-revealing (integer_rank, formerly in cones) and square-only
+(_int_det); and clear_denominators, which scaled rows by Fraction
+multiplication.  None of them calls back into deltaforms.linalg, so a fault
+in the library's elimination cannot hide in both sides of a comparison.
+"""
+
+from math import gcd
+
+from deltaforms.scalars import QONE, QZERO, qof
+
+
+def mat_copy(m):
+    return [list(r) for r in m]
+
+
+def rref(rows):
+    """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
+    m = [ [qof(x) for x in r] for r in rows ]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[0])
+
+
+def solve_linear(a_rows, b):
+    """One solution x of A x = b, or None if inconsistent."""
+    if not a_rows:
+        return [] if all(x == 0 for x in b) else None
+    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
+    red, pivots = rref(aug)
+    n = len(a_rows[0])
+    x = [QZERO] * n
+    for row, p in zip(red, pivots):
+        if p == n:
+            return None
+        x[p] = row[n]
+    return x
+
+
+def kernel_rational(rows, ncols=None):
+    """Basis of the rational kernel {x : A x = 0} as a list of vectors."""
+    if ncols is None:
+        if not rows:
+            raise ValueError("need ncols for an empty matrix")
+        ncols = len(rows[0])
+    red, pivots = rref(rows) if rows else ([], [])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [QZERO] * ncols
+        v[f] = QONE
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    m = mat_copy(rows)
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a nonsquare matrix")
+    d = QONE
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            return QZERO
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return d
+
+
+def invert(rows):
+    """Inverse of a square rational matrix."""
+    n = len(rows)
+    aug = [list(map(qof, r)) + [QONE if i == j else QZERO for j in range(n)]
+           for i, r in enumerate(rows)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
+def integer_rank(vectors):
+    """Rank of integer vectors by fraction-free (Bareiss) elimination."""
+    m = [list(v) for v in vectors]
+    r = 0
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        r += 1
+    return r
+
+
+def _int_det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        top = m[c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(top[c] * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = top[c]
+    return sign * prev
+
+
+def _ivec_primitive(v):
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
+    if g in (0, 1):
+        return list(v)
+    return [x // g for x in v]
+
+
+def clear_denominators(v):
+    """Scale a rational vector to a primitive integer vector (same ray)."""
+    if all(type(x) is int for x in v):
+        return _ivec_primitive(v)
+    den = 1
+    for x in v:
+        x = qof(x)
+        den = den * x.denominator // gcd(den, x.denominator)
+    iv = [int(qof(x) * den) for x in v]
+    return _ivec_primitive(iv)

@@ -7,9 +7,10 @@ redundant rows with one more LP per row.  Not collected by pytest.
 
 from fractions import Fraction
 
-from deltaforms.linalg import clear_denominators, rref, vec_dot
+from deltaforms.linalg import clear_denominators, vec_dot
 from deltaforms.scalars import Q, qof
 from eps_oracle import lp_extremum, lp_feasible
+from linalg_oracle import rref
 
 
 def _row_reduce_mod_eqs(a, b, eq_rows):

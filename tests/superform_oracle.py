@@ -11,16 +11,22 @@ row and once more for the residue direction.
 first copied into oracle polynomials; it returns the terms of the pulled-back
 form as {(I, J): Poly}.  `check_balanced_refined` runs on the library's own
 presentation, cells and transports.
+
+`integrate_local` is the version that substituted from the first vertex of
+each simplex, before the simplices were integrated from the chart base; it
+runs on the library's own `Poly` and triangulation.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from deltaforms.currents import cell_summary, transport_form
-from deltaforms.linalg import clear_denominators, det, vec_dot
-from deltaforms.polyhedra import primitive_normal
+from deltaforms.linalg import clear_denominators, vec_dot
+from deltaforms.polyhedra import primitive_normal, triangulate
 from deltaforms.scalars import QONE, QZERO, qof
 from deltaforms.superforms import SuperForm
+from linalg_oracle import det
 
 
 class Poly:
@@ -211,3 +217,39 @@ def check_balanced_refined(R):
                     cert["residue_vector"] = iv
                 return False, cert
     return True, None
+
+
+def integrate_poly_over_simplex(p, verts):
+    """Exact integral of p over the simplex with the given local vertices."""
+    d = p.n
+    if len(verts) != d + 1:
+        raise ValueError("vertex count mismatch")
+    if d == 0:
+        return p.constant_value()
+    v0 = verts[0]
+    lin = [[verts[i + 1][j] - v0[j] for i in range(d)] for j in range(d)]
+    jac = abs(det(lin))
+    if jac == 0:
+        return QZERO
+    h = p.compose_affine(lin, v0, d)
+    total = QZERO
+    for e, c in h.terms.items():
+        num = 1
+        for k in e:
+            num *= factorial(k)
+        total += c * Fraction(num, factorial(sum(e) + d))
+    return jac * total
+
+
+def integrate_local(g, cell):
+    """Integral of a chart-coordinate polynomial over the cell's chart image."""
+    chart = cell.chart
+    if g.n != chart.dim:
+        raise ValueError("polynomial lives in the wrong chart")
+    if cell.dim == 0:
+        return g.constant_value()
+    total = QZERO
+    for simplex in triangulate(cell):
+        verts = [chart.to_local(v) for v in simplex]
+        total += integrate_poly_over_simplex(g, verts)
+    return total

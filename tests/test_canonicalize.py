@@ -17,14 +17,18 @@ from fractions import Fraction as Q
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eps_oracle import lp_extremum, lp_feasible, strict_interior
+from eps_oracle import (_eqs_rational, _ineqs_rational, lp_extremum,
+                        lp_feasible, strict_interior)
+from linalg_oracle import invert, solve_linear
 from lp_canonicalize import lp_canonicalize
+from deltaforms.currents import hyperplane_pool, normalize_hyperplane, slice_cell
+from deltaforms.io import dumps_canonical, polyhedron_json, q_json, vector_json
 from deltaforms.linalg import (Lattice, clear_denominators, complement_lattice,
-                               hnf, integer_kernel, invert, solve_linear,
-                               vec_dot)
+                               hnf, integer_kernel, vec_dot)
 from deltaforms.polyhedra import (_canonicalize, _reduce_mod_rows, _xgcd_vector,
-                                  implicit_rows, polyhedron, primitive_normal,
-                                  recession_cone)
+                                  affine_preimage, implicit_rows, polyhedron,
+                                  primitive_normal, recession_cone, translate)
+from deltaforms.scalars import qof
 
 COEF = st.integers(-3, 3)
 
@@ -130,10 +134,10 @@ def test_crosses_matches_slicing_both_sides(system, a, b):
     if p is None:
         return
     a = [Q(x) for x in a[:n]]
-    ir, irhs = p.ineqs_rational()
-    base = list(zip(ir, irhs))
-    lo = polyhedron(n, base + [(a, Q(b))], p.eqs_rational())
-    hi = polyhedron(n, base + [([-x for x in a], -Q(b))], p.eqs_rational())
+    base = [([Q(x) for x in r[:-1]], Q(r[-1])) for r in p.ineq_rows]
+    peqs = [([Q(x) for x in r[:-1]], Q(r[-1])) for r in p.eq_rows]
+    lo = polyhedron(n, base + [(a, Q(b))], peqs)
+    hi = polyhedron(n, base + [([-x for x in a], -Q(b))], peqs)
     sliced = (lo is not None and lo.dim == p.dim and lo != p
               and hi is not None and hi.dim == p.dim and hi != p)
     assert p.crosses(a, b) == sliced
@@ -378,3 +382,105 @@ def test_span_is_the_integer_kernel_of_the_equalities(system):
         ker = integer_kernel([list(r[:-1]) for r in f.eq_rows], f.n)
         assert f.span.rows == Lattice(f.n, ker).rows
         assert all(type(x) is int for r in f.span.rows for x in r)
+
+
+# ------------------------------------------------------- integer row reads --
+# Callers read the canonical integer rows directly.  Each is checked against
+# its former version, which built rational copies of the rows first.
+
+
+def polyhedron_json_rational(cell):
+    rows = []
+    for a, b in _eqs_rational(cell):
+        rows.append((tuple(a), b))
+        rows.append((tuple(-x for x in a), -b))
+    ineq_rows, ineq_rhs = _ineqs_rational(cell)
+    for a, b in zip(ineq_rows, ineq_rhs):
+        rows.append((tuple(a), b))
+    rows.sort()
+    return {"n": cell.n,
+            "ineqs": [{"a": vector_json(a), "b": q_json(b)}
+                      for a, b in rows]}
+
+
+def hyperplane_pool_rational(cells):
+    seen = set()
+    for c in cells:
+        ir, irhs = _ineqs_rational(c)
+        for a, b in list(zip(ir, irhs)) + _eqs_rational(c):
+            key = normalize_hyperplane(a, b)
+            if key is not None:
+                seen.add(key)
+    return sorted(seen)
+
+
+def slice_cell_rational(cell, hyperplanes):
+    pieces = [cell]
+    for a, b in hyperplanes:
+        ar = [Q(x) for x in a]
+        nxt = []
+        for p in pieces:
+            if not p.crosses(ar, b):
+                nxt.append(p)
+                continue
+            ir, irhs = _ineqs_rational(p)
+            base_ineqs = list(zip(ir, irhs))
+            eqs = _eqs_rational(p)
+            nxt.append(polyhedron(p.n, base_ineqs + [(ar, qof(b))], eqs=eqs))
+            nxt.append(polyhedron(p.n, base_ineqs + [([-x for x in ar], -qof(b))], eqs=eqs))
+        pieces = nxt
+    return pieces
+
+
+def translate_rational(p, v):
+    v = [qof(x) for x in v]
+    ir, rhs = _ineqs_rational(p)
+    ineqs = [(a, b + vec_dot(a, v)) for a, b in zip(ir, rhs)]
+    eqs = [(e, f + vec_dot(e, v)) for e, f in _eqs_rational(p)]
+    return polyhedron(p.n, ineqs, eqs=eqs)
+
+
+def affine_preimage_rational(p, lin_rows, shift, domain_n):
+    ineqs = []
+    eqs = []
+    ir, rhs = _ineqs_rational(p)
+    shift = [qof(s) for s in shift]
+    for a, b in zip(ir, rhs):
+        row = [sum(a[i] * qof(lin_rows[i][j]) for i in range(p.n)) for j in range(domain_n)]
+        ineqs.append((row, b - vec_dot(a, shift)))
+    for e, f in _eqs_rational(p):
+        row = [sum(e[i] * qof(lin_rows[i][j]) for i in range(p.n)) for j in range(domain_n)]
+        eqs.append((row, f - vec_dot(e, shift)))
+    return polyhedron(domain_n, ineqs, eqs=eqs)
+
+
+RATIONAL = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.data())
+def test_integer_row_reads_equal_the_rational_rows(system, data):
+    n = system[0]
+    p = polyhedron(*system)
+    if p is None:
+        return
+    assert (dumps_canonical(polyhedron_json(p))
+            == dumps_canonical(polyhedron_json_rational(p)))
+
+    faces = p.faces()
+    pool = hyperplane_pool(faces)
+    assert pool == hyperplane_pool_rational(faces)
+    a = data.draw(st.lists(RATIONAL, min_size=n, max_size=n))
+    extra = normalize_hyperplane(a, data.draw(RATIONAL))
+    cuts = sorted(set(pool) | ({extra} if extra else set()))
+    for f in faces:
+        assert slice_cell(f, cuts) == slice_cell_rational(f, cuts)
+
+    v = data.draw(st.lists(RATIONAL, min_size=n, max_size=n))
+    assert translate(p, v) == translate_rational(p, v)
+    m = data.draw(st.integers(1, 3))
+    lin = data.draw(st.lists(st.lists(RATIONAL, min_size=m, max_size=m),
+                             min_size=n, max_size=n))
+    shift = data.draw(st.lists(RATIONAL, min_size=n, max_size=n))
+    assert (affine_preimage(p, lin, shift, m)
+            == affine_preimage_rational(p, lin, shift, m))

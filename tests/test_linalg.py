@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle as oracle
 from deltaforms.linalg import (
     Lattice,
-    _int_det,
+    _bareiss,
     _int_rref,
     _unimodular_inverse,
     clear_denominators,
@@ -289,17 +290,18 @@ def test_int_rref_is_cleared_rref(rows):
     Clearing each input row first is a positive scaling, which changes
     neither the row space nor where the zeros are, so the pivots agree too.
     """
-    red, pivots = rref(rows)
+    red, pivots = oracle.rref(rows)
     assert _int_rref([clear_denominators(r) for r in rows]) == (
         [clear_denominators(r) for r in red], pivots)
 
 
 def _integer_kernel_oracle(rows, ncols):
-    """The rational route: kernel_rational, clear_denominators, saturate."""
+    """The rational route: the oracle's kernel_rational, clear_denominators,
+    saturate."""
     rows = [r for r in rows if any(r)]
     if not rows:
         return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    ker = kernel_rational([[Q(x) for x in row] for row in rows], ncols)
+    ker = oracle.kernel_rational([[Q(x) for x in row] for row in rows], ncols)
     if not ker:
         return []
     lat, _ = saturate([clear_denominators(v) for v in ker], ncols)
@@ -360,9 +362,9 @@ def unimodular_matrices(draw):
 @example([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
 def test_unimodular_inverse_equals_invert(m):
     inv = _unimodular_inverse(m)
-    assert inv == invert([[Q(x) for x in row] for row in m])
+    assert inv == oracle.invert([[Q(x) for x in row] for row in m])
     assert all(type(x) is int for row in inv for x in row)
-    assert abs(_int_det(m)) == 1
+    assert abs(_bareiss(m)[1]) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,10 +376,10 @@ def test_unimodular_inverse_equals_invert(m):
 @example([[0, 0], [0, 0]])
 @example([[3, 1], [5, 2]])            # |det| = 1
 def test_unimodular_inverse_rejects_other_matrices(m):
-    d = det([[Q(x) for x in row] for row in m])
-    assert _int_det(m) == d
+    d = oracle.det([[Q(x) for x in row] for row in m])
+    assert _bareiss(m)[1] == d
     if abs(d) == 1:
-        assert _unimodular_inverse(m) == invert([[Q(x) for x in r] for r in m])
+        assert _unimodular_inverse(m) == oracle.invert([[Q(x) for x in r] for r in m])
     else:
         with pytest.raises(ValueError):
             _unimodular_inverse(m)
@@ -426,3 +428,121 @@ def test_coords_matches_the_rational_solve(case):
     ints = [int(x) for x in v] if all(Q(x).denominator == 1 for x in v) else None
     if ints is not None:
         assert lat.coords(ints) == c
+
+
+# ------------------------------------------------ one integer core for Q --
+# rref, rank and det clear denominators and run _int_rref or _bareiss;
+# invert, solve_linear and kernel_rational go through rref.  Each must give
+# exactly what the Fraction eliminations kept in linalg_oracle give.
+
+@st.composite
+def rational_matrices_5x6(draw):
+    """Up to 5 rows of 0..6 rationals; zero rows and scaled copies of a
+    row are common."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_RATIONAL, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    if rows and len(rows) < 5 and draw(st.booleans()):
+        r = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [draw(_RATIONAL) * x for x in r])
+    if len(rows) < 5 and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Q(0)] * ncols)
+    return rows
+
+
+@st.composite
+def square_rational_matrices(draw):
+    """n x n rationals, n <= 5; a last row that combines the others (so the
+    matrix is singular) and rows that need swapping are common."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(_RATIONAL, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        cs = draw(st.lists(_RATIONAL, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * r[j] for c, r in zip(cs, rows)), Q(0))
+                    for j in range(n)]
+    return draw(st.permutations(rows))
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices_5x6().flatmap(lambda rows: st.tuples(
+    st.just(rows), st.lists(_RATIONAL, min_size=len(rows), max_size=len(rows)))))
+@example(([], []))
+@example(([[Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(0)]], [Q(0), Q(1)]))  # zero rows
+@example(([[Q(1, 2), Q(1, 3)], [Q(1, 2), Q(1, 3)]], [Q(1), Q(2)]))  # duplicates
+@example(([[Q(0), Q(2)], [Q(-3), Q(1)]], [Q(1), Q(1)]))             # needs a swap
+@example(([[], []], [Q(0), Q(1)]))                                  # no columns
+def test_rational_routines_equal_the_fraction_eliminations(case):
+    rows, b = case
+    assert ([clear_denominators(r) for r in rows]
+            == [oracle.clear_denominators(r) for r in rows])
+    red, pivots = rref(rows)
+    assert (red, pivots) == oracle.rref(rows) and _all_fractions(red)
+    assert rank(rows) == oracle.rank(rows)
+    ncols = len(rows[0]) if rows else 3
+    ker = kernel_rational(rows, ncols)
+    assert ker == oracle.kernel_rational(rows, ncols) and _all_fractions(ker)
+    # the drawn right-hand side (often inconsistent) and one that is
+    # consistent by construction
+    x = [Q(1, j + 2) for j in range(ncols)]
+    for rhs in (b, [sum((a * y for a, y in zip(r, x)), Q(0)) for r in rows]):
+        sol = solve_linear(rows, rhs)
+        assert sol == oracle.solve_linear(rows, rhs)
+        assert sol is None or all(type(v) is Fraction for v in sol)
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_rational_matrices())
+@example([])
+@example([[Q(0), Q(1)], [Q(1), Q(0)]])                           # det -1
+@example([[Q(0), Q(0), Q(1)], [Q(0), Q(1), Q(0)], [Q(1), Q(0), Q(0)]])
+@example([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]])               # singular
+@example([[Q(2, 3), Q(0)], [Q(0), Q(5, 7)]])
+def test_det_and_invert_equal_the_fraction_eliminations(m):
+    d = det(m)
+    assert d == oracle.det(m) and type(d) is Fraction
+    if d == 0:
+        with pytest.raises(ValueError):
+            invert(m)
+        with pytest.raises(ValueError):
+            oracle.invert(m)
+    else:
+        inv = invert(m)
+        assert inv == oracle.invert(m) and _all_fractions(inv)
+
+
+@pytest.mark.parametrize("m", [
+    [[Q(1), Q(2)]],
+    [[Q(1)], [Q(2)]],
+    [[Q(1), Q(2)], [Q(3)]],
+    [[]],
+])
+def test_det_of_a_nonsquare_matrix_raises(m):
+    with pytest.raises(ValueError):
+        det(m)
+    with pytest.raises(ValueError):
+        oracle.det(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=m, max_size=m))).flatmap(st.permutations))
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
+@example([[0, 2, 1], [0, 4, 2], [1, 0, 0]])
+@example([[2, 4, 1], [1, 2, 3]])
+def test_bareiss_equals_the_two_loops_it_replaces(m):
+    r, d = _bareiss(m)
+    assert r == oracle.integer_rank(m)
+    if all(len(row) == len(m) for row in m):
+        assert d == oracle._int_det(m)
+    else:
+        assert d == 0

@@ -4,6 +4,8 @@ Poly arithmetic, compose_affine and pullback_affine must give exactly the
 oracle's terms, with no zero coefficient, int exponent tuples and Fraction
 values; the balancing check must give the oracle's verdict and certificate.
 A current computes its balancing verdict once, and hands out copies of it.
+Integrals over cells, which now substitute from the chart base, equal the
+oracle's first-vertex substitution.
 """
 
 import json
@@ -13,14 +15,14 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import superform_oracle as oracle
 from deltaforms.currents import (BalancingError, DeltaForm,
                                  _check_balanced_refined, require_balanced)
-from deltaforms.polyhedra import polyhedron, ray_from
-from deltaforms.superforms import Poly, SuperForm
+from deltaforms.polyhedra import polyhedron, ray_from, triangulate
+from deltaforms.superforms import Poly, SuperForm, integrate_local
 from test_currents import DIRECTIONS, RATIONALS, WEIGHTS
 
 MAX_DEGREE = 5
@@ -323,3 +325,39 @@ def test_mutating_a_certificate_does_not_change_the_next_call():
     with pytest.raises(BalancingError) as again:
         require_balanced(T)
     assert _dump((False, again.value.certificate)) == expected
+
+
+# ------------------------------------------------------------- integration --
+
+@st.composite
+def bounded_cells(draw):
+    """A nonempty bounded cell in R^1 or R^2: a box with lo < hi, cut by up
+    to three more rows and in R^2 sometimes by an equality."""
+    n = draw(st.integers(1, 2))
+    ineqs = []
+    for i in range(n):
+        lo, hi = sorted(draw(st.lists(RATIONALS, min_size=2, max_size=2,
+                                      unique=True)))
+        unit = [int(i == j) for j in range(n)]
+        ineqs += [(unit, hi), ([-x for x in unit], -lo)]
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    RATIONALS)
+    ineqs += draw(st.lists(row, max_size=3))
+    eqs = draw(st.lists(row, max_size=1)) if n == 2 else []
+    cell = polyhedron(n, ineqs, eqs)
+    assume(cell is not None)
+    return cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_cells(), st.data())
+def test_integrate_local_matches_the_first_vertex_substitution(cell, data):
+    d = cell.dim
+    exps = st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(
+        lambda e: sum(e) <= 3).map(tuple)
+    g = Poly(d, data.draw(st.dictionaries(exps, RATIONALS, max_size=5)))
+    assert integrate_local(g, cell) == oracle.integrate_local(g, cell)
+    if d:
+        # the substitution is shift-free: each simplex ends at the chart base
+        assert all(cell.chart.to_local(s[-1]) == [0] * d
+                   for s in triangulate(cell))
