@@ -207,16 +207,7 @@ def corner_locus_identity_check(phi, T):
 
 def _wall_function(N, a, b):
     """max(x_a, x_b) on R^N as a two-piece PLFunction."""
-    def unit(i):
-        return [QONE if j == i else Q(0) for j in range(N)]
-
-    row_ab = [Q(0)] * N
-    row_ab[a] = Q(-1)
-    row_ab[b] = QONE
-    ge = polyhedron(N, [(row_ab, Q(0))])            # x_a >= x_b
-    le = polyhedron(N, [([-x for x in row_ab], Q(0))])
-    cx = Complex([ge, le])
-    return PLFunction(cx, {ge: (unit(a), 0), le: (unit(b), 0)})
+    return pl_max(N, [([int(j == i) for j in range(N)], 0) for i in (a, b)])
 
 
 def wedge_diagonal(S, T):

@@ -7,12 +7,17 @@ kernel_rational go through rref.
 
 Lattices are full sublattices of their rational span intersected with Z^n;
 bases are kept in a canonical row echelon form (Hermite normal form) so that
-equal lattices have identical bases.
+equal lattices have identical bases.  smith_normal_form brings generators to
+a diagonal form s = rowT * a * colT and returns s with the inverse of colT;
+it is not the full Smith form, since no caller needs the divisibility chain
+or rowT.  saturate reads the product of the nonzero diagonal entries (the
+index) and the first rows of colTinv (the saturation); complement_lattice,
+on a saturated lattice, reads the remaining rows as a complement.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .scalars import Q, QZERO, QONE, qof
 
@@ -242,39 +247,20 @@ def hnf(rows):
 
 
 def smith_normal_form(a):
-    """Smith normal form with transforms: returns (s, rowT, colTinv).
+    """Diagonal form of an integer matrix: returns (s, colTinv).
 
-    s = rowT * a * colT for unimodular transforms; colTinv is the inverse of
-    colT, tracked directly so lattice bases can be read off its rows.
-    Diagonal entries are nonnegative and each divides the next.
+    s = rowT * a * colT for unimodular rowT and colT; s is diagonal, with
+    nonnegative entries and the nonzero ones first, and colTinv, the inverse
+    of colT, is tracked directly.  rowT is not tracked and there is no
+    divisibility sweep, so the entries need not divide each other.
     """
     m = [list(r) for r in a]
     k = len(m)
     n = len(m[0]) if m else 0
-    rt = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     cti = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row_i -= q*row_j
-        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        rt[i] = [a - q * b for a, b in zip(rt[i], rt[j])]
-
-    def col_op(i, j, q):  # col_i -= q*col_j  => inverse: row_j += q*row_i
-        for r in m:
-            r[i] -= q * r[j]
-        cti[j] = [a + q * b for a, b in zip(cti[j], cti[i])]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        rt[i], rt[j] = rt[j], rt[i]
-
-    def col_swap(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        cti[i], cti[j] = cti[j], cti[i]
-
     t = 0
     while t < min(k, n):
-        # find smallest nonzero entry in the remaining block
+        # bring the smallest nonzero entry of the remaining block to (t, t)
         best = None
         for i in range(t, k):
             for j in range(t, n):
@@ -282,40 +268,32 @@ def smith_normal_form(a):
                     best = (i, j)
         if best is None:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
+        m[t], m[best[0]] = m[best[0]], m[t]
+        j = best[1]
+        for r in m:
+            r[t], r[j] = r[j], r[t]
+        cti[t], cti[j] = cti[j], cti[t]
+        top = m[t]
         dirty = False
         for i in range(t + 1, k):
             if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                row_op(i, t, q)
-                if m[i][t] != 0:
-                    dirty = True
+                q = m[i][t] // top[t]
+                m[i] = [x - q * y for x, y in zip(m[i], top)]
+                dirty = dirty or m[i][t] != 0
         for j in range(t + 1, n):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                col_op(j, t, q)
-                if m[t][j] != 0:
-                    dirty = True
+            if top[j] != 0:
+                # column j -= q * column t, so row t of colTinv += q * row j
+                q = top[j] // top[t]
+                for r in m:
+                    r[j] -= q * r[t]
+                cti[t] = [x + q * y for x, y in zip(cti[t], cti[j])]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
-        # divisibility sweep
-        bad = None
-        for i in range(t + 1, k):
-            for j in range(t + 1, n):
-                if m[i][j] % m[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)
-            continue
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            rt[t] = [-x for x in rt[t]]
+        if top[t] < 0:
+            m[t] = [-x for x in top]
         t += 1
-    return m, rt, cti
+    return m, cti
 
 
 class Lattice:
@@ -378,16 +356,9 @@ def saturate(vectors, n=None):
         raise ValueError("saturate needs at least one nonzero vector")
     if any(qof(x).denominator != 1 for v in vecs for x in v):
         raise ValueError("saturate expects integer vectors")
-    s, _, cti = smith_normal_form([[int(x) for x in v] for v in vecs])
-    r = 0
-    index = 1
-    for i in range(min(len(s), n)):
-        d = s[i][i]
-        if d != 0:
-            r += 1
-            index *= d
-    sat_rows = cti[:r]
-    return Lattice(n, sat_rows), index
+    s, cti = smith_normal_form([[int(x) for x in v] for v in vecs])
+    diag = [s[i][i] for i in range(min(len(s), n)) if s[i][i]]
+    return Lattice(n, cti[:len(diag)]), prod(diag)
 
 
 def integer_kernel(rows, ncols=None):
@@ -397,17 +368,18 @@ def integer_kernel(rows, ncols=None):
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
     red, pivots = _int_rref([clear_denominators(r) for r in rows])
-    return _rref_kernel(red, pivots, ncols)
+    return _rref_kernel(red, pivots, ncols).basis()
 
 
 def _rref_kernel(red, pivots, ncols):
-    """integer_kernel of integer rows already in reduced row echelon form.
+    """The saturated Lattice {x in Z^n : A x = 0} of integer rows A already
+    in reduced row echelon form.
 
     red[i] has a nonzero entry in column pivots[i], and every other row is
     zero there; the rows need not be primitive.
     """
     if len(pivots) == ncols:
-        return []
+        return Lattice(ncols, [])
     scale = lcm(*(row[p] for row, p in zip(red, pivots)))
     ker = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -416,8 +388,7 @@ def _rref_kernel(red, pivots, ncols):
         for row, p in zip(red, pivots):
             v[p] = -row[f] * scale // row[p]
         ker.append(_ivec_primitive(v))
-    lat, _ = saturate(ker, ncols)
-    return lat.basis()
+    return saturate(ker, ncols)[0]
 
 
 def complement_lattice(lat: Lattice) -> Lattice:
@@ -427,10 +398,9 @@ def complement_lattice(lat: Lattice) -> Lattice:
         return Lattice(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
     if lat.rank == n:
         return Lattice(n, [])
-    s, _, cti = smith_normal_form([list(r) for r in lat.rows])
-    for i in range(lat.rank):
-        if s[i][i] != 1:
-            raise ValueError("complement of a nonsaturated lattice")
+    s, cti = smith_normal_form([list(r) for r in lat.rows])
+    if any(s[i][i] != 1 for i in range(lat.rank)):
+        raise ValueError("complement of a nonsaturated lattice")
     # complementarity depends only on the spanned lattice, so the canonical
     # HNF basis of these rows is still a complement
     comp = Lattice(n, cti[lat.rank:])

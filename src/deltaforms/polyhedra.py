@@ -277,11 +277,11 @@ class Polyhedron:
                 # the canonical equalities are an integer RREF with every
                 # pivot among the first n columns
                 rows = [r[:-1] for r in self.eq_rows]
-                ker = _rref_kernel(rows, [next(j for j, x in enumerate(r) if x)
-                                          for r in rows], self.n)
+                self._span = _rref_kernel(
+                    rows, [next(j for j, x in enumerate(r) if x) for r in rows], self.n)
             else:
-                ker = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-            self._span = Lattice(self.n, ker)
+                self._span = Lattice(self.n, [[1 if i == j else 0 for j in range(self.n)]
+                                              for i in range(self.n)])
         return self._span
 
     @property
@@ -291,7 +291,7 @@ class Polyhedron:
         if not rows:
             return Lattice(self.n, [[1 if i == j else 0 for j in range(self.n)]
                                     for i in range(self.n)])
-        return Lattice(self.n, integer_kernel(rows, self.n))
+        return _rref_kernel(*_int_rref(rows), self.n)
 
     @property
     def base_point(self):
@@ -511,37 +511,27 @@ def box(lo, hi):
     return polyhedron(n, ineqs)
 
 
+def _line_eqs(point, f):
+    """Equalities k.x = k.point cutting out the line point + R f (f integer)."""
+    return [(k, vec_dot(k, point)) for k in integer_kernel([f], len(f))]
+
+
 def ray_from(apex, direction):
     """Half-line apex + t*direction, t >= 0."""
     apex = [qof(x) for x in apex]
-    dvec = [qof(x) for x in direction]
-    n = len(apex)
-    ineqs = []
-    eqs = []
-    ker = integer_kernel([clear_denominators(dvec)], n)
-    for k in ker:
-        kq = [Q(x) for x in k]
-        eqs.append((kq, vec_dot(kq, apex)))
-    # t >= 0 in terms of x: pick any functional positive on the direction
-    f = [Q(x) for x in clear_denominators(dvec)]
-    ineqs.append(([-x for x in f], -vec_dot(f, apex)))
-    return polyhedron(n, ineqs, eqs=eqs)
+    f = clear_denominators(direction)
+    # t >= 0 in terms of x: f is a functional positive on the direction
+    return polyhedron(len(apex), [([-x for x in f], -vec_dot(f, apex))],
+                      eqs=_line_eqs(apex, f))
 
 
 def segment(a, b):
     a = [qof(x) for x in a]
     b = [qof(x) for x in b]
-    n = len(a)
-    dvec = [y - x for x, y in zip(a, b)]
-    eqs = []
-    for k in integer_kernel([clear_denominators(dvec)], n):
-        kq = [Q(x) for x in k]
-        eqs.append((kq, vec_dot(kq, a)))
-    f = [Q(x) for x in clear_denominators(dvec)]
-    lo, hi = vec_dot(f, a), vec_dot(f, b)
-    if lo > hi:
-        lo, hi = hi, lo
-    return polyhedron(n, [(f, hi), ([-x for x in f], -lo)], eqs=eqs)
+    f = clear_denominators([y - x for x, y in zip(a, b)])
+    # f is a positive multiple of b - a, so f.a <= f.b
+    return polyhedron(len(a), [(f, vec_dot(f, b)), ([-x for x in f], -vec_dot(f, a))],
+                      eqs=_line_eqs(a, f))
 
 
 # -------------------------------------------------------------- complexes ----
@@ -670,53 +660,31 @@ def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
     """Canonical primitive lattice normal of the facet tau inside sigma.
 
     Generates span(sigma) together with span(tau); points from tau into sigma.
+    The facet row a of sigma that is tight on tau maps span(sigma) onto gZ,
+    with kernel span(tau).  So with b_k the HNF basis of span(sigma), every
+    u with sum_k u_k (-a.b_k) = g gives a normal sum_k u_k b_k that points
+    inwards, and these u form one coset of tau's coordinates in the b_k; the
+    HNF of those coordinates reduces it to one canonical u.
     """
     if tau.dim != sigma.dim - 1:
         raise ValueError("tau must be a facet of sigma")
-    bs = sigma.span.basis()
-    d = len(bs)
     coords = []
     for t in tau.span.rows:
         c = sigma.span.coords(t)
         if c is None or any(x.denominator != 1 for x in c):
             raise ValueError("tau is not a subcell of sigma")
         coords.append([x.numerator for x in c])
-    if coords:
-        fker = integer_kernel(coords, d)
-        if len(fker) != 1:
-            raise ValueError("tau is not a facet of sigma")
-        f = fker[0]
-    else:
-        if d != 1:
-            raise ValueError("tau is not a facet of sigma")
-        f = [1]
-    u, g = _xgcd_vector(f)
-    if g != 1:
-        raise AssertionError("kernel functional is not primitive")
-    h = hnf(coords) if coords else []
-    u = _reduce_mod_rows(u, h)
-
     # the facet-defining inequality of sigma that is tight on tau
-    arow = None
     tau_base = tau.base_point
-    for r in sigma.ineq_rows:
-        a = r[:-1]
-        if not any(int_dot(a, t) for t in tau.span.rows) and (
-                int_dot(a, tau_base) == r[-1]):
-            arow = a
-            break
-    if arow is None:
+    a = next((r[:-1] for r in sigma.ineq_rows
+              if not any(int_dot(r[:-1], t) for t in tau.span.rows)
+              and int_dot(r[:-1], tau_base) == r[-1]), None)
+    if a is None:
         raise ValueError("tau is not a facet of sigma")
-    w = [sum(u[k] * bs[k][i] for k in range(d)) for i in range(sigma.n)]
-    pairing = int_dot(arow, w)
-    if pairing == 0:
-        raise AssertionError("normal candidate lies in the facet span")
-    if pairing > 0:
-        u = _reduce_mod_rows([-x for x in u], h)
-        w = [sum(u[k] * bs[k][i] for k in range(d)) for i in range(sigma.n)]
-        if int_dot(arow, w) >= 0:
-            raise AssertionError("normal direction flip failed")
-    return w
+    bs = sigma.span.rows
+    u, _ = _xgcd_vector([-int_dot(a, b) for b in bs])
+    u = _reduce_mod_rows(u, hnf(coords) if coords else [])
+    return [sum(c * b[i] for c, b in zip(u, bs)) for i in range(sigma.n)]
 
 
 # --------------------------------------------------------- weighted cells ----

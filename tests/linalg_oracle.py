@@ -5,9 +5,11 @@ Kept verbatim as the reference oracle for the tests, and not collected by
 pytest: Gauss-Jordan over Q (rref, and rank, solve_linear, kernel_rational
 and invert on it), Gaussian elimination over Q (det), and the two Bareiss
 loops, rank-revealing (integer_rank, formerly in cones) and square-only
-(_int_det); and clear_denominators, which scaled rows by Fraction
-multiplication.  None of them calls back into deltaforms.linalg, so a fault
-in the library's elimination cannot hide in both sides of a comparison.
+(_int_det); clear_denominators, which scaled rows by Fraction
+multiplication; and the full Smith normal form with both transforms and the
+divisibility sweep, which the library's diagonal form replaced.  None of
+them calls back into deltaforms.linalg, so a fault in the library's
+elimination cannot hide in both sides of a comparison.
 """
 
 from math import gcd
@@ -183,3 +185,80 @@ def clear_denominators(v):
         den = den * x.denominator // gcd(den, x.denominator)
     iv = [int(qof(x) * den) for x in v]
     return _ivec_primitive(iv)
+
+
+def smith_normal_form(a):
+    """Smith normal form with transforms: returns (s, rowT, colTinv).
+
+    s = rowT * a * colT for unimodular transforms; colTinv is the inverse of
+    colT, tracked directly so lattice bases can be read off its rows.
+    Diagonal entries are nonnegative and each divides the next.
+    """
+    m = [list(r) for r in a]
+    k = len(m)
+    n = len(m[0]) if m else 0
+    rt = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    cti = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q*row_j
+        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
+        rt[i] = [a - q * b for a, b in zip(rt[i], rt[j])]
+
+    def col_op(i, j, q):  # col_i -= q*col_j  => inverse: row_j += q*row_i
+        for r in m:
+            r[i] -= q * r[j]
+        cti[j] = [a + q * b for a, b in zip(cti[j], cti[i])]
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        rt[i], rt[j] = rt[j], rt[i]
+
+    def col_swap(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        cti[i], cti[j] = cti[j], cti[i]
+
+    t = 0
+    while t < min(k, n):
+        # find smallest nonzero entry in the remaining block
+        best = None
+        for i in range(t, k):
+            for j in range(t, n):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        row_swap(t, best[0])
+        col_swap(t, best[1])
+        dirty = False
+        for i in range(t + 1, k):
+            if m[i][t] != 0:
+                q = m[i][t] // m[t][t]
+                row_op(i, t, q)
+                if m[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if m[t][j] != 0:
+                q = m[t][j] // m[t][t]
+                col_op(j, t, q)
+                if m[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility sweep
+        bad = None
+        for i in range(t + 1, k):
+            for j in range(t + 1, n):
+                if m[i][j] % m[t][t] != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_op(t, bad, -1)
+            continue
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            rt[t] = [-x for x in rt[t]]
+        t += 1
+    return m, rt, cti

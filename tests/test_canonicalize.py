@@ -364,6 +364,10 @@ def test_base_points_match_the_rational_route(system):
 @example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 1)), []))              # slab
 @example((2, _rows((2, 3, 6), (-1, 0, 0), (0, -1, 0)), []))       # non-unit pivots
 @example((3, _rows((1, 2, 0, 4), (-2, 1, 0, 1)), _rows((0, 1, 3, 1))))
+@example((2, _rows((2, 0, 1)), []))                                # 2x <= 1: pairings gcd 2
+@example((2, _rows((1, 2, 0)), []))                                # tau coordinates HNF (2, -1)
+@example((3, _rows((2, 1, 0, 1), (-1, 3, 0, 2)), []))              # lineality z, gcd 7, pivot 3
+@example((3, _rows((2, 0, 2, 1), (0, 1, 0, 2)), _rows((0, 0, 3, 1))))  # gcd 6 in a plane
 def test_primitive_normals_match_the_rational_route(system):
     for sigma in _fresh_faces(system):
         for tau in sigma.facets():

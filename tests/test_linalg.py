@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,23 +136,75 @@ def test_hnf_invariant_under_unimodular_row_ops():
 
 
 def test_smith_normal_form_properties():
+    """The diagonal form keeps the row lattice and the index of the oracle's
+    Smith form; it has no row transform to check and no divisibility chain."""
     rng = random.Random(17)
-    for _ in range(40):
+    for _ in range(200):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = rand_int_matrix(rng, m, n)
-        s, rt, cti = smith_normal_form(a)
-        # rt . a == s . cti   (avoids inverting colT)
-        assert mat_mul(rt, a) == mat_mul(s, cti)
-        assert abs(det([[Q(x) for x in row] for row in rt])) == 1
-        assert abs(det([[Q(x) for x in row] for row in cti])) == 1
+        s, cti = smith_normal_form(a)
+        assert all(s[i][j] == 0 for i in range(m) for j in range(n) if i != j)
         diag = [s[i][i] for i in range(min(m, n))]
-        for i in range(len(diag) - 1):
-            if diag[i + 1] != 0:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert s[i][j] == 0
+        nonzero = [d for d in diag if d]
+        assert all(d > 0 for d in nonzero) and diag[:len(nonzero)] == nonzero
+        assert abs(det([[Q(x) for x in row] for row in cti])) == 1
+        # s . cti = rowT . a, so both span the same row lattice
+        assert hnf(a) == hnf(mat_mul(s, cti))
+        expected = oracle.smith_normal_form(a)[0]
+        assert prod(nonzero) == prod(expected[i][i] for i in range(min(m, n))
+                                     if expected[i][i])
+
+
+def _saturate_oracle(vectors, n):
+    """saturate on the oracle's Smith normal form."""
+    vecs = [list(v) for v in vectors if any(v)]
+    if not vecs:
+        raise ValueError("saturate needs at least one nonzero vector")
+    s, _, cti = oracle.smith_normal_form(vecs)
+    diag = [s[i][i] for i in range(min(len(s), n)) if s[i][i]]
+    return Lattice(n, cti[:len(diag)]), prod(diag)
+
+
+def _complement_oracle(lat):
+    """complement_lattice on the oracle's Smith normal form."""
+    n = lat.n
+    if lat.rank == 0:
+        return Lattice(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    if lat.rank == n:
+        return Lattice(n, [])
+    s, _, cti = oracle.smith_normal_form([list(r) for r in lat.rows])
+    if any(s[i][i] != 1 for i in range(lat.rank)):
+        raise ValueError("complement of a nonsaturated lattice")
+    return Lattice(n, cti[lat.rank:])
+
+
+def _outcome(f, *args):
+    """("ok", value) or ("ValueError", message)."""
+    try:
+        return "ok", f(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_diagonal_form_lattices_match_the_smith_form_route():
+    """saturate and complement_lattice give the oracle's values and errors.
+
+    The generated lattice Lattice(n, gens) is saturated only sometimes, so
+    complement_lattice takes its raise path as well as its normal one.
+    """
+    rng = random.Random(1009)
+    raised = {"saturate": 0, "complement": 0}
+    for _ in range(20000):
+        n, k = rng.randint(1, 5), rng.randint(0, 6)
+        gens = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        kind, sat = _outcome(saturate, gens, n)
+        assert (kind, sat) == _outcome(_saturate_oracle, gens, n)
+        raised["saturate"] += kind != "ok"
+        for lat in [Lattice(n, gens)] + ([sat[0]] if kind == "ok" else []):
+            comp = _outcome(complement_lattice, lat)
+            assert comp == _outcome(_complement_oracle, lat)
+            raised["complement"] += comp[0] != "ok"
+    assert all(raised.values()), raised
 
 
 def coset_count_oracle(gens, n):
