@@ -24,7 +24,8 @@ from .currents import (
     pushforward,
     transport_form,
 )
-from .linalg import rank, vec_dot
+from .cones import int_dot
+from .linalg import clear_denominators, rank, vec_dot
 from .polyhedra import (
     Complex,
     ComplexError,
@@ -299,7 +300,7 @@ def transversal_product(S, T):
 #     L = {(x, s) in R^(n+1) : x in c1, x - s v in c2, s >= 0}
 #
 # has the rows of c1 padded with 0, the rows of c2 padded with -a.v, and the
-# row -s <= 0, all rational.  Its projection onto s is the closed interval of
+# row -s <= 0, all integers.  Its projection onto s is the closed interval of
 # shifts at which the pair meets, so the pair meets for all small eps > 0
 # exactly when c1 and c2 meet (s = 0) and L has a point with s > 0.  The best
 # common slack of the pair's inequalities is a concave function of s that is
@@ -310,18 +311,20 @@ def transversal_product(S, T):
 # there are none, and a point with s > 0 when -s <= 0 is not one of them.
 # These are the verdicts of the stable intersection (Jensen & Yu 2016) as
 # eps -> 0+.
+# Scaling v by a positive factor only rescales s, so v is cleared to a
+# primitive integer vector first and L's rows are integers.
 
-def _lifted_system(c1, c2, v):
-    """Rows, right-hand sides and equalities of the lifted polyhedron L."""
+def _lifted_system(c1, c2, w):
+    """Rows, right-hand sides and equalities of L for an integer vector w."""
     rows, rhs, eqs = [], [], []
     for cell, shifted in ((c1, False), (c2, True)):
         for r in cell.ineq_rows:
-            rows.append([*r[:-1], -vec_dot(r[:-1], v) if shifted else 0])
+            rows.append((*r[:-1], -int_dot(r[:-1], w) if shifted else 0))
             rhs.append(r[-1])
         for r in cell.eq_rows:
-            eqs.append(([*r[:-1], -vec_dot(r[:-1], v) if shifted else 0], r[-1]))
-    rows.append([QZERO] * len(v) + [-QONE])
-    rhs.append(QZERO)
+            eqs.append(((*r[:-1], -int_dot(r[:-1], w) if shifted else 0), r[-1]))
+    rows.append((0,) * len(w) + (-1,))
+    rhs.append(0)
     return rows, rhs, eqs
 
 
@@ -334,6 +337,7 @@ def _stable_pairs(A, B, v):
     point or with affine hulls that are not transversal.
     """
     n = A.n
+    w = clear_denominators(v)
     left = maximal_cells_of([c for c, _, _ in A.terms])
     right = maximal_cells_of([c for c, _, _ in B.terms])
     pairs = []
@@ -342,7 +346,7 @@ def _stable_pairs(A, B, v):
             pi = intersect(c1, c2)
             if pi is None:
                 continue
-            rows, rhs, eqs = _lifted_system(c1, c2, v)
+            rows, rhs, eqs = _lifted_system(c1, c2, w)
             implicit = implicit_rows(n + 1, rows, rhs, eqs)
             if not implicit:
                 eq_lin = [r[:-1] for r in c1.eq_rows + c2.eq_rows]

@@ -340,6 +340,19 @@ class Lattice:
         return f"Lattice(n={self.n}, rows={self.rows})"
 
 
+def _hnf_lattice(n, rows):
+    """A Lattice from integer rows already in HNF, skipping the hnf pass."""
+    lat = Lattice.__new__(Lattice)
+    lat.n = n
+    lat.rows = tuple(map(tuple, rows))
+    return lat
+
+
+def _identity_lattice(n):
+    """Z^n, whose unit rows are their own HNF."""
+    return _hnf_lattice(n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def saturate(vectors, n=None):
     """Saturation of the lattice generated by integer vectors.
 
@@ -379,7 +392,7 @@ def _rref_kernel(red, pivots, ncols):
     zero there; the rows need not be primitive.
     """
     if len(pivots) == ncols:
-        return Lattice(ncols, [])
+        return _hnf_lattice(ncols, [])
     scale = lcm(*(row[p] for row, p in zip(red, pivots)))
     ker = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -395,9 +408,9 @@ def complement_lattice(lat: Lattice) -> Lattice:
     """Deterministic integral complement: Z^n = lat (+) complement."""
     n = lat.n
     if lat.rank == 0:
-        return Lattice(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _identity_lattice(n)
     if lat.rank == n:
-        return Lattice(n, [])
+        return _hnf_lattice(n, [])
     s, cti = smith_normal_form([list(r) for r in lat.rows])
     if any(s[i][i] != 1 for i in range(lat.rank)):
         raise ValueError("complement of a nonsaturated lattice")

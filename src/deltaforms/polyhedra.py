@@ -3,8 +3,12 @@
 Every polyhedron is reduced to a canonical irredundant description (implicit
 equalities in integer RREF, inequalities primitive, deduplicated, irredundant
 and sorted) and interned, so equal polyhedra share one object and its cached
-charts and face lattices.  Interning saves work only: compare polyhedra with
-==, never with `is`, because a cleared intern table makes equal copies.
+charts and face lattices.  The intern table is also keyed by each input
+system, its rows cleared to integers, so a repeated input returns the same
+object (or None) without canonicalizing again; implicit_rows answers are
+kept the same way.  Interning saves work only: compare polyhedra with ==,
+never with `is`, because a cleared intern table makes equal copies, and one
+clear empties the input keys with the canonical ones.
 
 There is no linear programming: emptiness, implicit equalities and facets
 are read off the lineality, vertices and extreme rays of the homogenized cone
@@ -19,7 +23,8 @@ inside a given row.  Polyhedra cache their generators, seeded from the
 canonicalization when the cone is pointed (with lines, the rays are not
 unique), and read off them the vertices (rays with t > 0), boundedness (no
 lines and no ray with t = 0), a relative-interior point (the sum of the
-rays) and on which sides of a hyperplane they lie (crosses).
+rays), on which sides of a hyperplane they lie (crosses) and whether they
+lie inside another polyhedron (maximal_cells_of).
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from math import lcm
 from .linalg import (
     Lattice,
     _bareiss,
+    _hnf_lattice,
+    _identity_lattice,
     _int_rref,
     _ivec_primitive as _primitive,
     _rref_kernel,
@@ -43,7 +50,11 @@ from .linalg import (
 from .cones import double_description, int_dot
 from .scalars import Q, QONE, QZERO, qof, qstr
 
+# The intern table maps canonical keys to polyhedra, and the memo keys of
+# _cleared to what polyhedron() or implicit_rows returned for that input
+# (None for an empty set), so one clear empties both.
 _CACHE: dict = {}
+_MISS = object()
 
 
 def _reduce_mod_eqs(row, eq_rows, pivots):
@@ -116,12 +127,16 @@ def implicit_rows(n, rows, rhs, eqs):
     rows and rhs are rationals and eqs a list of (e, f) for e.x = f.  Returns
     None when the set is empty.  The set has a point strictly inside every
     inequality row exactly when the list is empty, and a point strictly
-    inside row i exactly when i is not in it.
+    inside row i exactly when i is not in it.  Like polyhedron(), it
+    remembers the answer under the cleared rows.
     """
-    cone = _homogenized_cone(
-        n, [clear_denominators([*a, b]) for a, b in zip(rows, rhs)],
-        [clear_denominators([*e, f]) for e, f in eqs])
-    return None if cone is None else _tight_rows(len(rows), cone[5])
+    key = _cleared("implicit_rows", n, zip(rows, rhs), eqs)
+    tight = _CACHE.get(key, _MISS)
+    if tight is _MISS:
+        cone = _homogenized_cone(n, key[2], key[3])
+        tight = None if cone is None else tuple(_tight_rows(len(key[2]), cone[5]))
+        _CACHE[key] = tight
+    return None if tight is None else list(tight)
 
 
 def _canonicalize(n, ineqs, eqs):
@@ -153,7 +168,7 @@ def _canonicalize(n, ineqs, eqs):
 
     generators = None if lines else _cone_generators(n, cone)
     if implicit:
-        eq_red, pivots = _int_rref(eqs + [ineqs[i] for i in implicit])
+        eq_red, pivots = _int_rref([*eqs, *(ineqs[i] for i in implicit)])
         if n in pivots:
             raise AssertionError("inconsistent equalities on a feasible set")
 
@@ -280,8 +295,7 @@ class Polyhedron:
                 self._span = _rref_kernel(
                     rows, [next(j for j, x in enumerate(r) if x) for r in rows], self.n)
             else:
-                self._span = Lattice(self.n, [[1 if i == j else 0 for j in range(self.n)]
-                                              for i in range(self.n)])
+                self._span = _identity_lattice(self.n)
         return self._span
 
     @property
@@ -289,8 +303,7 @@ class Polyhedron:
         rows = [list(r[:-1]) for r in self.eq_rows] + [list(r[:-1]) for r in self.ineq_rows]
         rows = [r for r in rows if any(r)]
         if not rows:
-            return Lattice(self.n, [[1 if i == j else 0 for j in range(self.n)]
-                                    for i in range(self.n)])
+            return _identity_lattice(self.n)
         return _rref_kernel(*_int_rref(rows), self.n)
 
     @property
@@ -423,20 +436,35 @@ def polyhedron(n, ineqs=(), eqs=()):
 
     ineqs and eqs are iterables of (a, b) with rational entries.  Returns None
     when the set is empty.  A new pointed polyhedron keeps the generators its
-    canonicalization found.
+    canonicalization found.  The answer is remembered under the cleared
+    rows, so a repeated input is not canonicalized again.
     """
-    canon = _canonicalize(n, [clear_denominators([*a, b]) for a, b in ineqs],
-                          [clear_denominators([*e, f]) for e, f in eqs])
-    if canon is None:
-        return None
-    eq_rows, ineq_rows, generators = canon
-    key = (n, eq_rows, ineq_rows)
-    inst = _CACHE.get(key)
-    if inst is None:
-        inst = Polyhedron(n, eq_rows, ineq_rows, _token=_SENTINEL)
-        inst._generators = generators
-        _CACHE[key] = inst
+    memo = _cleared("polyhedron", n, ineqs, eqs)
+    inst = _CACHE.get(memo, _MISS)
+    if inst is not _MISS:
+        return inst
+    inst = None
+    canon = _canonicalize(n, memo[2], memo[3])
+    if canon is not None:
+        eq_rows, ineq_rows, generators = canon
+        key = (n, eq_rows, ineq_rows)
+        inst = _CACHE.get(key)
+        if inst is None:
+            inst = Polyhedron(n, eq_rows, ineq_rows, _token=_SENTINEL)
+            inst._generators = generators
+            _CACHE[key] = inst
+    _CACHE[memo] = inst
     return inst
+
+
+def _cleared(tag, n, ineqs, eqs):
+    """The memo key of a system: tag, n and its rows cleared to integers.
+
+    Canonical keys are (n, eq_rows, ineq_rows), so a tagged 4-tuple cannot
+    collide with one, and the tag keeps polyhedron() and implicit_rows apart.
+    """
+    return (tag, n, tuple(tuple(clear_denominators([*a, b])) for a, b in ineqs),
+            tuple(tuple(clear_denominators([*e, f])) for e, f in eqs))
 
 
 def _pairs(rows):
@@ -589,10 +617,29 @@ class Complex:
         return hash(self.cells)
 
 
+def _contained_in(c, o):
+    """c is a subset of o, read off c's generators (Fukuda & Prodon 1996).
+
+    Each ray (x, t) of c's cone must satisfy a.x - b t <= 0 on o's
+    inequalities and = 0 on its equalities, and each line = 0 on both.
+    """
+    if c.n != o.n:
+        raise ValueError("ambient dimensions differ")
+    rays, lines = c.generators()
+
+    def slacks(rows, gens):
+        # a.x - b t; zip stops int_dot at the n entries of a
+        return (int_dot(r[:-1], g) - r[-1] * g[-1] for r in rows for g in gens)
+
+    return (not any(slacks(o.eq_rows + o.ineq_rows, lines))
+            and not any(slacks(o.eq_rows, rays))
+            and all(v <= 0 for v in slacks(o.ineq_rows, rays)))
+
+
 def maximal_cells_of(cells):
     """The cells contained in no other cell of the list, in list order."""
     return [c for c in cells
-            if not any(o != c and intersect(c, o) == c for o in cells)]
+            if not any(o != c and _contained_in(c, o) for o in cells)]
 
 
 # ------------------------------------------------------------ triangulation --
@@ -719,7 +766,7 @@ def stable_weight(l1: Lattice, lam1, l2: Lattice, lam2):
     lam1 * lam2 * [Z^n : l1 + l2].
     """
     gens = [list(r) for r in l1.rows] + [list(r) for r in l2.rows]
-    summed, index = saturate(gens, l1.n) if gens else (Lattice(l1.n, []), 1)
+    summed, index = saturate(gens, l1.n) if gens else (_hnf_lattice(l1.n, []), 1)
     if summed.rank != l1.n:
         raise ValueError("spans are not transversal")
     return qof(lam1) * qof(lam2) * index

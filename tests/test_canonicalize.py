@@ -126,6 +126,46 @@ def test_same_set_same_object(system, rnd, factors):
 
 
 @settings(max_examples=200, deadline=None)
+@given(systems(), st.randoms(use_true_random=False),
+       st.lists(st.integers(1, 5), min_size=10, max_size=10))
+@example((2, _rows((1, 0, 0), (-1, 0, -1)), []), random.Random(0), [2] * 10)
+def test_the_memo_returns_the_memo_free_canonical_form(system, rnd, factors):
+    """polyhedron() of a repeated, row-permuted or positively scaled system
+    is _canonicalize's answer (None when empty), and the same rows again
+    return the identical object."""
+    n, ineqs, eqs = system
+    permuted = ineqs[:]
+    rnd.shuffle(permuted)
+    scaled = [([k * x for x in a], k * b) for (a, b), k in zip(ineqs, factors)]
+    scaled_eqs = [([k * x for x in e], k * f) for (e, f), k in zip(eqs, factors[8:])]
+    for rows, es in [(ineqs, eqs), (ineqs, eqs), (permuted, eqs[::-1]),
+                     (scaled, scaled_eqs), (ineqs + permuted, eqs + eqs)]:
+        want = canonical_rows(n, rows, es)
+        got = polyhedron(n, rows, es)
+        assert polyhedron(n, rows, es) is got
+        assert (None if got is None else (got.eq_rows, got.ineq_rows)) == want
+
+
+def test_a_repeated_input_runs_no_double_description(monkeypatch):
+    """A memo hit, empty sets and implicit_rows included, does no exact work."""
+    from deltaforms import polyhedra
+    runs = []
+    original = polyhedra._homogenized_cone
+    monkeypatch.setattr(polyhedra, "_homogenized_cone",
+                        lambda *args: runs.append(args) or original(*args))
+    square = _rows((1, 0, 7), (-1, 0, 0), (0, 1, 7), (0, -1, 0))
+    rows, rhs = [a for a, _ in square], [b for _, b in square]
+    for ask in (lambda: polyhedron(2, square),
+                lambda: polyhedron(2, _rows((1, 0, 0), (-1, 0, -7))),
+                lambda: implicit_rows(2, rows, rhs, [])):
+        first = ask()
+        del runs[:]
+        again = ask()
+        assert again == first and runs == []
+    assert polyhedron(2, square) is not None and implicit_rows(2, rows, rhs, []) == []
+
+
+@settings(max_examples=200, deadline=None)
 @given(systems(), st.lists(COEF, min_size=4, max_size=4), COEF)
 def test_crosses_matches_slicing_both_sides(system, a, b):
     """p.crosses(a, b) iff both closed sides of a.x = b are proper and full."""
@@ -386,6 +426,20 @@ def test_span_is_the_integer_kernel_of_the_equalities(system):
         ker = integer_kernel([list(r[:-1]) for r in f.eq_rows], f.n)
         assert f.span.rows == Lattice(f.n, ker).rows
         assert all(type(x) is int for r in f.span.rows for x in r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example((3, [], []))                                              # whole space
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 1)), []))              # slab
+def test_cell_lattices_equal_the_hnf_of_their_rows(system):
+    """Spans, linealities and their complements, some built without the
+    hnf pass, are the canonical HNF lattices of their rows."""
+    for f in _fresh_faces(system):
+        f._span = None
+        for lat in (f.span, f.lineality):
+            for got in (lat, complement_lattice(lat)):
+                assert got == Lattice(f.n, got.rows)
 
 
 # ------------------------------------------------------- integer row reads --

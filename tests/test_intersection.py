@@ -193,6 +193,11 @@ class TestWedgeDiagonal:
         polyhedra._CACHE.clear()
         try:
             assert wedge_diagonal(F, L).equals(L)
+            # the same rows again: the input memo went with the intern
+            # table, so no pre-clear object comes back
+            again = tropical_line()
+            for (old, _, _), (new, _, _) in zip(L.terms, again.terms):
+                assert new == old and new is not old
         finally:
             polyhedra._CACHE.clear()
             polyhedra._CACHE.update(saved)

@@ -10,7 +10,9 @@ import linalg_oracle as oracle
 from deltaforms.linalg import (
     Lattice,
     _bareiss,
+    _identity_lattice,
     _int_rref,
+    _rref_kernel,
     _unimodular_inverse,
     clear_denominators,
     complement_lattice,
@@ -386,6 +388,21 @@ def test_complement_lattice():
         full = [list(v) for v in lat.basis()] + [list(v) for v in comp.basis()]
         if full:
             assert abs(det([[Q(x) for x in row] for row in full])) == 1
+
+
+def test_trusted_lattices_equal_the_hnf_of_their_rows():
+    """Lattices built without the hnf pass: Z^n, the empty lattice, and
+    complements and kernels of those."""
+    for n in range(6):
+        empty = Lattice(n, [])
+        built = [_identity_lattice(n), complement_lattice(empty),
+                 complement_lattice(_identity_lattice(n)),
+                 _rref_kernel(*_int_rref([[int(i == j) for j in range(n)]
+                                          for i in range(n)]), n)]
+        assert built[0].rows == built[1].rows and built[2] == built[3] == empty
+        for lat in built:
+            assert lat.n == n and lat.rows == tuple(map(tuple, hnf(lat.rows)))
+            assert all(type(x) is int for r in lat.rows for x in r)
 
 
 # ---------------------------------------------- integer charts and lattices --

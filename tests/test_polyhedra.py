@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import polyhedra_oracle
 from deltaforms.linalg import Lattice, complement_lattice, det, integer_kernel
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,
     box,
     intersect,
+    maximal_cells_of,
     polyhedron,
     primitive_normal,
     product_polyhedron,
@@ -286,3 +288,43 @@ def test_whole_space_and_point_charts():
     assert p.dim == 0
     assert p.chart.dim == 0
     assert p.base_point == (Q(1, 3), Q(-2))
+
+
+def test_maximal_cells_match_the_intersection_route():
+    """Containment read off generators keeps the intersect(c, o) == c verdicts.
+
+    Each random list mixes cells with lineality, their lower-dimensional
+    faces, repeated cells, and cells cut out of another by a half-space or a
+    hyperplane through it, which are contained in it without being faces.
+    """
+    rng = random.Random(4111)
+    seen = dict.fromkeys(("lineality", "lower", "repeat", "nested"), 0)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        dead = rng.randrange(n + 1)
+        cells = []
+        for _ in range(rng.randint(1, 3)):
+            rows = [([Q(0) if j == dead else Q(rng.randint(-2, 2)) for j in range(n)],
+                     Q(rng.randint(0, 3))) for _ in range(rng.randint(0, 4))]
+            c = polyhedron(n, rows)
+            if c is None:
+                continue
+            cells.append(c)
+            cells.append(rng.choice(c.faces()))
+            x = c.relint_point()
+            a = [Q(rng.randint(-2, 2)) for _ in range(n)]
+            b = sum(p * q for p, q in zip(a, x))
+            cut = polyhedron(n, [(r[:-1], r[-1]) for r in c.ineq_rows] + [(a, b)],
+                             eqs=[(r[:-1], r[-1]) for r in c.eq_rows]
+                             + ([(a, b)] if rng.random() < 0.3 else []))
+            if cut is not None and cut != c and cut not in c.faces():
+                cells.append(cut)
+                seen["nested"] += 1
+            if rng.random() < 0.3:
+                cells.append(rng.choice(cells))
+        rng.shuffle(cells)
+        assert maximal_cells_of(cells) == polyhedra_oracle.maximal_cells_of(cells)
+        seen["lineality"] += any(c.lineality.rank > 0 for c in cells)
+        seen["lower"] += any(c.dim < n for c in cells)
+        seen["repeat"] += len(set(cells)) < len(cells)
+    assert all(seen.values()), seen
