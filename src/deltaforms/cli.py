@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on parse or validation errors, 2 on mathematical
 precondition violations (with a machine-readable certificate in the error
-document).  Output is byte-identical across runs and parallelism settings.
+document), 3 when an internal invariant fails (an AssertionError inside a
+verb, reported as kind "internal").  Output is byte-identical across runs
+and parallelism settings.
 """
 
 import argparse
@@ -23,6 +25,7 @@ from .superforms import ContinuityError, integrate_top, stokes_check
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
+EXIT_INTERNAL = 3
 
 _OPERATORS = {
     "dP1": "dp_prime",
@@ -238,6 +241,10 @@ def main(argv=None):
             {"error": {"kind": "precondition", "message": str(e),
                        "certificate": None}}))
         return EXIT_PRECONDITION
+    except AssertionError as e:
+        out.write(dumps_canonical(
+            {"error": {"kind": "internal", "message": str(e)}}))
+        return EXIT_INTERNAL
     out.write(dumps_canonical(document))
     return EXIT_OK
 

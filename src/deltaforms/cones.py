@@ -4,9 +4,9 @@ double_description enumerates the generators of a cone {y : h.y <= 0 for
 every row h} by the incremental double description method with lineality
 (Fukuda & Prodon, *Double description method revisited*, 1996).  All vectors
 stay primitive integer vectors, so no rational arithmetic is involved: the
-polyhedron rows that the cones come from are integers already.  The ranks
-that decide facets (polyhedra._canonicalize) are taken in integers too, by
-the fraction-free elimination linalg._bareiss.
+polyhedron rows that the cones come from are integers already.  The bit
+masks of the rows tight on each ray also decide facets and whole face
+lattices (polyhedra._facet_rows).
 """
 
 from __future__ import annotations

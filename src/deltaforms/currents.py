@@ -41,6 +41,7 @@ from .superforms import (
     PiecewiseForm,
     Poly,
     SuperForm,
+    _superform,
     integrate_top,
 )
 
@@ -496,7 +497,7 @@ def _extract_normal_parts(form, m):
             tgt = second
         q = q * sign
         tgt[key] = tgt[key] + q if key in tgt else q
-    return SuperForm(m, first), SuperForm(m, second)
+    return _superform(m, first), _superform(m, second)
 
 
 def _split_coordinates(sigma, tau):

@@ -37,7 +37,7 @@ from .polyhedra import (
     stable_weight,
 )
 from .scalars import Q, QONE, QZERO, qof, qstr
-from .superforms import PiecewiseForm, PLFunction, Poly, SuperForm
+from .superforms import PiecewiseForm, Poly, SuperForm, _plfunction
 
 
 class NonGenericError(PreconditionError):
@@ -67,7 +67,11 @@ def pl_max(n, affines):
         region = polyhedron(n, ineqs)
         if region is not None and region.dim == n:
             cells[region] = (lin_k, c_k)
-    return PLFunction(Complex(list(cells)), cells)
+    # the regions meet in faces, so they form a complex whose maximal cells
+    # are the full-dimensional ones, and neighbouring pieces agree where
+    # they meet: both hold by construction and are not checked again
+    cx = Complex(list(cells), validate=False)
+    return _plfunction(cx, [c for c in cx.cells if c.dim == n], cells)
 
 
 def value_form(phi):

@@ -21,19 +21,26 @@ primitive integers, deduplicated and sorted.  implicit_rows answers the same
 question for any system, which decides whether it has a point strictly
 inside a given row.  Polyhedra cache their generators, seeded from the
 canonicalization when the cone is pointed (with lines, the rays are not
-unique), and read off them the vertices (rays with t > 0), boundedness (no
-lines and no ray with t = 0), a relative-interior point (the sum of the
-rays), on which sides of a hyperplane they lie (crosses) and whether they
-lie inside another polyhedron (maximal_cells_of).
+unique, and only canonical input rows keep them), and read off them the
+vertices (rays with t > 0), boundedness (no lines and no ray with t = 0), a
+relative-interior point (the sum of the rays), on which sides of a
+hyperplane they lie (crosses) and whether they lie inside another
+polyhedron (maximal_cells_of).
+
+Faces come from vertex-facet incidences (Kaibel & Pfetsch 2002): a row is
+a facet when its set of tight rays holds a point and is maximal by
+inclusion, facet i is row i made an equality, and its facets are read off
+the rays tight on row i.  A pointed cell seeds each facet with those rays,
+so its whole face lattice runs no double description.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import lcm
 
 from .linalg import (
     Lattice,
-    _bareiss,
     _hnf_lattice,
     _identity_lattice,
     _int_rref,
@@ -139,45 +146,53 @@ def implicit_rows(n, rows, rhs, eqs):
     return None if tight is None else list(tight)
 
 
+def _bits(flags):
+    """The bit mask with bit k set for each true flag k."""
+    return sum(1 << k for k, f in enumerate(flags) if f)
+
+
+def _facet_rows(rows, sets, points, eq_red, pivots):
+    """Canonical facet rows among rows, given each row's set of tight rays.
+
+    A row is a facet when its set holds a point (a ray with t > 0), so that
+    the row is tight somewhere on the set, and is maximal by inclusion among
+    such sets (Kaibel & Pfetsch 2002).  Facet rows are reduced modulo the
+    equalities, made primitive, deduplicated and sorted.
+    """
+    live = [(row, s) for row, s in zip(rows, sets) if s & points]
+    return tuple(sorted({
+        tuple(_primitive(_reduce_mod_eqs(row, eq_red, pivots))) for row, s in live
+        if not any(s != t and s & t == s for _, t in live)}))
+
+
 def _canonicalize(n, ineqs, eqs):
     """Canonical (eq_rows, ineq_rows, generators), or None if empty.
 
     Row layout: each row is (a_1, ..., a_n, b) in integers for a.x <= b
     resp. a.x = b.  The given equalities are eliminated first.  The set is
     empty when no generator of its homogenized cone has t > 0.  A row is an
-    implicit equality when every generator is tight on it, and a facet when
-    the lineality and its tight rays have rank one less than the cone.
-    generators is Polyhedron.generators() of a pointed cone, else None.
+    implicit equality when every generator is tight on it; the facets among
+    the other rows are read off their tight rays (_facet_rows).  generators
+    is Polyhedron.generators() of a pointed cone, whose rays are unique, or
+    of canonical input rows, on which generators() would rerun this cone;
+    else None.
     """
     cone = _homogenized_cone(n, ineqs, eqs)
     if cone is None:
         return None
     eq_red, pivots, _, lines, rays, zeros = cone
-
-    m = len(ineqs)
-    implicit = _tight_rows(m, zeros)
-    facet_rank = _bareiss(lines + rays)[0] - 1
-    facets = []
-    for i in range(m):
-        if i in implicit:
-            continue
-        tight = [r for r, z in zip(rays, zeros) if z >> (i + 1) & 1]
-        if (len(lines) + len(tight) >= facet_rank
-                and _bareiss(lines + tight)[0] == facet_rank):
-            facets.append(i)
-
-    generators = None if lines else _cone_generators(n, cone)
+    implicit = _tight_rows(len(ineqs), zeros)
     if implicit:
         eq_red, pivots = _int_rref([*eqs, *(ineqs[i] for i in implicit)])
         if n in pivots:
             raise AssertionError("inconsistent equalities on a feasible set")
-
-    seen = set()
-    for i in facets:
-        row = _reduce_mod_eqs(ineqs[i], eq_red, pivots)
-        if any(row[:-1]):
-            seen.add(tuple(_primitive(row)))
-    return tuple(map(tuple, eq_red)), tuple(sorted(seen)), generators
+    rest = [i for i in range(len(ineqs)) if i not in implicit]
+    ineq_rows = _facet_rows([ineqs[i] for i in rest],
+                            [_bits(z >> (i + 1) & 1 for z in zeros) for i in rest],
+                            _bits(r[-1] > 0 for r in rays), eq_red, pivots)
+    keep = not lines or tuple(map(tuple, ineqs)) == ineq_rows
+    return (tuple(map(tuple, eq_red)), ineq_rows,
+            _cone_generators(n, cone) if keep else None)
 
 
 class Chart:
@@ -319,8 +334,9 @@ class Polyhedron:
                 red, pivots = _int_rref(self.eq_rows)
                 self._base = tuple(Q(r[-1], r[p]) for r, p in zip(red, pivots))
             else:
-                lin = self.lineality
-                if lin.rank > 0:
+                gens = self._generators
+                lin = self.lineality if gens is None or gens[1] else None
+                if lin is not None and lin.rank > 0:
                     comp = complement_lattice(lin)
                     minv = _unimodular_inverse(list(zip(*(comp.rows + lin.rows))))
                     cut = polyhedron(
@@ -391,16 +407,27 @@ class Polyhedron:
 
     # -- faces --------------------------------------------------------------
     def facets(self):
+        """The facets, read off the incidences of the cached generators.
+
+        Facet i is row i made an equality; its facets are the other rows
+        whose tight rays within it pass _facet_rows.  A pointed cell hands
+        each facet its tight rays, which are the facet's extreme rays.
+        """
         if self._facets is None:
+            rows = self.ineq_rows
+            rays, lines = self.generators()
+            masks = [_bits(int_dot(row[:-1], r) == row[-1] * r[-1] for r in rays)
+                     for row in rows]
+            points = _bits(r[-1] > 0 for r in rays)
             out = []
-            ineqs = _pairs(self.ineq_rows)
-            eqs = _pairs(self.eq_rows)
-            for row in ineqs:
-                f = polyhedron(self.n, ineqs, eqs=eqs + [row])
-                if f is None:
-                    raise AssertionError("facet of a canonical row is empty")
-                if f not in out:
-                    out.append(f)
+            for i, row in enumerate(rows):
+                eq_red, pivots = _int_rref([*self.eq_rows, row])
+                others = [j for j in range(len(rows)) if j != i]
+                tight = None if lines else (
+                    tuple(r for k, r in enumerate(rays) if masks[i] >> k & 1), ())
+                out.append(_intern(self.n, tuple(map(tuple, eq_red)), _facet_rows(
+                    [rows[j] for j in others], [masks[i] & masks[j] for j in others],
+                    points, eq_red, pivots), tight))
             self._facets = tuple(sorted(out, key=lambda p: p.sort_key))
         return list(self._facets)
 
@@ -443,17 +470,20 @@ def polyhedron(n, ineqs=(), eqs=()):
     inst = _CACHE.get(memo, _MISS)
     if inst is not _MISS:
         return inst
-    inst = None
     canon = _canonicalize(n, memo[2], memo[3])
-    if canon is not None:
-        eq_rows, ineq_rows, generators = canon
-        key = (n, eq_rows, ineq_rows)
-        inst = _CACHE.get(key)
-        if inst is None:
-            inst = Polyhedron(n, eq_rows, ineq_rows, _token=_SENTINEL)
-            inst._generators = generators
-            _CACHE[key] = inst
+    inst = None if canon is None else _intern(n, *canon)
     _CACHE[memo] = inst
+    return inst
+
+
+def _intern(n, eq_rows, ineq_rows, generators):
+    """The interned polyhedron with these rows; a new one keeps generators."""
+    key = (n, eq_rows, ineq_rows)
+    inst = _CACHE.get(key)
+    if inst is None:
+        inst = Polyhedron(n, eq_rows, ineq_rows, _token=_SENTINEL)
+        inst._generators = generators
+        _CACHE[key] = inst
     return inst
 
 
@@ -574,13 +604,7 @@ class Complex:
     """A finite set of cells closed under faces, pairwise intersecting in faces."""
 
     def __init__(self, cells, validate=True):
-        given = []
-        for c in cells:
-            if c is not None and c not in given:
-                given.append(c)
-        closed = set()
-        for c in given:
-            closed.update(c.faces())
+        closed = {f for c in cells if c is not None for f in c.faces()}
         self.cells = tuple(sorted(closed, key=lambda p: (-p.dim, p.sort_key)))
         if self.cells and any(c.n != self.cells[0].n for c in self.cells):
             raise ValueError("cells live in different ambient spaces")
@@ -591,20 +615,26 @@ class Complex:
                 raise ComplexError("cells do not form a polyhedral complex", err)
 
     def face_compatibility_failure(self):
-        """None if every pairwise intersection is a face of both, else a report."""
-        for i in range(len(self.cells)):
-            for j in range(i + 1, len(self.cells)):
-                a, b = self.cells[i], self.cells[j]
-                cap = intersect(a, b)
-                if cap is None:
-                    continue
-                if cap not in a.faces() or cap not in b.faces():
-                    return {
-                        "cell_a": i,
-                        "cell_b": j,
-                        "intersection_dim": cap.dim,
-                        "witness_point": [qstr(x) for x in cap.relint_point()],
-                    }
+        """None if every pairwise intersection is a face of both, else a report.
+
+        The cells are closed under faces, so they form a complex exactly
+        when every two generating cells, those that are a face of no other
+        cell, meet in a common face.  Only when that fails are all pairs
+        scanned in order, for the first failing one.
+        """
+        covered = {f for c in self.cells for f in c.facets()}
+        generating = [c for c in self.cells if c not in covered]
+        if not any(_misfit(a, b) for a, b in combinations(generating, 2)):
+            return None
+        for (i, a), (j, b) in combinations(enumerate(self.cells), 2):
+            cap = _misfit(a, b)
+            if cap is not None:
+                return {
+                    "cell_a": i,
+                    "cell_b": j,
+                    "intersection_dim": cap.dim,
+                    "witness_point": [qstr(x) for x in cap.relint_point()],
+                }
         return None
 
     def maximal_cells(self):
@@ -615,6 +645,14 @@ class Complex:
 
     def __hash__(self):
         return hash(self.cells)
+
+
+def _misfit(a, b):
+    """The intersection of a and b when it is not a face of both, else None."""
+    cap = intersect(a, b)
+    if cap is None or cap in a.faces() and cap in b.faces():
+        return None
+    return cap
 
 
 def _contained_in(c, o):

@@ -247,6 +247,19 @@ def _insert_index(i, idx):
     return out, (-1) ** pos
 
 
+def _superform(n, terms):
+    """SuperForm over sorted, in-range index pairs and Poly coefficients.
+
+    Arithmetic results come here, and only coefficients that cancelled to
+    zero are dropped.  Input from documents and callers goes through
+    SuperForm(n, terms), which also sorts and range-checks the indices.
+    """
+    f = object.__new__(SuperForm)
+    f.n = n
+    f.terms = {k: p for k, p in terms.items() if p.terms}
+    return f
+
+
 class SuperForm:
     """Normal-form sum of poly * d'x_I ∧ d''x_J terms in n variables."""
 
@@ -310,21 +323,21 @@ class SuperForm:
         return degs[0]
 
     def component(self, p, q):
-        return SuperForm(self.n, {(i, j): poly for (i, j), poly in self.terms.items()
-                                  if (len(i), len(j)) == (p, q)})
+        return _superform(self.n, {(i, j): poly for (i, j), poly in self.terms.items()
+                                   if (len(i), len(j)) == (p, q)})
 
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.terms)
         for key, p in other.terms.items():
             out[key] = out[key] + p if key in out else p
-        return SuperForm(self.n, out)
+        return _superform(self.n, out)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return SuperForm(self.n, {k: -p for k, p in self.terms.items()})
+        return _superform(self.n, {k: -p for k, p in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, SuperForm):
@@ -337,9 +350,9 @@ class SuperForm:
 
     def scale(self, c):
         if isinstance(c, Poly):
-            return SuperForm(self.n, {k: p * c for k, p in self.terms.items()})
+            return _superform(self.n, {k: p * c for k, p in self.terms.items()})
         c = qof(c)
-        return SuperForm(self.n, {k: p * c for k, p in self.terms.items()})
+        return _superform(self.n, {k: p * c for k, p in self.terms.items()})
 
     def wedge(self, other):
         other = self._coerce(other)
@@ -360,7 +373,7 @@ class SuperForm:
                     p = -p
                 key = (ii, jj)
                 out[key] = out[key] + p if key in out else p
-        return SuperForm(self.n, out)
+        return _superform(self.n, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
@@ -385,7 +398,7 @@ class SuperForm:
                 q = dp if sign > 0 else -dp
                 key = (ii2, jj)
                 out[key] = out[key] + q if key in out else q
-        return SuperForm(self.n, out)
+        return _superform(self.n, out)
 
     def dsecond(self):
         out = {}
@@ -401,7 +414,7 @@ class SuperForm:
                 q = dp if sign * block > 0 else -dp
                 key = (ii, jj2)
                 out[key] = out[key] + q if key in out else q
-        return SuperForm(self.n, out)
+        return _superform(self.n, out)
 
     def contract(self, vec, slot):
         """Interior product with v' (slot='prime') or v'' (slot='second')."""
@@ -430,7 +443,7 @@ class SuperForm:
                     put((ii, jj[:pos] + jj[pos + 1:]), p * c)
             else:
                 raise ValueError("slot must be 'prime' or 'second'")
-        return SuperForm(self.n, out)
+        return _superform(self.n, out)
 
     def pullback_affine(self, lin_rows, shift, k=None):
         """Pull back along u -> shift + lin.u from R^k to this form's R^n.
@@ -469,7 +482,7 @@ class SuperForm:
             for key, c in scales:
                 q = comp * c
                 out[key] = out[key] + q if key in out else q
-        return SuperForm(k, out)
+        return _superform(k, out)
 
     def restrict(self, chart: Chart):
         """Restriction to a cell: pull back along u -> base + B u."""
@@ -644,24 +657,17 @@ class PLFunction:
         self._check_continuity()
 
     def _check_continuity(self):
-        cells = self.maximal
-        for a in range(len(cells)):
-            for b in range(a + 1, len(cells)):
-                face = intersect(cells[a], cells[b])
-                if face is None:
-                    continue
-                ch = face.chart
-                pts = [list(ch.base)]
-                for bs in ch.basis:
-                    pts.append([x + y for x, y in zip(ch.base, bs)])
-                for pt in pts:
-                    va = vec_dot(self.pieces[cells[a]][0], pt) + self.pieces[cells[a]][1]
-                    vb = vec_dot(self.pieces[cells[b]][0], pt) + self.pieces[cells[b]][1]
-                    if va != vb:
-                        raise ContinuityError(
-                            "pieces disagree on a shared face",
-                            {"point": [str(x) for x in pt],
-                             "values": [str(va), str(vb)]})
+        for a, b, face in _meeting_pairs(self.maximal):
+            ch = face.chart
+            for pt in [list(ch.base)] + [[x + y for x, y in zip(ch.base, bs)]
+                                         for bs in ch.basis]:
+                va = vec_dot(self.pieces[a][0], pt) + self.pieces[a][1]
+                vb = vec_dot(self.pieces[b][0], pt) + self.pieces[b][1]
+                if va != vb:
+                    raise ContinuityError(
+                        "pieces disagree on a shared face",
+                        {"point": [str(x) for x in pt],
+                         "values": [str(va), str(vb)]})
 
     def value(self, x):
         x = [qof(v) for v in x]
@@ -677,6 +683,22 @@ class PLFunction:
     def affine_on(self, cell):
         lin, c = self.pieces[cell]
         return list(lin), c
+
+
+def _plfunction(cx, maximal, pieces):
+    """PLFunction whose maximal cells (in cx's order) and pieces hold by
+    construction, as in pl_max; PLFunction(cx, pieces) checks both."""
+    f = object.__new__(PLFunction)
+    f.complex, f.maximal, f.pieces = cx, maximal, pieces
+    return f
+
+
+def _meeting_pairs(cells):
+    """(a, b, a ∩ b) for each two cells, in list order, that meet."""
+    for a, b in combinations(cells, 2):
+        face = intersect(a, b)
+        if face is not None:
+            yield a, b, face
 
 
 class PiecewiseForm:
@@ -700,16 +722,10 @@ class PiecewiseForm:
         self._check_compatibility()
 
     def _check_compatibility(self):
-        cells = self.maximal
-        for a in range(len(cells)):
-            for b in range(a + 1, len(cells)):
-                face = intersect(cells[a], cells[b])
-                if face is None:
-                    continue
-                ra = self.pieces[cells[a]].restrict(face.chart)
-                rb = self.pieces[cells[b]].restrict(face.chart)
-                if ra != rb:
-                    raise ContinuityError(
-                        "forms disagree on a shared face",
-                        {"face_dim": face.dim,
-                         "difference": repr(ra - rb)})
+        for a, b, face in _meeting_pairs(self.maximal):
+            ra = self.pieces[a].restrict(face.chart)
+            rb = self.pieces[b].restrict(face.chart)
+            if ra != rb:
+                raise ContinuityError(
+                    "forms disagree on a shared face",
+                    {"face_dim": face.dim, "difference": repr(ra - rb)})

@@ -1,15 +1,92 @@
-"""The containment test that deltaforms.polyhedra.maximal_cells_of used
-before it read containment off each cell's cached generators.
+"""Routes of deltaforms' face and complex layer that were replaced, kept
+verbatim as reference oracles for the tests and not collected by pytest.
 
-Kept verbatim as the reference oracle for the tests, and not collected by
-pytest: a cell is contained in another exactly when their intersection,
-canonicalized through polyhedron(), is the cell itself.
+- maximal_cells_of, from before containment was read off each cell's cached
+  generators: a cell is contained in another exactly when their
+  intersection, canonicalized through polyhedron(), is the cell itself.
+- facets and faces, from before facets were read off vertex-facet
+  incidences: one polyhedron() call, so one double description, per
+  inequality row, walked down the face lattice.  The bodies are the old
+  Polyhedron methods without the per-instance cache, so calling them leaves
+  the cells' cached faces alone.
+- face_compatibility_failure, from before only generating cells were
+  paired: every ordered pair of cells is intersected.
+- pl_max, from before it built its complex and PLFunction trusted: both go
+  through the checked constructors.
 """
 
-from deltaforms.polyhedra import intersect
+from deltaforms.polyhedra import Complex, _pairs, intersect, polyhedron
+from deltaforms.scalars import qof, qstr
+from deltaforms.superforms import PLFunction
 
 
 def maximal_cells_of(cells):
     """The cells contained in no other cell of the list, in list order."""
     return [c for c in cells
             if not any(o != c and intersect(c, o) == c for o in cells)]
+
+
+def facets(self):
+    out = []
+    ineqs = _pairs(self.ineq_rows)
+    eqs = _pairs(self.eq_rows)
+    for row in ineqs:
+        f = polyhedron(self.n, ineqs, eqs=eqs + [row])
+        if f is None:
+            raise AssertionError("facet of a canonical row is empty")
+        if f not in out:
+            out.append(f)
+    return sorted(out, key=lambda p: p.sort_key)
+
+
+def faces(self):
+    """All faces including the polyhedron itself, sorted by dimension."""
+    seen = {self}
+    frontier = [self]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for f in facets(p):
+                if f not in seen:
+                    seen.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return sorted(seen, key=lambda p: (p.dim, p.sort_key))
+
+
+def face_compatibility_failure(self):
+    """None if every pairwise intersection is a face of both, else a report."""
+    for i in range(len(self.cells)):
+        for j in range(i + 1, len(self.cells)):
+            a, b = self.cells[i], self.cells[j]
+            cap = intersect(a, b)
+            if cap is None:
+                continue
+            if cap not in a.faces() or cap not in b.faces():
+                return {
+                    "cell_a": i,
+                    "cell_b": j,
+                    "intersection_dim": cap.dim,
+                    "witness_point": [qstr(x) for x in cap.relint_point()],
+                }
+    return None
+
+
+def pl_max(n, affines):
+    """The pointwise maximum of affine functions as a PLFunction.
+
+    affines is a list of (lin, const) pairs; linearity regions that are not
+    full-dimensional are absorbed by their neighbors.
+    """
+    affines = [([qof(a) for a in lin], qof(c)) for lin, c in affines]
+    cells = {}
+    for k, (lin_k, c_k) in enumerate(affines):
+        ineqs = []
+        for j, (lin_j, c_j) in enumerate(affines):
+            if j == k:
+                continue
+            ineqs.append(([a - b for a, b in zip(lin_j, lin_k)], c_k - c_j))
+        region = polyhedron(n, ineqs)
+        if region is not None and region.dim == n:
+            cells[region] = (lin_k, c_k)
+    return PLFunction(Complex(list(cells)), cells)

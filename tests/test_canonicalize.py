@@ -6,9 +6,10 @@ canonicalizer must reproduce the LP canonicalizer row for row, and
 polyhedron() must hand back the same interned object for every description
 of the same set.  What is read off the cached cone generators (implicit rows,
 relative-interior points, vertices, boundedness) is checked against the LP
-oracle and against the face lattice.  Charts, base points and lattice
-normals are computed in integers; each is checked on every face against a
-rational route kept here as an oracle.
+oracle and against the face lattice, and the faces read off incidences
+against the per-row walk they replaced (polyhedra_oracle).  Charts, base
+points and lattice normals are computed in integers; each is checked on
+every face against a rational route kept here as an oracle.
 """
 
 import random
@@ -21,13 +22,17 @@ from eps_oracle import (_eqs_rational, _ineqs_rational, lp_extremum,
                         lp_feasible, strict_interior)
 from linalg_oracle import invert, solve_linear
 from lp_canonicalize import lp_canonicalize
+import polyhedra_oracle
 from deltaforms.currents import hyperplane_pool, normalize_hyperplane, slice_cell
 from deltaforms.io import dumps_canonical, polyhedron_json, q_json, vector_json
 from deltaforms.linalg import (Lattice, clear_denominators, complement_lattice,
                                hnf, integer_kernel, vec_dot)
-from deltaforms.polyhedra import (_canonicalize, _reduce_mod_rows, _xgcd_vector,
-                                  affine_preimage, implicit_rows, polyhedron,
-                                  primitive_normal, recession_cone, translate)
+from deltaforms import polyhedra
+from deltaforms.polyhedra import (_canonicalize, _cone_generators,
+                                  _homogenized_cone, _reduce_mod_rows,
+                                  _xgcd_vector, affine_preimage, box,
+                                  implicit_rows, polyhedron, primitive_normal,
+                                  recession_cone, translate)
 from deltaforms.scalars import qof
 
 COEF = st.integers(-3, 3)
@@ -200,7 +205,10 @@ def test_seeded_generators_match_recomputed(system):
         return
     seeded = canonicalized(n, ineqs, eqs)[2]
     if p.lineality.rank > 0:
-        assert seeded is None
+        # with lines the rays are not unique, so they are kept only when the
+        # input rows are the canonical ones, whose cone generators() reruns
+        cleared = tuple(tuple(clear_denominators(list(a) + [b])) for a, b in ineqs)
+        assert (seeded is None) == (cleared != p.ineq_rows)
         return
     kept = p.generators()
     p._generators = None
@@ -208,6 +216,70 @@ def test_seeded_generators_match_recomputed(system):
     assert lines == () and seeded[1] == () and kept[1] == ()
     assert len(set(seeded[0])) == len(seeded[0])
     assert set(seeded[0]) == set(rays) == set(kept[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example((2, _rows((0, -1, 0), (0, 1, 1)), []))                   # half strip
+def test_canonical_rows_keep_the_generators_of_their_cone(system):
+    """Canonical input rows keep the rays and lines generators() would find."""
+    p = polyhedron(*system)
+    if p is None:
+        return
+    kept = _canonicalize(p.n, p.ineq_rows, p.eq_rows)[2]
+    assert kept == _cone_generators(
+        p.n, _homogenized_cone(p.n, p.ineq_rows, p.eq_rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 1), (0, -1, 0, 0),
+                   (0, 0, 1, 1), (0, 0, -1, 0)), []))              # cube
+@example((3, _rows((1, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 1)), []))  # with lines
+@example((3, _rows((1, 1, 1, 1), (-1, 0, 0, 0), (0, -1, 0, 0),
+                   (0, 0, -1, 0)), _rows((1, -1, 0, 0))))         # cut simplex
+@example((3, _rows((-2, 0, 1, 0), (0, -2, 1, 0), (2, 0, 1, 2), (0, 2, 1, 2),
+                   (0, 0, -1, 0)), []))                           # square pyramid
+@example((2, _rows((-1, 0, 0), (0, -1, 0), (0, 1, 1)), []))        # half strip
+def test_faces_from_incidences_equal_the_per_row_walk(system):
+    """Faces read off incidences are the faces of a polyhedron() per row.
+
+    The intern table is emptied first, so every face below the cell is made
+    by facets() with the generators it seeded.  Each seeded set must be what
+    a fresh double description on the face's rows finds, and every pointed
+    face must have one.
+    """
+    polyhedra._CACHE.clear()
+    p = polyhedron(*system)
+    if p is None:
+        return
+    faces = p.faces()
+    for f in faces:
+        gens = f._generators
+        if gens is None:
+            assert f.lineality.rank > 0
+            continue
+        rays, lines = _cone_generators(
+            f.n, _homogenized_cone(f.n, f.ineq_rows, f.eq_rows))
+        assert set(gens[0]) == set(rays) and set(gens[1]) == set(lines)
+    assert [f.key for f in faces] == [f.key for f in polyhedra_oracle.faces(p)]
+    for f in faces:
+        assert ([g.key for g in f.facets()]
+                == [g.key for g in polyhedra_oracle.facets(f)])
+
+
+def test_faces_of_a_pointed_cell_run_no_double_description(monkeypatch):
+    """The 3^n faces of the n-cube come from incidences and seeded generators."""
+    runs = []
+    original = polyhedra._homogenized_cone
+    monkeypatch.setattr(polyhedra, "_homogenized_cone",
+                        lambda *args: runs.append(args) or original(*args))
+    monkeypatch.setattr(polyhedra, "_CACHE", {})
+    for n in range(2, 7):
+        cube = box([0] * n, [1] * n)
+        del runs[:]
+        assert len(cube.faces()) == 3 ** n
+        assert runs == []
 
 
 def test_generators_of_a_half_strip():

@@ -407,6 +407,24 @@ class TestSuite:
         assert doc["graded_commutativity"] is True
 
 
+class TestInternalErrors:
+    def test_a_failed_invariant_exits_three_with_one_document(
+            self, capsys, monkeypatch):
+        from deltaforms import polyhedra
+
+        def broken(*args):
+            raise AssertionError("invariant broken on purpose")
+
+        monkeypatch.setattr(polyhedra, "_canonicalize", broken)
+        # an empty intern table, so no memo hit skips the broken function
+        monkeypatch.setattr(polyhedra, "_CACHE", {})
+        code, out = run(capsys, "suite")
+        assert code == 3
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": {
+            "kind": "internal", "message": "invariant broken on purpose"}}
+
+
 class TestDeterminism:
     def cli(self, args, parallelism):
         env = dict(os.environ, DELTAFORMS_PARALLELISM=parallelism)

@@ -1,9 +1,11 @@
 """Tests for divisor cuts, the wedge product, and stable intersections."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+import polyhedra_oracle
 from deltaforms.currents import (
     AffineMap,
     BalancingError,
@@ -34,6 +36,7 @@ from deltaforms.intersection import (
     wedge_diagonal,
 )
 from deltaforms import polyhedra
+from deltaforms.io import dumps_canonical, plfunction_json
 from deltaforms.polyhedra import (Complex, polyhedron, ray_from, segment,
                                   single_point, whole_space)
 from deltaforms.superforms import PLFunction, Poly, SuperForm
@@ -90,6 +93,28 @@ class TestPLMax:
         pos = next(c for c in phi.maximal
                    if phi.gradient(c) == [Q(1), Q(0)])
         assert dsp.pieces[pos].terms == {((), (0,)): Poly.const(2, 1)}
+
+
+    def test_trusted_construction_matches_the_checked_constructors(self):
+        """pl_max skips the checks that hold by construction, and nothing else.
+
+        Same document bytes, maximal cells and pieces as the route through
+        the checked Complex and PLFunction, on random maxima of affine
+        functions in R^1 to R^3, repeated functions included.
+        """
+        rng = random.Random(5113)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            affines = [([Q(rng.randint(-2, 2)) for _ in range(n)],
+                        Q(rng.randint(-4, 4), rng.randint(1, 2)))
+                       for _ in range(rng.randint(1, 4))]
+            got = pl_max(n, affines)
+            want = polyhedra_oracle.pl_max(n, affines)
+            assert (dumps_canonical(plfunction_json(got))
+                    == dumps_canonical(plfunction_json(want)))
+            assert got.complex == want.complex
+            assert got.maximal == want.maximal
+            assert list(got.pieces.items()) == list(want.pieces.items())
 
 
 class TestCornerLocus:

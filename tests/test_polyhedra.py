@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import polyhedra_oracle
+from deltaforms.io import dumps_canonical
 from deltaforms.linalg import Lattice, complement_lattice, det, integer_kernel
 from deltaforms.polyhedra import (
     Complex,
@@ -290,41 +291,80 @@ def test_whole_space_and_point_charts():
     assert p.base_point == (Q(1, 3), Q(-2))
 
 
+def random_cells(rng, seen):
+    """A random list of cells in R^1 to R^3 that need not form a complex.
+
+    It mixes cells with lineality, their lower-dimensional faces, repeated
+    cells, and cells cut out of another by a half-space or a hyperplane
+    through it, which are contained in it without being faces; seen counts
+    the nested cuts.
+    """
+    n = rng.randint(1, 3)
+    dead = rng.randrange(n + 1)
+    cells = []
+    for _ in range(rng.randint(1, 3)):
+        rows = [([Q(0) if j == dead else Q(rng.randint(-2, 2)) for j in range(n)],
+                 Q(rng.randint(0, 3))) for _ in range(rng.randint(0, 4))]
+        c = polyhedron(n, rows)
+        if c is None:
+            continue
+        cells.append(c)
+        cells.append(rng.choice(c.faces()))
+        x = c.relint_point()
+        a = [Q(rng.randint(-2, 2)) for _ in range(n)]
+        b = sum(p * q for p, q in zip(a, x))
+        cut = polyhedron(n, [(r[:-1], r[-1]) for r in c.ineq_rows] + [(a, b)],
+                         eqs=[(r[:-1], r[-1]) for r in c.eq_rows]
+                         + ([(a, b)] if rng.random() < 0.3 else []))
+        if cut is not None and cut != c and cut not in c.faces():
+            cells.append(cut)
+            seen["nested"] += 1
+        if rng.random() < 0.3:
+            cells.append(rng.choice(cells))
+    rng.shuffle(cells)
+    return n, cells
+
+
 def test_maximal_cells_match_the_intersection_route():
     """Containment read off generators keeps the intersect(c, o) == c verdicts.
 
-    Each random list mixes cells with lineality, their lower-dimensional
-    faces, repeated cells, and cells cut out of another by a half-space or a
-    hyperplane through it, which are contained in it without being faces.
+    The random lists of random_cells hold cells with lineality, their faces,
+    repeats and nested cells that are not faces.
     """
     rng = random.Random(4111)
     seen = dict.fromkeys(("lineality", "lower", "repeat", "nested"), 0)
     for _ in range(300):
-        n = rng.randint(1, 3)
-        dead = rng.randrange(n + 1)
-        cells = []
-        for _ in range(rng.randint(1, 3)):
-            rows = [([Q(0) if j == dead else Q(rng.randint(-2, 2)) for j in range(n)],
-                     Q(rng.randint(0, 3))) for _ in range(rng.randint(0, 4))]
-            c = polyhedron(n, rows)
-            if c is None:
-                continue
-            cells.append(c)
-            cells.append(rng.choice(c.faces()))
-            x = c.relint_point()
-            a = [Q(rng.randint(-2, 2)) for _ in range(n)]
-            b = sum(p * q for p, q in zip(a, x))
-            cut = polyhedron(n, [(r[:-1], r[-1]) for r in c.ineq_rows] + [(a, b)],
-                             eqs=[(r[:-1], r[-1]) for r in c.eq_rows]
-                             + ([(a, b)] if rng.random() < 0.3 else []))
-            if cut is not None and cut != c and cut not in c.faces():
-                cells.append(cut)
-                seen["nested"] += 1
-            if rng.random() < 0.3:
-                cells.append(rng.choice(cells))
-        rng.shuffle(cells)
+        n, cells = random_cells(rng, seen)
         assert maximal_cells_of(cells) == polyhedra_oracle.maximal_cells_of(cells)
         seen["lineality"] += any(c.lineality.rank > 0 for c in cells)
         seen["lower"] += any(c.dim < n for c in cells)
         seen["repeat"] += len(set(cells)) < len(cells)
+    assert all(seen.values()), seen
+
+
+def test_face_compatibility_matches_the_full_scan():
+    """Pairing only generating cells keeps the verdict and certificate bytes.
+
+    On the random lists of random_cells, some of them cut into two halves
+    that do form a complex, the check agrees with the scan of every ordered
+    pair of cells that it replaced.
+    """
+    rng = random.Random(6007)
+    seen = dict.fromkeys(("complex", "not complex", "nested"), 0)
+    for _ in range(300):
+        n, cells = random_cells(rng, seen)
+        if cells and rng.random() < 0.5:
+            # both closed sides of a hyperplane through one cell
+            c = cells[0]
+            a = [Q(rng.randint(-2, 2)) for _ in range(n)]
+            b = sum(p * q for p, q in zip(a, c.relint_point()))
+            rows = [(r[:-1], r[-1]) for r in c.ineq_rows]
+            eqs = [(r[:-1], r[-1]) for r in c.eq_rows]
+            cells = [polyhedron(n, rows + [(a, b)], eqs=eqs),
+                     polyhedron(n, rows + [([-x for x in a], -b)], eqs=eqs)]
+        cx = Complex(cells, validate=False)
+        got = cx.face_compatibility_failure()
+        want = polyhedra_oracle.face_compatibility_failure(cx)
+        assert dumps_canonical(got) == dumps_canonical(want)
+        seen["complex" if got is None else "not complex"] += 1
     assert all(seen.values()), seen

@@ -22,7 +22,7 @@ import superform_oracle as oracle
 from deltaforms.currents import (BalancingError, DeltaForm,
                                  _check_balanced_refined, require_balanced)
 from deltaforms.polyhedra import polyhedron, ray_from, triangulate
-from deltaforms.superforms import Poly, SuperForm, integrate_local
+from deltaforms.superforms import Poly, SuperForm, _superform, integrate_local
 from test_currents import DIRECTIONS, RATIONALS, WEIGHTS
 
 MAX_DEGREE = 5
@@ -126,9 +126,10 @@ def test_compose_affine_cancels_to_zero():
 
 
 @st.composite
-def superforms(draw):
+def superforms(draw, n=None):
     """A superform in n <= 3 variables with polynomial coefficients."""
-    n = draw(st.integers(0, 3))
+    if n is None:
+        n = draw(st.integers(0, 3))
     out = {}
     for _ in range(draw(st.integers(0, 3))):
         ii = draw(st.sampled_from([c for p in range(n + 1)
@@ -165,6 +166,39 @@ def test_pullback_uses_each_minor_of_its_own_columns():
     want = oracle.pullback_affine(form, lin, [0, 0])
     assert {key: p.terms for key, p in got.terms.items()} == \
         {key: p.terms for key, p in want.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_arithmetic_results_equal_the_checked_constructor(data):
+    """SuperForm results built unchecked equal SuperForm(n, terms) of them.
+
+    Each operation runs twice: as it is, and with its result passed through
+    the checked constructor, which re-sorts and range-checks the indices and
+    drops zero coefficients.  Terms and their order must agree, and the
+    factory must drop exactly the zeros the constructor drops.
+    """
+    a = data.draw(superforms())
+    n = a.n
+    b = data.draw(superforms(n))
+    c = data.draw(RATIONALS)
+    vec = [data.draw(RATIONALS) for _ in range(n)]
+    lin, shift, k = data.draw(affine_maps(n))
+    ops = [lambda: a + b, lambda: a - a, lambda: -a, lambda: a.scale(c),
+           lambda: a.scale(Poly(n, {})), lambda: a.wedge(b), lambda: b.wedge(a),
+           lambda: a.dprime(), lambda: a.dsecond(), lambda: a.component(1, 0),
+           lambda: a.contract(vec, "prime"), lambda: a.contract(vec, "second"),
+           lambda: a.pullback_affine(lin, shift, k)]
+    for op in ops:
+        got = op()
+        with mock.patch("deltaforms.superforms._superform", SuperForm):
+            want = op()
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.n == want.n
+    zeros = {key: Poly(n, {}) for key in data.draw(st.lists(
+        st.sampled_from(sorted(b.terms) or [((), ())]), max_size=2))}
+    raw = {**a.terms, **zeros}
+    assert _superform(n, raw).terms == SuperForm(n, raw).terms
 
 
 def test_public_constructor_still_validates():
