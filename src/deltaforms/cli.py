@@ -125,9 +125,16 @@ def _run_apply(args):
     return deltaform_json(result)
 
 
-def _run_wedge(args):
+def _parse_factors(args):
     S = parse_deltaform(load_document(args.left))
     T = parse_deltaform(load_document(args.right))
+    if S.n != T.n:
+        raise DocumentError("right factor dimension does not match the left")
+    return S, T
+
+
+def _run_wedge(args):
+    S, T = _parse_factors(args)
     if args.vector is not None and args.method == "diagonal":
         raise DocumentError("--vector applies to the displacement method")
     if args.method == "diagonal":
@@ -148,8 +155,7 @@ def _run_wedge(args):
 
 
 def _run_transversal(args):
-    S = parse_deltaform(load_document(args.left))
-    T = parse_deltaform(load_document(args.right))
+    S, T = _parse_factors(args)
     return deltaform_json(transversal_product(S, T))
 
 

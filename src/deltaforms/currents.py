@@ -5,6 +5,12 @@ coefficient is a SuperForm written in the chart coordinates of the cell and
 the weight is a positive rational multiplier of the canonical lattice
 weight.  Canonicalization folds the weight into the coefficient, so the
 normalized multiplier is always 1.
+
+A coefficient moves from one cell to another by one pull-back along
+Chart.transition_to (transport_form), for the identity or for an affine
+map.  Only the contraction boundary route, pairings with ambient test
+forms, and the ambient lifts of exterior_product and as_piecewise_form go
+through ambient coordinates (chart_to_ambient).
 """
 
 from copy import deepcopy
@@ -109,12 +115,14 @@ class AffineMap:
 
 # -------------------------------------------------------- chart transports --
 
-def transport_form(form, src_cell, dst_cell):
-    """Rewrite a chart-coordinate form of src_cell on dst_cell.
+def transport_form(form, src_cell, dst_cell, f=None):
+    """Pull a chart-coordinate form of src_cell back to dst_cell along f.
 
-    dst_cell must be contained in the affine hull of src_cell.
+    The result is the form at f(x), written in dst_cell's chart coordinates
+    of x; f is None for the identity.  f must carry the affine hull of
+    dst_cell into that of src_cell.
     """
-    m_rows, off = dst_cell.chart.transition_to(src_cell.chart)
+    m_rows, off = dst_cell.chart.transition_to(src_cell.chart, f)
     return form.pullback_affine(m_rows, off, k=dst_cell.dim)
 
 
@@ -218,7 +226,7 @@ class DeltaForm:
         """Fold weights into coefficients, merge cells, drop vanishing terms."""
         acc = {}
         for cell, form, w in self.terms:
-            f = form.scale(w)
+            f = form if w == 1 else form.scale(w)
             if cell in acc:
                 acc[cell] = acc[cell] + f
             else:
@@ -300,7 +308,8 @@ class DeltaForm:
             tb = cb[key].terms if key in cb else ()
             pool = hyperplane_pool([c for c, _, _ in ta]
                                    + [c for c, _, _ in tb])
-            if _stratum_totals(ta, pool) != _stratum_totals(tb, pool):
+            if (DeltaForm(self.n, _sliced_terms(ta, pool)).canonicalize().terms
+                    != DeltaForm(self.n, _sliced_terms(tb, pool)).canonicalize().terms):
                 return False
         return True
 
@@ -373,16 +382,6 @@ class DeltaForm:
             g = chart_to_ambient(a, piece).wedge(eta)
             total += integrate_top(g, WeightedCell(piece, w))
         return total
-
-
-def _stratum_totals(terms, pool):
-    totals = {}
-    for cell, form, w in terms:
-        f = form.scale(w)
-        for piece in slice_cell(cell, pool):
-            g = transport_form(f, cell, piece) if piece != cell else f
-            totals[piece] = totals[piece] + g if piece in totals else g
-    return {piece: f for piece, f in totals.items() if not f.is_zero()}
 
 
 # ----------------------------------------------------------------- balancing --
@@ -639,14 +638,11 @@ def fundamental_cycle(n):
 def translate_delta(T, v):
     """The current shifted by the vector v."""
     v = [qof(x) for x in v]
+    back = AffineMap(AffineMap.identity(T.n).lin, [-x for x in v])
     out = []
     for cell, form, w in T.canonicalize().terms:
         moved = translate(cell, v)
-        mch, cch = moved.chart, cell.chart
-        lin = [[int_dot(u, b) for b in mch.basis] for u in cch.u_rows]
-        off = [vec_dot(u, vec_sub(vec_sub(list(mch.base), v), list(cch.base)))
-               for u in cch.u_rows]
-        out.append((moved, form.pullback_affine(lin, off, k=moved.dim), w))
+        out.append((moved, transport_form(form, cell, moved, back), w))
     return DeltaForm(T.n, out)
 
 
@@ -723,10 +719,7 @@ def pushforward(f, T):
         if nu is None:
             raise AssertionError("image of a nonempty cell is empty")
         idx = abs(det([nu.span.coords(col) for col in mcols]))
-        nch = nu.chart
-        a_rows = [[int_dot(u, col) for col in mcols] for u in nch.u_rows]
-        a_off = [vec_dot(nch.u_rows[j], vec_sub(c0, list(nch.base)))
-                 for j in range(d)]
+        a_rows, a_off = cell.chart.transition_to(nu.chart, f)
         ainv = invert(a_rows)
         shift = mat_mul_vec(ainv, [-o for o in a_off])
         out.append((nu, form.pullback_affine(ainv, shift), w * idx))
@@ -759,13 +752,7 @@ def pullback_surjective(f, S):
         if any(c is None for c in coords):
             raise AssertionError("preimage directions escape the preimage span")
         lam = w * abs(det(coords)) / dv
-        pch, nch = pre.chart, cell.chart
-        img_base = f.apply(list(pch.base))
-        lin = [[vec_dot(nch.u_rows[j], f.apply_linear(bs))
-                for bs in pch.basis] for j in range(cell.dim)]
-        off = [vec_dot(nch.u_rows[j], vec_sub(img_base, list(nch.base)))
-               for j in range(cell.dim)]
-        out.append((pre, form.pullback_affine(lin, off, k=pre.dim), lam))
+        out.append((pre, transport_form(form, cell, pre, f), lam))
     return DeltaForm(n, out).canonicalize()
 
 

@@ -16,7 +16,6 @@ from .currents import (
     _facet_stars,
     _sliced_terms,
     cell_summary,
-    chart_to_ambient,
     exterior_product,
     fundamental_cycle,
     hyperplane_pool,
@@ -99,25 +98,19 @@ def gradient_second_form(phi):
 
 # ------------------------------------------------------ divisor intersection --
 
-def _complex_presentation(T):
-    """Canonical presentation whose cells intersect pairwise in faces."""
-    C = T.canonicalize()
+def _complex_presentation(T, pool=()):
+    """T sliced along the pool and, if its cells form no complex, refined."""
+    C = DeltaForm(T.n, _sliced_terms(T.canonicalize().terms, pool)).canonicalize()
     try:
         Complex([c for c, _, _ in C.terms])
         return C
     except ComplexError:
-        return C.refine()
+        return C.refine(extra_hyperplanes=pool)
 
 
 def _prepare_for_divisor(phi, T):
     """Slice T along phi's walls and verify compatibility and balancing."""
-    R0 = T.canonicalize()
-    pool = hyperplane_pool(phi.maximal)
-    R = DeltaForm(T.n, _sliced_terms(R0.terms, pool)).canonicalize()
-    try:
-        Complex([c for c, _, _ in R.terms])
-    except ComplexError:
-        R = R.refine(extra_hyperplanes=pool)
+    R = _complex_presentation(T, hyperplane_pool(phi.maximal))
     ok, cert = _check_balanced_refined(R)
     if not ok:
         raise BalancingError("current is not balanced", cert)
@@ -290,8 +283,7 @@ def transversal_product(S, T):
             except ValueError:
                 raise TransversalityError(
                     "direction spaces are not transversal", cert)
-            form = chart_to_ambient(f1, c1).restrict(pi.chart).wedge(
-                chart_to_ambient(f2, c2).restrict(pi.chart))
+            form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
             out.append((pi, form, idx))
     return DeltaForm(n, out).canonicalize()
 
@@ -400,8 +392,7 @@ def displacement_product(S, T, v):
         f1, w1 = terms_a[c1]
         f2, w2 = terms_b[c2]
         idx = stable_weight(c1.span, w1, c2.span, w2)
-        form = chart_to_ambient(f1, c1).restrict(pi.chart).wedge(
-            chart_to_ambient(f2, c2).restrict(pi.chart))
+        form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
         out.append((pi, form, idx))
     return DeltaForm(A.n, out).canonicalize()
 

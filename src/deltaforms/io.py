@@ -288,6 +288,8 @@ def parse_plfunction(doc):
         raise DocumentError("complex must list at least one cell")
     cells = [parse_polyhedron(c) for c in cells_doc]
     cx = Complex(cells)
+    if not isinstance(doc["pieces"], list):
+        raise DocumentError("PL function pieces must be a list")
     pieces = {}
     for piece in doc["pieces"]:
         _require_keys(piece, ["cell", "linear", "const"], what="piece")

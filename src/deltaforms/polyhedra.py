@@ -235,15 +235,20 @@ class Chart:
                 x[i] += c * self.basis[k][i]
         return x
 
-    def transition_to(self, other: "Chart"):
-        """Affine map u_other = M . u_self + c on the overlap of spans."""
-        d = self.dim
-        cols = []
-        for k in range(d):
-            cols.append([int_dot(u, self.basis[k]) for u in other.u_rows])
-        m_rows = [[cols[k][j] for k in range(d)] for j in range(other.dim)]
-        off = other.to_local(self.base)
-        return m_rows, off
+    def transition_to(self, other: "Chart", f=None):
+        """Affine map u_other = M . u_self + c from x to f(x), or to x.
+
+        u_self are this chart's coordinates of x and u_other are other's
+        coordinates of f(x); f is anything with apply and apply_linear, such
+        as an affine map, and must carry this chart's span into other's.
+        """
+        if f is None:
+            cols, base = self.basis, self.base
+        else:
+            cols = [f.apply_linear(b) for b in self.basis]
+            base = f.apply(self.base)
+        m_rows = [[int_dot(u, col) for col in cols] for u in other.u_rows]
+        return m_rows, other.to_local(base)
 
 
 class Polyhedron:

@@ -594,6 +594,8 @@ def boundary_integral(alpha: SuperForm, wc: WeightedCell, which: str):
     Facet weights are the canonical lattice weights; the result is checked to
     be invariant under rescaling one facet weight.
     """
+    if which not in ("first", "second"):
+        raise ValueError("which must be 'first' or 'second'")
     cell = wc.cell
     m = cell.dim
     if not cell.is_bounded():
@@ -603,8 +605,6 @@ def boundary_integral(alpha: SuperForm, wc: WeightedCell, which: str):
         want = (m - 1, m) if which == "first" else (m, m - 1)
         if bd != want:
             raise ValueError(f"form bidegree {bd} does not match {want}")
-    if which not in ("first", "second"):
-        raise ValueError("which must be 'first' or 'second'")
     slot = "second" if which == "first" else "prime"
     total = QZERO
     checked = False
@@ -626,6 +626,8 @@ def boundary_integral(alpha: SuperForm, wc: WeightedCell, which: str):
 
 def stokes_check(alpha: SuperForm, wc: WeightedCell, which: str):
     """(integral of d-alpha, boundary integral, equal?) for Stokes' theorem."""
+    if which not in ("first", "second"):
+        raise ValueError("which must be 'first' or 'second'")
     d_alpha = alpha.dprime() if which == "first" else alpha.dsecond()
     lhs = integrate_top(d_alpha, wc)
     rhs = boundary_integral(alpha, wc, which)

@@ -203,6 +203,14 @@ class TestParseErrors:
         assert err["kind"] == "parse"
         assert err["message"] == "polyhedron equalities must be a list"
 
+    @pytest.mark.parametrize("pieces", [5, None, True])
+    def test_pl_function_pieces_must_be_a_list(self, pieces):
+        doc = plfunction_json(pl_max(2, [([1, 0], 0), ([0, 1], 0)]))
+        doc["pieces"] = pieces
+        with pytest.raises(DocumentError,
+                           match="^PL function pieces must be a list$"):
+            parse_plfunction(doc)
+
     def test_bad_parallelism_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DELTAFORMS_PARALLELISM", "many")
         path = write(tmp_path, "line.json", deltaform_json(tropical_line()))
@@ -268,6 +276,23 @@ class TestWedge:
         code, out = run(capsys, "wedge", "--method", "diagonal",
                         "--vector", "1,2", path, path)
         assert code == 1
+
+    @pytest.mark.parametrize("verb", [
+        ["wedge", "--method", "diagonal"], ["wedge", "--method", "displacement"],
+        ["wedge", "--method", "both"], ["transversal"]])
+    def test_factors_in_different_spaces_are_a_parse_error(
+            self, tmp_path, capsys, monkeypatch, verb):
+        def no_search(S, T):
+            raise AssertionError("generic_vector ran")
+        monkeypatch.setattr("deltaforms.cli.generic_vector", no_search)
+        left = write(tmp_path, "line.json", deltaform_json(tropical_line()))
+        right = write(tmp_path, "r3.json", deltaform_json(fundamental_cycle(3)))
+        code, out = run(capsys, *verb, left, right)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": {
+            "kind": "parse",
+            "message": "right factor dimension does not match the left"}}
 
     def test_unbalanced_factor_rejected(self, tmp_path, capsys):
         good = write(tmp_path, "line.json", deltaform_json(tropical_line()))

@@ -1,5 +1,6 @@
 """Tests for delta-forms: balancing, differentials, products, pairings."""
 
+import random
 from fractions import Fraction as Q
 from math import gcd
 from unittest import mock
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import currents_oracle
 from deltaforms import currents
 from deltaforms.currents import (
     AffineMap,
@@ -28,9 +30,18 @@ from deltaforms.currents import (
     translate_delta,
     transport_form,
 )
+from deltaforms.intersection import (
+    _prepare_for_divisor,
+    corner_locus,
+    displacement_product,
+    generic_vector,
+    pl_max,
+    transversal_product,
+)
 from deltaforms.linalg import clear_denominators
 from deltaforms.polyhedra import (
     Complex,
+    affine_preimage,
     box,
     polyhedron,
     ray_from,
@@ -636,3 +647,193 @@ def test_residue_vector_is_unchanged(rays, apex):
     direction = spy.call_args.args[0]
     assert cert["residue_vector"] == _old_primitive_direction(direction)
     assert all(type(x) is int for x in cert["residue_vector"])
+
+
+# ------------------------------------------- chart transport, slicing paths --
+#
+# Every coefficient moves between cells through Chart.transition_to, and
+# equals and the divisor preparation slice through _sliced_terms.  The
+# routes they replaced are kept in currents_oracle; on seeded random
+# currents with polynomial coefficients, cells with lines among them, each
+# function must return exactly the oracle's terms, or raise the same error.
+
+
+MAPS = {
+    "shear": AffineMap([[1, 1], [0, 1]], [Q(1, 2), -1]),
+    "dilation": AffineMap([[2, 0], [0, 3]], [0, Q(2, 3)]),
+    "embedding": AffineMap([[1, 0], [0, 1], [1, 2]], [1, 0, Q(-1, 2)]),
+    "projection": AffineMap([[1, 0, 2], [0, 1, -1]], [Q(1, 3), 2]),
+    "collapse": AffineMap([[1, 1]], [-1]),
+}
+SURJECTIVE = [name for name, f in MAPS.items() if f.is_surjective()]
+
+
+def random_poly(rng, d):
+    return Poly(d, {tuple(rng.randint(0, 2) for _ in range(d)):
+                    Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)})
+
+
+def random_form(rng, d):
+    """A superform on R^d with polynomial coefficients in mixed bidegrees."""
+    terms = {((), ()): random_poly(rng, d)}
+    for _ in range(rng.randint(1, 3)):
+        ii = tuple(sorted(rng.sample(range(d), rng.randint(0, d))))
+        jj = tuple(sorted(rng.sample(range(d), rng.randint(0, d))))
+        terms[(ii, jj)] = random_poly(rng, d)
+    return SuperForm(d, terms)
+
+
+def random_cell(rng, n, codim=None):
+    """A nonempty cell from at most three random rows; most have lines.
+
+    The inequalities hold at the origin and the equalities pass near it, so
+    the cells of a corpus overlap.
+    """
+    while True:
+        k = rng.randint(0, 1) if codim is None else codim
+        rows = [([rng.randint(-2, 2) for _ in range(n)],
+                 Q(rng.randint(-1 if i < k else 0, 3), rng.randint(1, 2)))
+                for i in range(k + rng.randint(0, 3 - k))]
+        ineqs, eqs = rows[k:], rows[:k]
+        cell = polyhedron(n, ineqs, eqs=eqs)
+        if cell is not None and (codim is None or cell.dim == n - codim):
+            return cell
+
+
+def random_current(rng, n, size=3, codim=None):
+    cells = [random_cell(rng, n, codim) for _ in range(size)]
+    return DeltaForm(n, [(c, random_form(rng, c.dim),
+                          Q(rng.randint(1, 4), rng.randint(1, 3))) for c in cells])
+
+
+def random_balanced(rng, n):
+    """A corner locus times a random ambient form: balanced, non-constant."""
+    phi = pl_max(n, [([rng.randint(-1, 1) for _ in range(n)], rng.randint(-1, 1))
+                     for _ in range(3)])
+    alpha = random_form(rng, n)
+    return DeltaForm(n, [(c, alpha.restrict(c.chart).wedge(f), w)
+                         for c, f, w in corner_locus(phi).terms])
+
+
+def outcome(fn, *args):
+    """("terms", the result's terms), or ("error", what the call raised)."""
+    try:
+        return "terms", fn(*args).terms
+    except ValueError as e:
+        return "error", (type(e), str(e), getattr(e, "certificate", None))
+
+
+def corpus(seed, count, n):
+    rng = random.Random(seed)
+    return rng, [random_current(rng, n) for _ in range(count)]
+
+
+def test_corpus_has_cells_with_lines_and_polynomial_coefficients():
+    _, currents_ = corpus(0, 12, 2)
+    cells = [(c, f) for T in currents_ for c, f, _ in T.terms]
+    assert any(c.lineality.rank > 0 and c.dim < 2 for c, _ in cells)
+    assert any(not c.is_bounded() and c.lineality.rank == 0 for c, _ in cells)
+    assert any(p.terms.keys() - {(0,) * c.dim}
+               for c, f in cells for p in f.terms.values())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_translate_delta_matches_the_oracle(n):
+    rng, currents_ = corpus(1 + n, 10, n)
+    for T in currents_:
+        v = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        assert (outcome(translate_delta, T, v)
+                == outcome(currents_oracle.translate_delta, T, v))
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_pushforward_matches_the_oracle(name):
+    f = MAPS[name]
+    _, currents_ = corpus(11, 10, f.n)
+    for T in currents_:
+        assert (outcome(pushforward, f, T)
+                == outcome(currents_oracle.pushforward, f, T))
+
+
+@pytest.mark.parametrize("name", SURJECTIVE)
+def test_pullback_surjective_matches_the_oracle(name):
+    f = MAPS[name]
+    _, currents_ = corpus(21, 10, f.m)
+    for S in currents_:
+        assert (outcome(pullback_surjective, f, S)
+                == outcome(currents_oracle.pullback_surjective, f, S))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_products_match_the_oracle(n):
+    rng = random.Random(31 + n)
+    made = 0
+    for _ in range(20):
+        S = random_current(rng, n, size=2, codim=1)
+        T = random_current(rng, n, size=2, codim=1)
+        got = outcome(transversal_product, S, T)
+        assert got == outcome(currents_oracle.transversal_product, S, T)
+        v = generic_vector(S, T)
+        got = outcome(displacement_product, S, T, v)
+        assert got == outcome(currents_oracle.displacement_product, S, T, v)
+        made += got[0] == "terms" and bool(got[1])
+    assert made >= 10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_equals_matches_the_oracle(n):
+    rng, currents_ = corpus(41 + n, 8, n)
+    verdicts = []
+    for S, T in zip(currents_, currents_[1:] + currents_[:1]):
+        R = T.refine()
+        moved = translate_delta(T, [1] + [0] * (n - 1))
+        for a, b in [(T, R), (R, T), (S + T, R + S), (T, moved), (S, T),
+                     (R, R - T.scale(Q(1, 2)))]:
+            verdict = a.equals(b)
+            assert verdict == currents_oracle.equals(a, b)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_prepare_for_divisor_matches_the_oracle(n):
+    rng = random.Random(51 + n)
+    nonzero = 0
+    for _ in range(6):
+        phi = pl_max(n, [([rng.randint(-2, 2) for _ in range(n)],
+                          rng.randint(-2, 2)) for _ in range(3)])
+        for T in (random_balanced(rng, n), random_current(rng, n, size=2)):
+            got = outcome(_prepare_for_divisor, phi, T)
+            assert got == outcome(currents_oracle._prepare_for_divisor, phi, T)
+            nonzero += got[0] == "terms" and bool(got[1])
+    assert nonzero >= 6
+
+
+@pytest.mark.parametrize("name", ["identity"] + list(MAPS))
+def test_transition_to_composes_chart_to_ambient_the_map_and_restrict(name):
+    """Transport along f is the ambient extension, pulled back and restricted."""
+    f = MAPS.get(name)
+    rng = random.Random(61)
+    for _ in range(8):
+        if f is None:
+            src = random_cell(rng, 3)
+            dsts = [src] + list(src.facets())
+        elif f.is_surjective():
+            src = random_cell(rng, f.m)
+            dst = affine_preimage(src, [list(r) for r in f.lin], list(f.shift), f.n)
+            dsts = [dst] + list(dst.facets())
+        else:
+            dst = random_cell(rng, f.n)
+            one = DeltaForm(f.n, [(dst, SuperForm.scalar(dst.dim, 1), 1)])
+            src = pushforward(f, one).terms[0][0]
+            dsts = [dst]
+        # the coordinate functions in the coefficient expose the whole map
+        coords = sum((Poly.variable(src.dim, j) * (j + 2) for j in range(src.dim)),
+                     Poly.const(src.dim, 1))
+        form = random_form(rng, src.dim) + SuperForm.from_poly(coords)
+        amb = chart_to_ambient(form, src)
+        if f is not None:
+            amb = amb.pullback_affine([list(r) for r in f.lin], list(f.shift),
+                                      k=f.n)
+        for dst in dsts:
+            assert transport_form(form, src, dst, f) == amb.restrict(dst.chart)

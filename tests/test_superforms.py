@@ -294,6 +294,14 @@ def test_square_stokes_pinned_value():
     assert ok and lhs == F(1, 2) and rhs == F(1, 2)
 
 
+@pytest.mark.parametrize("check", [boundary_integral, stokes_check])
+def test_which_is_checked_before_the_bidegree(check):
+    # a (1, 2) form on the unit square fits neither kind of boundary
+    alpha = dP(2, 0).wedge(dS(2, 0)).wedge(dS(2, 1))
+    with pytest.raises(ValueError, match="which must be 'first' or 'second'"):
+        check(alpha, WeightedCell(box([0, 0], [1, 1]), 1), "bogus")
+
+
 def _stokes_cells():
     cells = [
         polyhedron(1, ineqs=[([-1], 0), ([1], 1)]),
