@@ -387,13 +387,12 @@ class DeltaForm:
 # ----------------------------------------------------------------- balancing --
 
 def _facet_stars(terms):
-    """Group the terms' cells around their shared facets."""
+    """Group the terms around their shared facets, as (cell, form, weight)."""
     stars = {}
     for cell, form, w in terms:
-        if cell.dim == 0:
-            continue
-        for tau in cell.facets():
-            stars.setdefault(tau, []).append((cell, form.scale(w)))
+        if cell.dim:
+            for tau in cell.facets():
+                stars.setdefault(tau, []).append((cell, form, w))
     return stars
 
 
@@ -406,8 +405,9 @@ def _check_balanced_refined(R):
     for (p, q, r), comp in R.tridegree_components().items():
         stars = _facet_stars(comp.terms)
         for tau in sorted(stars, key=lambda c: c.sort_key):
-            spokes = [(primitive_normal(sigma, tau), transport_form(form, sigma, tau))
-                      for sigma, form in stars[tau]]
+            spokes = [(primitive_normal(sigma, tau),
+                       transport_form(form.scale(w), sigma, tau))
+                      for sigma, form, w in stars[tau]]
             residues = []
             for w_row in tau.chart.w_rows:
                 beta = SuperForm.zero(tau.dim)
@@ -583,10 +583,21 @@ def _boundary_contraction(T, slot, sign):
 # --------------------------------------------------------------- products --
 
 def _covering_cell(maximal, cell, what):
-    """The first maximal cell, in sort order, containing the cell's relint point."""
-    rp = cell.relint_point()
+    """The first maximal cell, in sort order, containing the cell's relint point.
+
+    The point is taken homogeneous, X = (x, t) the sum of the cell's cone
+    rays (relint_point is x / t), and tested in integers: a.x = b t on each
+    equality row of a maximal cell and a.x <= b t on each inequality row.
+    """
+    rays, _ = cell.generators()
+    X = [sum(col) for col in zip(*rays)]
+
+    def slack(r):
+        # a.x - b t; zip stops int_dot at the n entries of a
+        return int_dot(r[:-1], X) - r[-1] * X[-1]
+
     for M in sorted(maximal, key=lambda c: c.sort_key):
-        if M.contains(rp):
+        if not any(map(slack, M.eq_rows)) and all(slack(r) <= 0 for r in M.ineq_rows):
             return M
     raise PreconditionError("%s does not cover a cell of the current" % what,
                             {"cell": cell_summary(cell)})

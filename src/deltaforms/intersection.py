@@ -124,15 +124,26 @@ def _divisor_core(phi, R):
     cell covered by a maximal cell of phi.  At a facet the local function is
     extended linearly by zero on the canonical complement, and each adjacent
     cell contributes the gradient jump against its inward normal.
+
+    Only the stars where phi bends are evaluated: phi . R lives where phi is
+    not affine (Allermann & Rau 2010).  If every cell around tau has the one
+    gradient g, then g - base_grad = sum_j (g . comp_j) w_j over the duals of
+    tau's chart, so the star's sum is sum_j (g . comp_j) residue_j with the
+    residues that _check_balanced_refined requires to be zero.
+    divisor_intersect checks them on this very presentation, and
+    wedge_diagonal cuts the product of two balanced complex presentations,
+    which each cut keeps balanced; so a skipped star adds exactly zero.
     """
     n = R.n
     gradients = {cell: phi.gradient(_covering_cell(phi.maximal, cell, "function"))
                  for cell, _, _ in R.terms}
     stars = _facet_stars(R.terms)
-    out = {}
+    out = []
     for tau in sorted(stars, key=lambda c: c.sort_key):
         contributions = sorted(stars[tau], key=lambda t: t[0].sort_key)
         g0 = gradients[contributions[0][0]]
+        if all(gradients[sigma] == g0 for sigma, _, _ in contributions):
+            continue
         # the gradient that agrees with g0 on tau and is zero on the
         # complement: sum_k (g0 . basis_k) u_k over the chart's dual rows
         ch = tau.chart
@@ -141,15 +152,14 @@ def _divisor_core(phi, R):
             c = vec_dot(g0, b)
             base_grad = [x + c * y for x, y in zip(base_grad, u)]
         beta = SuperForm.zero(tau.dim)
-        for sigma, form in contributions:
+        for sigma, form, w in contributions:
             jump = [a - b for a, b in zip(gradients[sigma], base_grad)]
             c = vec_dot(jump, primitive_normal(sigma, tau))
             if c:
-                beta = beta + transport_form(form, sigma, tau).scale(c)
+                beta = beta + transport_form(form.scale(w), sigma, tau).scale(c)
         if not beta.is_zero():
-            out[tau] = out.get(tau, SuperForm.zero(tau.dim)) + beta
-    return DeltaForm(n, [(tau, beta, QONE) for tau, beta in out.items()
-                         if not beta.is_zero()]).canonicalize()
+            out.append((tau, beta, QONE))
+    return DeltaForm(n, out).canonicalize()
 
 
 def divisor_intersect(phi, T):

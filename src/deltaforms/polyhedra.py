@@ -6,9 +6,13 @@ and sorted) and interned, so equal polyhedra share one object and its cached
 charts and face lattices.  The intern table is also keyed by each input
 system, its rows cleared to integers, so a repeated input returns the same
 object (or None) without canonicalizing again; implicit_rows answers are
-kept the same way.  Interning saves work only: compare polyhedra with ==,
-never with `is`, because a cleared intern table makes equal copies, and one
-clear empties the input keys with the canonical ones.
+kept the same way.  Two more tagged entry kinds hold what depends only on
+a direction space: the span lattice, keyed by the primitive linear parts of
+the canonical equalities, and the frame of each lattice (its complement
+and the dual rows of a chart), so a new cell's chart costs only its base
+point.  Interning saves work only: compare polyhedra with ==, never with
+`is`, because a cleared intern table makes equal copies, and one clear
+empties the input keys, the span and frame entries and the canonical ones.
 
 There is no linear programming: emptiness, implicit equalities and facets
 are read off the lineality, vertices and extreme rays of the homogenized cone
@@ -57,9 +61,10 @@ from .linalg import (
 from .cones import double_description, int_dot
 from .scalars import Q, QONE, QZERO, qof, qstr
 
-# The intern table maps canonical keys to polyhedra, and the memo keys of
+# The intern table maps canonical keys to polyhedra, the memo keys of
 # _cleared to what polyhedron() or implicit_rows returned for that input
-# (None for an empty set), so one clear empties both.
+# (None for an empty set), ("span", n, rows) to a span lattice and
+# ("frame", n, rows) to a lattice's frame, so one clear empties all four.
 _CACHE: dict = {}
 _MISS = object()
 
@@ -195,6 +200,29 @@ def _canonicalize(n, ineqs, eqs):
             _cone_generators(n, cone) if keep else None)
 
 
+def _duals(basis, comp):
+    """(u_rows, w_rows): the rows of the inverse of the matrix with columns
+    basis and comp, split after the basis."""
+    minv = _unimodular_inverse(list(zip(*(basis + comp))))
+    d = len(basis)
+    return tuple(map(tuple, minv[:d])), tuple(map(tuple, minv[d:]))
+
+
+def _frame(lat):
+    """(comp, u_rows, w_rows) of a saturated lattice, once per lattice.
+
+    comp is the rows of complement_lattice(lat), and u_rows and w_rows are
+    _duals(lat.rows, comp), as in Chart.  Kept in _CACHE under the
+    lattice's rows, so every cell with this direction space shares them.
+    """
+    key = ("frame", lat.n, lat.rows)
+    frame = _CACHE.get(key)
+    if frame is None:
+        comp = complement_lattice(lat).rows
+        frame = _CACHE[key] = (comp, *_duals(lat.rows, comp))
+    return frame
+
+
 class Chart:
     """Affine chart of a polyhedron: x = base + sum_k u_k basis_k.
 
@@ -212,12 +240,9 @@ class Chart:
         self.base = tuple(qof(x) for x in base)
         self.basis = tuple(tuple(int(x) for x in row) for row in basis)
         self.comp = tuple(tuple(int(x) for x in row) for row in comp)
-        d = len(self.basis)
-        if d + len(self.comp) != n:
+        if len(self.basis) + len(self.comp) != n:
             raise ValueError("basis and complement must fill the ambient space")
-        minv = _unimodular_inverse(list(zip(*(self.basis + self.comp))))
-        self.u_rows = tuple(map(tuple, minv[:d]))
-        self.w_rows = tuple(map(tuple, minv[d:]))
+        self.u_rows, self.w_rows = _duals(self.basis, self.comp)
 
     @property
     def dim(self):
@@ -306,16 +331,22 @@ class Polyhedron:
 
     @property
     def span(self) -> Lattice:
-        """Integral lattice of directions along the affine hull."""
+        """Integral lattice of directions along the affine hull.
+
+        One Lattice per direction space, kept in _CACHE under the primitive
+        linear parts of the canonical equalities: these are an integer RREF
+        with every pivot among the first n columns, so they depend only on
+        the direction space (the right-hand side changes only the scaling).
+        """
         if self._span is None:
-            if self.eq_rows:
-                # the canonical equalities are an integer RREF with every
-                # pivot among the first n columns
-                rows = [r[:-1] for r in self.eq_rows]
-                self._span = _rref_kernel(
-                    rows, [next(j for j, x in enumerate(r) if x) for r in rows], self.n)
-            else:
-                self._span = _identity_lattice(self.n)
+            rows = tuple(tuple(_primitive(r[:-1])) for r in self.eq_rows)
+            key = ("span", self.n, rows)
+            span = _CACHE.get(key)
+            if span is None:
+                pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+                span = _CACHE[key] = (_rref_kernel(rows, pivots, self.n) if rows
+                                      else _identity_lattice(self.n))
+            self._span = span
         return self._span
 
     @property
@@ -342,12 +373,10 @@ class Polyhedron:
                 gens = self._generators
                 lin = self.lineality if gens is None or gens[1] else None
                 if lin is not None and lin.rank > 0:
-                    comp = complement_lattice(lin)
-                    minv = _unimodular_inverse(list(zip(*(comp.rows + lin.rows))))
+                    _, u_rows, _ = _frame(lin)
                     cut = polyhedron(
                         self.n, _pairs(self.ineq_rows),
-                        eqs=_pairs(self.eq_rows)
-                        + [(row, 0) for row in minv[comp.rank:]])
+                        eqs=_pairs(self.eq_rows) + [(row, 0) for row in u_rows])
                     self._base = tuple(cut.base_point)
                 else:
                     self._base = min(tuple(v) for v in self.vertices())
@@ -355,9 +384,11 @@ class Polyhedron:
 
     @property
     def chart(self) -> Chart:
+        """The chart at base_point on the span's frame (_frame), unchecked."""
         if self._chart is None:
-            comp = complement_lattice(self.span)
-            self._chart = Chart(self.n, self.base_point, self.span.rows, comp.rows)
+            ch = self._chart = Chart.__new__(Chart)
+            ch.n, ch.base, ch.basis = self.n, self.base_point, self.span.rows
+            ch.comp, ch.u_rows, ch.w_rows = _frame(self.span)
         return self._chart
 
     def local_hrep(self):

@@ -13,10 +13,23 @@ verbatim as reference oracles for the tests and not collected by pytest.
   paired: every ordered pair of cells is intersected.
 - pl_max, from before it built its complex and PLFunction trusted: both go
   through the checked constructors.
+- span, base_point and chart, from before a span lattice and its frame (the
+  complement and the chart's dual rows) were kept once per direction space:
+  every cell builds its own span, complement and unimodular inverse.  These
+  are the old Polyhedron property bodies, with their per-instance caches, so
+  property(span) and friends put the old route back on the class.
 """
 
-from deltaforms.polyhedra import Complex, _pairs, intersect, polyhedron
-from deltaforms.scalars import qof, qstr
+from deltaforms.linalg import (
+    Lattice,
+    _identity_lattice,
+    _int_rref,
+    _rref_kernel,
+    _unimodular_inverse,
+    complement_lattice,
+)
+from deltaforms.polyhedra import Chart, Complex, _pairs, intersect, polyhedron
+from deltaforms.scalars import Q, qof, qstr
 from deltaforms.superforms import PLFunction
 
 
@@ -90,3 +103,51 @@ def pl_max(n, affines):
         if region is not None and region.dim == n:
             cells[region] = (lin_k, c_k)
     return PLFunction(Complex(list(cells)), cells)
+
+
+def span(self) -> Lattice:
+    """Integral lattice of directions along the affine hull."""
+    if self._span is None:
+        if self.eq_rows:
+            # the canonical equalities are an integer RREF with every
+            # pivot among the first n columns
+            rows = [r[:-1] for r in self.eq_rows]
+            self._span = _rref_kernel(
+                rows, [next(j for j, x in enumerate(r) if x) for r in rows], self.n)
+        else:
+            self._span = _identity_lattice(self.n)
+    return self._span
+
+
+def base_point(self):
+    """Canonical point: the lexicographically smallest vertex.
+
+    Cells without vertices are first cut down by zeroing the lineality
+    coordinates of the canonical complement decomposition; the cut is
+    pointed and translates bijectically to the lineality quotient.
+    """
+    if self._base is None:
+        if self.dim == 0:
+            red, pivots = _int_rref(self.eq_rows)
+            self._base = tuple(Q(r[-1], r[p]) for r, p in zip(red, pivots))
+        else:
+            gens = self._generators
+            lin = self.lineality if gens is None or gens[1] else None
+            if lin is not None and lin.rank > 0:
+                comp = complement_lattice(lin)
+                minv = _unimodular_inverse(list(zip(*(comp.rows + lin.rows))))
+                cut = polyhedron(
+                    self.n, _pairs(self.ineq_rows),
+                    eqs=_pairs(self.eq_rows)
+                    + [(row, 0) for row in minv[comp.rank:]])
+                self._base = tuple(cut.base_point)
+            else:
+                self._base = min(tuple(v) for v in self.vertices())
+    return self._base
+
+
+def chart(self) -> Chart:
+    if self._chart is None:
+        comp = complement_lattice(self.span)
+        self._chart = Chart(self.n, self.base_point, self.span.rows, comp.rows)
+    return self._chart
