@@ -8,9 +8,10 @@ normalized multiplier is always 1.
 
 A coefficient moves from one cell to another by one pull-back along
 Chart.transition_to (transport_form), for the identity or for an affine
-map.  Only the contraction boundary route, pairings with ambient test
-forms, and the ambient lifts of exterior_product and as_piecewise_form go
-through ambient coordinates (chart_to_ambient).
+map; pushforward pulls the image back along the map's affine left inverse
+on each cell.  Only the contraction boundary route, pairings with ambient
+test forms, and the ambient lifts of exterior_product and as_piecewise_form
+go through ambient coordinates (chart_to_ambient).
 """
 
 from copy import deepcopy
@@ -38,7 +39,6 @@ from .polyhedra import (
     primitive_normal,
     product_polyhedron,
     recession_cone,
-    single_point,
     translate,
     whole_space,
 )
@@ -659,20 +659,19 @@ def translate_delta(T, v):
 
 # ----------------------------------------------------- pushforward, pullback --
 
-def _independent_rows(rows, d):
-    sel = []
-    have = []
-    for i, row in enumerate(rows):
-        if rank(have + [list(row)]) > len(sel):
-            sel.append(i)
-            have.append(list(row))
-            if len(sel) == d:
-                break
-    return sel
-
-
 def pushforward(f, T):
-    """Image current under an affine map injective and proper on each cell."""
+    """Image current under an affine map injective and proper on each cell.
+
+    On each cell f has an affine left inverse g on the cell's affine hull:
+    with c0 = f(base) and mcols the images f_lin(b_k) of the chart basis,
+    the duals p_k . mcols[j] = [k = j] give g(y) = base + sum_k
+    (p_k . (y - c0)) b_k.  The image is the cell's inequalities pulled back
+    along g, cut to the affine hull of the image by the integer kernel of
+    mcols.  polyhedron() canonicalizes and interns it, so the image does not
+    depend on the duals off that hull.  The coefficient is pulled back along
+    g by one transport_form, and the weight gains the lattice index of the
+    image.
+    """
     if f.n != T.n:
         raise ValueError("map domain does not match the current")
     A = T.canonicalize()
@@ -697,43 +696,22 @@ def pushforward(f, T):
                 "map is not injective on a cell",
                 {"cell": cell_summary(cell),
                  "kernel_direction": [qstr(x) for x in kernel[0]]})
+        c0 = f.apply(sch.base)
+        mcols = [f.apply_linear(b) for b in sch.basis]
         d = cell.dim
-        c0 = f.apply(list(sch.base))
-        if d == 0:
-            out.append((single_point(c0), form, w))
-            continue
-        mcols = [f.apply_linear(bs) for bs in sch.basis]
-        mrows = [[mcols[k][i] for k in range(d)] for i in range(m)]
-        sel = _independent_rows(mrows, d)
-        sinv = invert([mrows[i] for i in sel])
-        ineqs = []
-        lrows, lrhs = cell.local_hrep()
-        for arow, b in zip(lrows, lrhs):
-            coeffs = [sum(arow[k] * sinv[k][j] for k in range(d)) for j in range(d)]
-            full = [QZERO] * m
-            for j, i in enumerate(sel):
-                full[i] = coeffs[j]
-            ineqs.append((full, b + sum(coeffs[j] * c0[sel[j]] for j in range(d))))
-        eqs = []
-        for i in range(m):
-            if i in sel:
-                continue
-            coeffs = [sum(mrows[i][k] * sinv[k][j] for k in range(d)) for j in range(d)]
-            row = [QZERO] * m
-            row[i] = QONE
-            rhs = c0[i]
-            for j, si in enumerate(sel):
-                row[si] -= coeffs[j]
-                rhs -= coeffs[j] * c0[si]
-            eqs.append((row, rhs))
-        nu = polyhedron(m, ineqs, eqs=eqs)
+        duals = [solve_linear(mcols, [QONE if j == k else QZERO for j in range(d)])
+                 for k in range(d)]
+        lin = [[sum(b[i] * p[j] for b, p in zip(sch.basis, duals)) for j in range(m)]
+               for i in range(f.n)]
+        g = AffineMap(lin, vec_sub(sch.base, mat_mul_vec(lin, c0)))
+        nu = polyhedron(
+            m, [([vec_dot(r[:-1], col) for col in zip(*g.lin)],
+                 r[-1] - vec_dot(r[:-1], g.shift)) for r in cell.ineq_rows],
+            eqs=[(k, vec_dot(k, c0)) for k in integer_kernel(mcols, m)])
         if nu is None:
             raise AssertionError("image of a nonempty cell is empty")
         idx = abs(det([nu.span.coords(col) for col in mcols]))
-        a_rows, a_off = cell.chart.transition_to(nu.chart, f)
-        ainv = invert(a_rows)
-        shift = mat_mul_vec(ainv, [-o for o in a_off])
-        out.append((nu, form.pullback_affine(ainv, shift), w * idx))
+        out.append((nu, transport_form(form, cell, nu, g), w * idx))
     return DeltaForm(m, out).canonicalize()
 
 

@@ -66,12 +66,8 @@ def solve_linear(a_rows, b):
     return x
 
 
-def kernel_rational(rows, ncols=None):
+def kernel_rational(rows, ncols):
     """Basis of the rational kernel {x : A x = 0} as a list of vectors."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
     red, pivots = rref(rows) if rows else ([], [])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -353,33 +349,22 @@ def _identity_lattice(n):
     return _hnf_lattice(n, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
-def saturate(vectors, n=None):
-    """Saturation of the lattice generated by integer vectors.
+def saturate(vectors, n):
+    """Saturation of the lattice generated by integer vectors in Z^n.
 
     Returns (Lattice, index) where index = [saturation : generated lattice],
     the product of the nonunit elementary divisors.
     """
-    vecs = [list(v) for v in vectors]
-    if n is None:
-        if not vecs:
-            raise ValueError("need ambient dimension for empty generating set")
-        n = len(vecs[0])
-    vecs = [v for v in vecs if any(v)]
+    vecs = [v for v in vectors if any(v)]
     if not vecs:
         raise ValueError("saturate needs at least one nonzero vector")
-    if any(qof(x).denominator != 1 for v in vecs for x in v):
-        raise ValueError("saturate expects integer vectors")
-    s, cti = smith_normal_form([[int(x) for x in v] for v in vecs])
+    s, cti = smith_normal_form(vecs)
     diag = [s[i][i] for i in range(min(len(s), n)) if s[i][i]]
     return Lattice(n, cti[:len(diag)]), prod(diag)
 
 
-def integer_kernel(rows, ncols=None):
-    """Canonical basis of {x in Z^n : A x = 0} for an integer matrix A."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
+def integer_kernel(rows, ncols):
+    """Canonical basis of {x in Z^n : A x = 0} for a rational matrix A."""
     red, pivots = _int_rref([clear_denominators(r) for r in rows])
     return _rref_kernel(red, pivots, ncols).basis()
 

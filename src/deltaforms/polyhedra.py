@@ -280,7 +280,7 @@ class Polyhedron:
     """Canonical interned rational polyhedron {x : A x <= b, E x = f}."""
 
     __slots__ = ("n", "eq_rows", "ineq_rows", "_span", "_chart", "_base",
-                 "_facets", "_faces", "_local_hrep", "_generators")
+                 "_facets", "_faces", "_generators")
 
     def __init__(self, n, eq_rows, ineq_rows, _token=None):
         if _token is not _SENTINEL:
@@ -293,7 +293,6 @@ class Polyhedron:
         self._base = None
         self._facets = None
         self._faces = None
-        self._local_hrep = None
         self._generators = None
 
     # -- identity ----------------------------------------------------------
@@ -390,19 +389,6 @@ class Polyhedron:
             ch.n, ch.base, ch.basis = self.n, self.base_point, self.span.rows
             ch.comp, ch.u_rows, ch.w_rows = _frame(self.span)
         return self._chart
-
-    def local_hrep(self):
-        """Inequalities of the polyhedron in chart coordinates (full-dim)."""
-        if self._local_hrep is None:
-            ch = self.chart
-            rows = []
-            rhs = []
-            for r in self.ineq_rows:
-                a = r[:-1]
-                rows.append([vec_dot(a, bs) for bs in ch.basis])
-                rhs.append(r[-1] - vec_dot(a, ch.base))
-            self._local_hrep = (rows, rhs)
-        return self._local_hrep
 
     def relint_point(self):
         """The sum of the cone's rays, dehomogenized.

@@ -6,6 +6,10 @@ pytest.
 
 - translate_delta, pushforward and pullback_surjective each build the
   chart-to-chart map by hand from u_rows, a base point and the affine map.
+- pushforward also writes the image's rows out entry by entry on a set of
+  independent rows of the map (_independent_rows, and _local_hrep, once
+  Polyhedron.local_hrep), takes a point cell to a point without a
+  transport, and moves the coefficient along the inverted transition.
 - transversal_product and displacement_product carry each factor's
   coefficient to the intersection through ambient coordinates:
   chart_to_ambient(f, c).restrict(pi.chart).
@@ -25,7 +29,6 @@ from deltaforms.currents import (
     DeltaForm,
     PreconditionError,
     _check_balanced_refined,
-    _independent_rows,
     _sliced_terms,
     cell_summary,
     chart_to_ambient,
@@ -45,6 +48,7 @@ from deltaforms.linalg import (
     invert,
     kernel_rational,
     mat_mul_vec,
+    rank,
     solve_linear,
     vec_dot,
     vec_sub,
@@ -75,6 +79,30 @@ def translate_delta(T, v):
                for u in cch.u_rows]
         out.append((moved, form.pullback_affine(lin, off, k=moved.dim), w))
     return DeltaForm(T.n, out)
+
+
+def _independent_rows(rows, d):
+    sel = []
+    have = []
+    for i, row in enumerate(rows):
+        if rank(have + [list(row)]) > len(sel):
+            sel.append(i)
+            have.append(list(row))
+            if len(sel) == d:
+                break
+    return sel
+
+
+def _local_hrep(cell):
+    """Inequalities of the polyhedron in chart coordinates (full-dim)."""
+    ch = cell.chart
+    rows = []
+    rhs = []
+    for r in cell.ineq_rows:
+        a = r[:-1]
+        rows.append([vec_dot(a, bs) for bs in ch.basis])
+        rhs.append(r[-1] - vec_dot(a, ch.base))
+    return rows, rhs
 
 
 def pushforward(f, T):
@@ -113,7 +141,7 @@ def pushforward(f, T):
         sel = _independent_rows(mrows, d)
         sinv = invert([mrows[i] for i in sel])
         ineqs = []
-        lrows, lrhs = cell.local_hrep()
+        lrows, lrhs = _local_hrep(cell)
         for arow, b in zip(lrows, lrhs):
             coeffs = [sum(arow[k] * sinv[k][j] for k in range(d)) for j in range(d)]
             full = [QZERO] * m

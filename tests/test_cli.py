@@ -501,3 +501,23 @@ class TestChartInput:
         path = write(tmp_path, "bad.json", doc)
         code, out = run(capsys, "check-balance", path)
         assert code == 1
+
+
+class TestPLFunctionDocuments:
+    @pytest.mark.parametrize("phi", [
+        pl_max(1, [([1], 0), ([0], 0)]),
+        pl_max(1, [([2], Fraction(-1, 2)), ([0], 0), ([-1], 1)]),
+        pl_max(2, [([1, 0], 0), ([0, 1], 0), ([0, 0], 0)]),
+        pl_max(2, [([1, 1], Fraction(1, 3)), ([-1, 0], 0), ([0, -2], 1)]),
+    ])
+    def test_round_trip_keeps_the_bytes(self, phi):
+        doc = plfunction_json(phi)
+        again = parse_plfunction(json.loads(dumps_canonical(doc)))
+        assert dumps_canonical(plfunction_json(again)) == dumps_canonical(doc)
+
+    def test_a_missing_piece_is_a_document_error(self):
+        doc = plfunction_json(pl_max(2, [([1, 0], 0), ([0, 1], 0), ([0, 0], 0)]))
+        doc["pieces"].pop()
+        with pytest.raises(DocumentError,
+                           match="^pieces must cover exactly the maximal cells$"):
+            parse_plfunction(doc)

@@ -38,6 +38,7 @@ from deltaforms.intersection import (
     pl_max,
     transversal_product,
 )
+from deltaforms.io import dumps_canonical
 from deltaforms.linalg import clear_denominators
 from deltaforms.polyhedra import (
     Complex,
@@ -141,6 +142,11 @@ class TestStructure:
         c = DeltaForm(1, [(w, form_poly(xvar(1, 0) * 2), 1)])
         assert a.equals(b)
         assert not a.equals(c)
+
+    def test_equal_currents_hash_equal(self):
+        T = tropical_line(weights=(2, 1, 1))
+        assert T == T.scale(1) and hash(T) == hash(T.scale(1))
+        assert T != T.scale(2) and T != tropical_line()
 
     def test_translate(self):
         L = tropical_line()
@@ -746,13 +752,50 @@ def test_translate_delta_matches_the_oracle(n):
                 == outcome(currents_oracle.translate_delta, T, v))
 
 
+def random_small_current(rng, n):
+    """One or two points, rays or segments at rational points."""
+    cells = []
+    for _ in range(rng.randint(1, 2)):
+        point = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        step = [0] * n
+        while not any(step):
+            step = [rng.randint(-2, 2) for _ in range(n)]
+        cells.append(rng.choice([
+            single_point(point), ray_from(point, step),
+            segment(point, [p + s for p, s in zip(point, step)])]))
+    return DeltaForm(n, [(c, random_form(rng, c.dim),
+                          Q(rng.randint(1, 4), rng.randint(1, 3))) for c in cells])
+
+
 @pytest.mark.parametrize("name", list(MAPS))
 def test_pushforward_matches_the_oracle(name):
+    """The corpus, then currents of points, rays and segments, which every
+    map here, injective or not, takes to images of dimension 0 and 1."""
     f = MAPS[name]
-    _, currents_ = corpus(11, 10, f.n)
-    for T in currents_:
-        assert (outcome(pushforward, f, T)
-                == outcome(currents_oracle.pushforward, f, T))
+    rng, currents_ = corpus(11, 10, f.n)
+    dims = set()
+    for T in currents_ + [random_small_current(rng, f.n) for _ in range(30)]:
+        got = outcome(pushforward, f, T)
+        assert got == outcome(currents_oracle.pushforward, f, T)
+        if got[0] == "terms":
+            dims |= {c.dim for c, _, _ in got[1]}
+    assert {0, 1} <= dims
+
+
+@pytest.mark.parametrize("cell, message, key", [
+    (ray_from([1, Q(1, 2)], [1, -1]), "pushforward is not proper on a cell",
+     "recession_direction"),
+    (segment([0, 0], [Q(3, 2), Q(-3, 2)]), "map is not injective on a cell",
+     "kernel_direction"),
+])
+def test_pushforward_certificates_match_the_oracle(cell, message, key):
+    f = MAPS["collapse"]
+    T = DeltaForm(2, [(cell, SuperForm.scalar(1, 1), 1)])
+    got = outcome(pushforward, f, T)
+    want = outcome(currents_oracle.pushforward, f, T)
+    assert got[0] == "error" and got[1][1] == message and key in got[1][2]
+    assert dumps_canonical(got[1][2]) == dumps_canonical(want[1][2])
+    assert got == want
 
 
 @pytest.mark.parametrize("name", SURJECTIVE)

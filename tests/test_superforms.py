@@ -70,6 +70,14 @@ def test_one_one_blocks_commute():
     assert not b1.wedge(b2).is_zero()
 
 
+def test_products_with_numbers_scale_and_with_forms_wedge():
+    f = var(2, 0).wedge(dP(2, 1)) + dS(2, 0)
+    g = dP(2, 0) + var(2, 1).wedge(dS(2, 1))
+    assert f * 2 == 2 * f == f.scale(2)
+    assert f * F(1, 3) == F(1, 3) * f == f.scale(F(1, 3))
+    assert f * g == f.wedge(g) != g.wedge(f)
+
+
 def test_dprime_of_square():
     x = Poly.variable(1, 0)
     form = SuperForm.from_poly(x * x)
