@@ -8,7 +8,8 @@ normalized multiplier is always 1.
 
 A coefficient moves from one cell to another by one pull-back along
 Chart.transition_to (transport_form), for the identity or for an affine
-map; pushforward pulls the image back along the map's affine left inverse
+map, and is passed on unchanged when the transition is the identity map;
+pushforward pulls the image back along the map's affine left inverse
 on each cell.  Only the contraction boundary route, pairings with ambient
 test forms, and the ambient lifts of exterior_product and as_piecewise_form
 go through ambient coordinates (chart_to_ambient).
@@ -18,10 +19,10 @@ from copy import deepcopy
 
 from .cones import int_dot
 from .linalg import (
+    _int_rref,
     clear_denominators,
     det,
     integer_kernel,
-    invert,
     kernel_rational,
     mat_mul_vec,
     rank,
@@ -32,6 +33,7 @@ from .linalg import (
 from .polyhedra import (
     Complex,
     WeightedCell,
+    _dual_coords,
     _pairs,
     affine_preimage,
     intersect,
@@ -120,18 +122,25 @@ def transport_form(form, src_cell, dst_cell, f=None):
 
     The result is the form at f(x), written in dst_cell's chart coordinates
     of x; f is None for the identity.  f must carry the affine hull of
-    dst_cell into that of src_cell.
+    dst_cell into that of src_cell.  When the transition is the identity
+    map (square identity matrix, zero offset), the form itself is returned:
+    forms are never changed in place, so sharing it is safe.
     """
     m_rows, off = dst_cell.chart.transition_to(src_cell.chart, f)
-    return form.pullback_affine(m_rows, off, k=dst_cell.dim)
+    k = dst_cell.dim
+    if (form.n == k == len(m_rows) and not any(off)
+            and all(x == (i == j) for i, row in enumerate(m_rows)
+                    for j, x in enumerate(row))):
+        return form
+    return form.pullback_affine(m_rows, off, k=k)
 
 
 def chart_to_ambient(form, cell):
     """Extend a chart-coordinate form of the cell to an ambient form."""
     ch = cell.chart
     lin = [list(u) for u in ch.u_rows]
-    shift = [-vec_dot(u, ch.base) for u in ch.u_rows]
-    return form.pullback_affine(lin, shift, k=cell.n)
+    # u = lin . x + shift, where shift is the chart coordinates of the origin
+    return form.pullback_affine(lin, ch.to_local([0] * cell.n), k=cell.n)
 
 
 # ------------------------------------------------------ hyperplane slicing --
@@ -508,21 +517,17 @@ def _split_coordinates(sigma, tau):
     """
     nvec = primitive_normal(sigma, tau)
     tch, sch = tau.chart, sigma.chart
-    j0 = None
-    for j, w_row in enumerate(tch.w_rows):
-        if vec_dot(w_row, nvec) != 0:
-            j0 = j
-            break
-    if j0 is None:
+    w = next((w for w in tch.w_rows if int_dot(w, nvec)), None)
+    if w is None:
         raise AssertionError("facet normal lies in the facet span")
-    w = tch.w_rows[j0]
-    scale = vec_dot(w, nvec)
     rows = [[int_dot(u, b) for b in sch.basis] for u in tch.u_rows + (w,)]
-    off = list(tch.to_local(sch.base))
-    off.append(vec_dot(w, vec_sub(list(sch.base), list(tch.base))))
-    inv = invert(rows)
-    shift = mat_mul_vec(inv, [-o for o in off])
-    return inv, shift, scale
+    off = _dual_coords(tch.u_rows + (w,), sch.base, tch.base)
+    # the integer RREF of [rows | I] holds the inverse, row i over red[i][i]
+    d = len(rows)
+    red, _ = _int_rref([row + [int(i == j) for j in range(d)]
+                        for i, row in enumerate(rows)])
+    inv = [[x if r[i] == 1 else Q(x, r[i]) for x in r[d:]] for i, r in enumerate(red)]
+    return inv, [-int_dot(r, off) for r in inv], int_dot(w, nvec)
 
 
 def _boundary(T, kind):

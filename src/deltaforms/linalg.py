@@ -2,7 +2,7 @@
 
 There is one elimination of each kind, in integers: Gauss-Jordan
 (_int_rref) and fraction-free Bareiss (_bareiss).  The rational rref, rank
-and det clear denominators and run them, and invert, solve_linear and
+and det clear denominators and run them, and solve_linear and
 kernel_rational go through rref.
 
 Lattices are full sublattices of their rational span intersected with Z^n;
@@ -93,17 +93,6 @@ def det(rows):
     den = lcm(*(x.denominator for r in m for x in r))
     return Q(_bareiss([[x.numerator * (den // x.denominator) for x in r]
                        for r in m])[1], den ** n)
-
-
-def invert(rows):
-    """Inverse of a square rational matrix."""
-    n = len(rows)
-    aug = [list(map(qof, r)) + [QONE if i == j else QZERO for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in red]
 
 
 # ----------------------------------------------------------------- integer --

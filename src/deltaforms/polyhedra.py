@@ -223,6 +223,20 @@ def _frame(lat):
     return frame
 
 
+def _dual_coords(rows, x, base):
+    """The integer rows applied to x - base.
+
+    Taken in integers over the common denominator of x and base, so the
+    values are ints when that denominator is 1, and Fractions otherwise.
+    """
+    x = [v if type(v) is int else qof(v) for v in x]
+    den = lcm(*(v.denominator for v in x), *(b.denominator for b in base))
+    dx = [v.numerator * (den // v.denominator) - b.numerator * (den // b.denominator)
+          for v, b in zip(x, base)]
+    out = [int_dot(r, dx) for r in rows]
+    return out if den == 1 else [Q(c, den) for c in out]
+
+
 class Chart:
     """Affine chart of a polyhedron: x = base + sum_k u_k basis_k.
 
@@ -249,8 +263,8 @@ class Chart:
         return len(self.basis)
 
     def to_local(self, x):
-        dx = [qof(v) - b for v, b in zip(x, self.base)]
-        return [vec_dot(u, dx) for u in self.u_rows]
+        """Chart coordinates of x: the u_rows applied to x - base."""
+        return _dual_coords(self.u_rows, x, self.base)
 
     def to_ambient(self, u):
         x = list(self.base)
@@ -266,6 +280,8 @@ class Chart:
         u_self are this chart's coordinates of x and u_other are other's
         coordinates of f(x); f is anything with apply and apply_linear, such
         as an affine map, and must carry this chart's span into other's.
+        The offset c is other's coordinates of the image base point, taken
+        in integers by to_local: ints when they are integral.
         """
         if f is None:
             cols, base = self.basis, self.base

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import factorial, lcm
 from operator import add
 
-from .linalg import det, vec_dot
+from .linalg import _bareiss, det, vec_dot
 from .polyhedra import (Chart, Complex, Polyhedron, WeightedCell, intersect,
                         primitive_normal, triangulate)
 from .scalars import Q, QONE, QZERO, qof
@@ -164,7 +164,8 @@ class Poly:
         monomials = [zero[:j] + (1,) + zero[j + 1:] for j in range(k)] + [zero]
         subs, dens = [], []
         for i in range(self.n):
-            row = [qof(lin_rows[i][j]) for j in range(k)] + [qof(shift[i])]
+            row = [x if type(x) is int else qof(x)
+                   for x in (*lin_rows[i][:k], shift[i])]
             den = lcm(*(x.denominator for x in row))
             subs.append({m: x.numerator * (den // x.denominator)
                          for m, x in zip(monomials, row) if x})
@@ -238,6 +239,17 @@ def _merge_indices(a, b):
     return tuple(out), sign
 
 
+def _sort_indices(idx):
+    """(ascending tuple, sign of the sort) of generators; (None, 0) on a repeat."""
+    out, sign = (), 1
+    for i in idx:
+        out, s = _merge_indices(out, (i,))
+        if out is None:
+            return None, 0
+        sign *= s
+    return out, sign
+
+
 def _insert_index(i, idx):
     """(new tuple, sign) from prepending generator i to the sorted tuple idx."""
     if i in idx:
@@ -252,7 +264,8 @@ def _superform(n, terms):
 
     Arithmetic results come here, and only coefficients that cancelled to
     zero are dropped.  Input from documents and callers goes through
-    SuperForm(n, terms), which also sorts and range-checks the indices.
+    SuperForm(n, terms), which also range-checks the indices and sorts them
+    with the sign of the permutation, dropping a term with a repeated one.
     """
     f = object.__new__(SuperForm)
     f.n = n
@@ -273,10 +286,16 @@ class SuperForm:
                 p = Poly.const(n, p)
             if p.n != n:
                 raise ValueError("coefficient variable count mismatch")
-            ii = tuple(sorted(int(x) for x in ii))
-            jj = tuple(sorted(int(x) for x in jj))
+            ii = tuple(int(x) for x in ii)
+            jj = tuple(int(x) for x in jj)
             if any(x < 0 or x >= n for x in ii + jj):
                 raise ValueError("generator index out of range")
+            ii, si = _sort_indices(ii)
+            jj, sj = _sort_indices(jj)
+            if ii is None or jj is None:
+                continue
+            if si * sj < 0:
+                p = -p
             if (ii, jj) in clean:
                 p = clean[(ii, jj)] + p
             if not p.is_zero():
@@ -451,23 +470,30 @@ class SuperForm:
         lin_rows is n x k.  Coefficients are composed with the map and each
         generator d x_i is replaced by the corresponding row combination.
         k is inferred from lin_rows except when n = 0 leaves no rows.
+        Int entries stay ints.  The minors are integer Bareiss determinants
+        of lin cleared to one common denominator D, divided by D to the
+        size of the minor, so an integer map keeps int minors throughout.
         """
         n = self.n
         if len(lin_rows) != n or len(shift) != n:
             raise ValueError("affine map shape mismatch")
         if k is None:
             k = len(lin_rows[0]) if n and lin_rows else 0
-        lin = [[qof(x) for x in row] for row in lin_rows]
-        shift = [qof(s) for s in shift]
+        lin = [[x if type(x) is int else qof(x) for x in row] for row in lin_rows]
+        shift = [s if type(s) is int else qof(s) for s in shift]
+        den = lcm(*(x.denominator for row in lin for x in row))
+        ilin = [[x.numerator * (den // x.denominator) for x in row] for row in lin]
         minors = {}
 
         def nonzero_minors(rows):
             """(cols, det) for the nonzero minors of lin on the given rows."""
             if rows not in minors:
-                pairs = [((), QONE)] if not rows else [
-                    (cols, det([[lin[r][c] for c in cols] for r in rows]))
+                scale = den ** len(rows)
+                pairs = [((), 1)] if not rows else [
+                    (cols, _bareiss([[ilin[r][c] for c in cols] for r in rows])[1])
                     for cols in combinations(range(k), len(rows))]
-                minors[rows] = [(cols, d) for cols, d in pairs if d]
+                minors[rows] = [(cols, d if scale == 1 else Q(d, scale))
+                                for cols, d in pairs if d]
             return minors[rows]
 
         out = {}
@@ -480,7 +506,7 @@ class SuperForm:
             if comp.is_zero():
                 continue
             for key, c in scales:
-                q = comp * c
+                q = comp if c == 1 else comp * c
                 out[key] = out[key] + q if key in out else q
         return _superform(k, out)
 
@@ -488,7 +514,7 @@ class SuperForm:
         """Restriction to a cell: pull back along u -> base + B u."""
         if chart.n != self.n:
             raise ValueError("ambient dimension mismatch")
-        lin = [[Q(chart.basis[kk][i]) for kk in range(chart.dim)]
+        lin = [[chart.basis[kk][i] for kk in range(chart.dim)]
                for i in range(self.n)]
         return self.pullback_affine(lin, list(chart.base))
 

@@ -20,7 +20,9 @@ pytest.
   complex in its own body rather than through _complex_presentation.
 
 Everything else (cells, transports for the identity map, the stable pairs,
-the balancing check) is the library's own.
+the balancing check) is the library's own, except invert, which left the
+library once no caller needed a rational inverse: it comes from
+linalg_oracle, whose invert has the same body.
 """
 
 from deltaforms.cones import int_dot
@@ -45,7 +47,6 @@ from deltaforms.intersection import (
 from deltaforms.linalg import (
     det,
     integer_kernel,
-    invert,
     kernel_rational,
     mat_mul_vec,
     rank,
@@ -65,6 +66,7 @@ from deltaforms.polyhedra import (
     translate,
 )
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
+from linalg_oracle import invert
 
 
 def translate_delta(T, v):

@@ -192,6 +192,47 @@ class TestParseErrors:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "parse"
 
+    @staticmethod
+    def malformed(what):
+        """A tropical line document with one defect, or a PL function one."""
+        doc = deltaform_json(tropical_line())
+        term = doc["terms"][0]
+        if what == "malformed rational":
+            term["weight"] = "1/0"
+        elif what == "unknown keys":
+            term["colour"] = "red"
+        elif what == "empty polyhedron":
+            term["cell"]["ineqs"] = [{"a": ["1/1", "0/1"], "b": "-1/1"},
+                                     {"a": ["-1/1", "0/1"], "b": "0/1"}]
+        elif what == "chart off the cell":
+            term["chart"] = {"base": ["-1/2", "0/1"], "basis": [[1, 0]]}
+        else:
+            doc = plfunction_json(pl_max(1, [([1], 0), ([0], 0)]))
+            doc["pieces"][1]["cell"] = doc["pieces"][0]["cell"]
+        return doc
+
+    @pytest.mark.parametrize("what, message", [
+        ("malformed rational", "malformed rational '1/0'"),
+        ("unknown keys", "delta-form term has unknown keys ['colour']"),
+        ("empty polyhedron", "polyhedron is empty"),
+        ("chart off the cell", "chart base point does not lie on the cell"),
+        ("duplicate piece", "duplicate piece for cell 0"),
+    ])
+    def test_malformed_documents_exit_one(self, tmp_path, capsys, what, message):
+        """Exit 1 with exactly one parse document naming the defect."""
+        doc = self.malformed(what)
+        if what == "duplicate piece":
+            # no verb reads a PL function document
+            with pytest.raises(DocumentError, match="^%s$" % message):
+                parse_plfunction(doc)
+            return
+        for verb in (["check-balance"], ["apply", "--op", "d1"]):
+            code, out = run(capsys, *verb, write(tmp_path, "bad.json", doc))
+            assert code == 1
+            assert out.count("\n") == 1
+            assert json.loads(out) == {"error": {"kind": "parse",
+                                                 "message": message}}
+
     @pytest.mark.parametrize("eqs", [5, None, True])
     def test_equalities_must_be_a_list(self, tmp_path, capsys, eqs):
         doc = deltaform_json(tropical_line())

@@ -276,6 +276,21 @@ class TestDifferentials:
         assert T.boundary_prime().equals(boundary_prime_via_contraction(T))
         assert T.boundary_second().equals(boundary_second_via_contraction(T))
 
+    def test_boundary_oracle_agreement_with_a_point_cell(self):
+        # both routes skip the point cells of a balanced current of mixed
+        # dimension; the rays' coefficients carry every bidegree
+        coeff = (SuperForm.scalar(1, 1) + SuperForm.d_prime_x(1, 0).scale(2)
+                 + form_poly(xvar(1, 0) + 1).wedge(SuperForm.d_second_x(1, 0)))
+        points = [single_point([Q(1, 2), Q(-1, 3)]), single_point([0, 0])]
+        T = DeltaForm(2, [(p, SuperForm.scalar(0, 3), 1) for p in points]
+                      + [(r, coeff, 1) for r, _, _ in tropical_line().terms])
+        assert T.is_balanced()[0]
+        assert any(c.dim == 0 for c, _, _ in currents.require_balanced(T).terms)
+        bp, bs = T.boundary_prime(), T.boundary_second()
+        assert not bp.is_zero() and not bs.is_zero()
+        assert bp.equals(boundary_prime_via_contraction(T))
+        assert bs.equals(boundary_second_via_contraction(T))
+
     def test_d_prime_on_closed_cycle_vanishes(self):
         assert tropical_line().d_prime().is_zero()
         assert tropical_line().d_second().is_zero()

@@ -70,6 +70,20 @@ def test_one_one_blocks_commute():
     assert not b1.wedge(b2).is_zero()
 
 
+def test_constructor_sorts_indices_with_the_permutation_sign():
+    assert SuperForm(2, {((1, 0), ()): 1}) == dP(2, 1).wedge(dP(2, 0))
+    assert SuperForm(2, {((1, 0), ()): 1}) == -dP(2, 0).wedge(dP(2, 1))
+    assert SuperForm(3, {((2, 0, 1), (1, 0)): 1}) == \
+        dP(3, 2).wedge(dP(3, 0)).wedge(dP(3, 1)).wedge(dS(3, 1)).wedge(dS(3, 0))
+    # terms that land on the same sorted key add with their signs
+    assert SuperForm(2, {((0, 1), ()): 1, ((1, 0), ()): 1}).is_zero()
+
+
+def test_constructor_drops_a_repeated_index():
+    assert SuperForm(2, {((0, 0), ()): 1}).is_zero()
+    assert SuperForm(2, {((), (1, 1)): 1, ((0,), ()): 1}) == dP(2, 0)
+
+
 def test_products_with_numbers_scale_and_with_forms_wedge():
     f = var(2, 0).wedge(dP(2, 1)) + dS(2, 0)
     g = dP(2, 0) + var(2, 1).wedge(dS(2, 1))

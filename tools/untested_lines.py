@@ -7,7 +7,8 @@ events; each callback returns DISABLE, so every line costs one event and the
 run stays close to plain pytest speed.  Afterwards it lists, per module of
 the package, the ast statements (docstrings, global and nonlocal excluded)
 of which no line ran.  The report is appended to FILE, or printed, as a fenced
-Markdown block; the exit code is pytest's.
+Markdown block followed by one total line, "N of M statements never ran";
+the exit code is pytest's.
 
 Standard library only; needs Python 3.12 or later for sys.monitoring.
 """
@@ -58,7 +59,9 @@ def ranges(lines):
 
 
 def report(hits):
+    """Per-module lines in a fenced block, then one line with the totals."""
     out = ["```text"]
+    never = total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         ran = hits.get(str(path), set())
         stmts = dict(statements(ast.parse(path.read_text(encoding="utf-8"))))
@@ -68,7 +71,9 @@ def report(hits):
         out.append("%s: %d of %d statements never ran%s" % (
             rel, len(missed), len(stmts),
             ": " + ranges(missed) if missed else ""))
-    out.append("```")
+        never += len(missed)
+        total += len(stmts)
+    out += ["```", "", "%d of %d statements never ran" % (never, total)]
     return "\n".join(out) + "\n"
 
 
