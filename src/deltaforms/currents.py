@@ -34,6 +34,7 @@ from .polyhedra import (
     Complex,
     WeightedCell,
     _dual_coords,
+    _facet_entry,
     _pairs,
     affine_preimage,
     intersect,
@@ -149,16 +150,19 @@ def normalize_hyperplane(a, b):
     """Canonical key for the hyperplane a.x = b, or None when degenerate.
 
     a becomes the primitive integer vector with a positive leading entry,
-    and b is scaled by the same factor.
+    and b is scaled by the same factor.  An integer row keeps an int b
+    when the factor leaves it integral.
     """
-    a = [qof(x) for x in a]
-    if not any(a):
-        return None
     ia = clear_denominators(a)
-    j = next(j for j, x in enumerate(ia) if x)
+    j = next((j for j, x in enumerate(ia) if x), None)
+    if j is None:
+        return None
     if ia[j] < 0:
         ia = [-x for x in ia]
-    return tuple(ia), qof(b) * ia[j] / a[j]
+    if type(a[j]) is int and type(b) is int:
+        q, r = divmod(b * ia[j], a[j])
+        return tuple(ia), Q(b * ia[j], a[j]) if r else q
+    return tuple(ia), qof(b) * ia[j] / qof(a[j])
 
 
 def hyperplane_pool(cells):
@@ -177,20 +181,20 @@ def slice_cell(cell, hyperplanes):
 
     Returns the full-dimensional closed pieces; they tile the cell and their
     walls all lie on pool hyperplanes, so pieces from different cells sliced
-    by the same pool intersect in common faces.
+    by the same pool intersect in common faces.  The integer normals of
+    normalize_hyperplane keys go to polyhedron() as they are.
     """
     pieces = [cell]
     for a, b in hyperplanes:
-        ar = [Q(x) for x in a]
         nxt = []
         for p in pieces:
-            if not p.crosses(ar, b):
+            if not p.crosses(a, b):
                 nxt.append(p)
                 continue
             base_ineqs = _pairs(p.ineq_rows)
             eqs = _pairs(p.eq_rows)
-            nxt.append(polyhedron(p.n, base_ineqs + [(ar, qof(b))], eqs=eqs))
-            nxt.append(polyhedron(p.n, base_ineqs + [([-x for x in ar], -qof(b))], eqs=eqs))
+            nxt.append(polyhedron(p.n, base_ineqs + [(a, b)], eqs=eqs))
+            nxt.append(polyhedron(p.n, base_ineqs + [([-x for x in a], -b)], eqs=eqs))
         pieces = nxt
     return pieces
 
@@ -211,11 +215,12 @@ def _sliced_terms(terms, hyperplanes):
 class DeltaForm:
     """Finite sum of coefficient-weighted polyhedral integration currents."""
 
-    __slots__ = ("n", "terms", "_balancing")
+    __slots__ = ("n", "terms", "_balancing", "_boundaries")
 
     def __init__(self, n, terms=()):
         self.n = int(n)
         self._balancing = None  # memo of _balanced_refinement
+        self._boundaries = None  # memo of _boundary
         norm = []
         for cell, form, weight in terms:
             if cell.n != self.n:
@@ -342,12 +347,18 @@ class DeltaForm:
                                   for cell, form, w in self.terms]).canonicalize()
 
     def boundary_prime(self):
-        """Facet-supported part of the first-kind current differential."""
-        return _boundary(self, "prime")
+        """Facet-supported part of the first-kind current differential.
+
+        Both kinds are computed together, once per current (_boundary).
+        """
+        return _boundary(self)[0]
 
     def boundary_second(self):
-        """Facet-supported part of the second-kind current differential."""
-        return _boundary(self, "second")
+        """Facet-supported part of the second-kind current differential.
+
+        Both kinds are computed together, once per current (_boundary).
+        """
+        return _boundary(self)[1]
 
     def d_prime(self):
         """First-kind current differential."""
@@ -513,43 +524,63 @@ def _split_coordinates(sigma, tau):
 
     The transverse coordinate is the first complement dual of tau that is
     nonzero on the facet normal; its product with the extracted coefficient
-    does not depend on this choice.
+    does not depend on this choice.  Returns (inv, shift, scale), kept in
+    sigma's per-facet slot next to the normal, so it is computed once per
+    pair; callers do not change it.
     """
-    nvec = primitive_normal(sigma, tau)
-    tch, sch = tau.chart, sigma.chart
-    w = next((w for w in tch.w_rows if int_dot(w, nvec)), None)
-    if w is None:
-        raise AssertionError("facet normal lies in the facet span")
-    rows = [[int_dot(u, b) for b in sch.basis] for u in tch.u_rows + (w,)]
-    off = _dual_coords(tch.u_rows + (w,), sch.base, tch.base)
-    # the integer RREF of [rows | I] holds the inverse, row i over red[i][i]
-    d = len(rows)
-    red, _ = _int_rref([row + [int(i == j) for j in range(d)]
-                        for i, row in enumerate(rows)])
-    inv = [[x if r[i] == 1 else Q(x, r[i]) for x in r[d:]] for i, r in enumerate(red)]
-    return inv, [-int_dot(r, off) for r in inv], int_dot(w, nvec)
+    entry = _facet_entry(sigma, tau)
+    if entry[2] is None:
+        nvec = primitive_normal(sigma, tau)
+        tch, sch = tau.chart, sigma.chart
+        w = next((w for w in tch.w_rows if int_dot(w, nvec)), None)
+        if w is None:
+            raise AssertionError("facet normal lies in the facet span")
+        rows = [[int_dot(u, b) for b in sch.basis] for u in tch.u_rows + (w,)]
+        off = _dual_coords(tch.u_rows + (w,), sch.base, tch.base)
+        # the integer RREF of [rows | I] holds the inverse, row i over red[i][i]
+        d = len(rows)
+        red, _ = _int_rref([row + [int(i == j) for j in range(d)]
+                            for i, row in enumerate(rows)])
+        inv = [[x if r[i] == 1 else Q(x, r[i]) for x in r[d:]]
+               for i, r in enumerate(red)]
+        entry[2] = inv, [-int_dot(r, off) for r in inv], int_dot(w, nvec)
+    return entry[2]
 
 
-def _boundary(T, kind):
-    R = require_balanced(T)
-    collected = {}
-    for cell, form, w in R.terms:
-        if cell.dim == 0:
-            continue
-        f = form.scale(w)
-        for tau in cell.facets():
-            inv, shift, scale = _split_coordinates(cell, tau)
-            split = f.pullback_affine(inv, shift)
-            first, second = _extract_normal_parts(split, tau.dim)
-            if kind == "prime":
-                beta = second.scale(-scale)
-            else:
-                beta = first.scale(scale)
-            if beta.is_zero():
+def _add_facet_term(collected, tau, beta):
+    """Add beta to the facet's sum in collected, unless it is zero."""
+    if not beta.is_zero():
+        collected[tau] = collected[tau] + beta if tau in collected else beta
+
+
+def _facet_current(n, collected):
+    """The canonical current of the facet sums in collected."""
+    return DeltaForm(n, [(tau, beta, QONE)
+                         for tau, beta in collected.items()]).canonicalize()
+
+
+def _boundary(T):
+    """(boundary_prime, boundary_second) of T, computed together once per current.
+
+    Each coefficient is pulled back to the split coordinates of each facet
+    once; the second-kind normal part of that pull-back gives the first-kind
+    boundary and the first-kind part the second-kind one.
+    """
+    if T._boundaries is None:
+        R = require_balanced(T)
+        prime, second = {}, {}
+        for cell, form, w in R.terms:
+            if cell.dim == 0:
                 continue
-            collected[tau] = collected[tau] + beta if tau in collected else beta
-    return DeltaForm(T.n, [(tau, beta, QONE)
-                           for tau, beta in collected.items()]).canonicalize()
+            f = form.scale(w)
+            for tau in cell.facets():
+                inv, shift, scale = _split_coordinates(cell, tau)
+                first_part, second_part = _extract_normal_parts(
+                    f.pullback_affine(inv, shift), tau.dim)
+                _add_facet_term(prime, tau, second_part.scale(-scale))
+                _add_facet_term(second, tau, first_part.scale(scale))
+        T._boundaries = _facet_current(T.n, prime), _facet_current(T.n, second)
+    return T._boundaries
 
 
 def boundary_prime_via_contraction(T):
@@ -577,12 +608,8 @@ def _boundary_contraction(T, slot, sign):
         for tau in cell.facets():
             nvec = primitive_normal(cell, tau)
             beta = amb.contract([Q(x) for x in nvec], slot).restrict(tau.chart)
-            beta = beta.scale(sign)
-            if beta.is_zero():
-                continue
-            collected[tau] = collected[tau] + beta if tau in collected else beta
-    return DeltaForm(T.n, [(tau, beta, QONE)
-                           for tau, beta in collected.items()]).canonicalize()
+            _add_facet_term(collected, tau, beta.scale(sign))
+    return _facet_current(T.n, collected)
 
 
 # --------------------------------------------------------------- products --

@@ -35,7 +35,11 @@ Faces come from vertex-facet incidences (Kaibel & Pfetsch 2002): a row is
 a facet when its set of tight rays holds a point and is maximal by
 inclusion, facet i is row i made an equality, and its facets are read off
 the rays tight on row i.  A pointed cell seeds each facet with those rays,
-so its whole face lattice runs no double description.
+so its whole face lattice runs no double description.  The facets key a
+per-facet slot on the cell: each entry keeps the facet's own row and is
+filled lazily with what depends only on the pair (cell, facet), the
+primitive normal and the boundary's split frame (currents), so each is
+computed once per pair.
 """
 
 from __future__ import annotations
@@ -293,7 +297,15 @@ class Chart:
 
 
 class Polyhedron:
-    """Canonical interned rational polyhedron {x : A x <= b, E x = f}."""
+    """Canonical interned rational polyhedron {x : A x <= b, E x = f}.
+
+    Besides its rows it caches what depends only on the cell: span, chart,
+    base point, generators, faces, and _facets, the per-facet slot.  That
+    dict holds the facets in sort order, each keying its entry [row,
+    normal, split frame] (_facet_entry): row is the inequality row that the
+    facet makes tight, and the other two start as None and are filled on
+    first use by primitive_normal and currents._split_coordinates.
+    """
 
     __slots__ = ("n", "eq_rows", "ineq_rows", "_span", "_chart", "_base",
                  "_facets", "_faces", "_generators")
@@ -431,7 +443,7 @@ class Polyhedron:
 
     def crosses(self, a, b) -> bool:
         """True when a.x - b takes both strict signs on the polyhedron."""
-        h = clear_denominators(list(a) + [-qof(b)])
+        h = clear_denominators([*a, -b if type(b) is int else -qof(b)])
         rays, lines = self.generators()
         if any(int_dot(h, ln) for ln in lines):
             return True
@@ -450,6 +462,8 @@ class Polyhedron:
         Facet i is row i made an equality; its facets are the other rows
         whose tight rays within it pass _facet_rows.  A pointed cell hands
         each facet its tight rays, which are the facet's extreme rays.
+        Canonical rows and facets correspond one to one, so each facet
+        keeps row i in its entry of the per-facet slot.
         """
         if self._facets is None:
             rows = self.ineq_rows
@@ -463,10 +477,11 @@ class Polyhedron:
                 others = [j for j in range(len(rows)) if j != i]
                 tight = None if lines else (
                     tuple(r for k, r in enumerate(rays) if masks[i] >> k & 1), ())
-                out.append(_intern(self.n, tuple(map(tuple, eq_red)), _facet_rows(
+                out.append((_intern(self.n, tuple(map(tuple, eq_red)), _facet_rows(
                     [rows[j] for j in others], [masks[i] & masks[j] for j in others],
-                    points, eq_red, pivots), tight))
-            self._facets = tuple(sorted(out, key=lambda p: p.sort_key))
+                    points, eq_red, pivots), tight), row))
+            out.sort(key=lambda fr: fr[0].sort_key)
+            self._facets = {f: [row, None, None] for f, row in out}
         return list(self._facets)
 
     def faces(self):
@@ -779,6 +794,36 @@ def _reduce_mod_rows(u, h_rows):
     return u
 
 
+def _facet_entry(sigma: Polyhedron, tau: Polyhedron):
+    """sigma's per-facet entry [row, normal, split frame] for its facet tau.
+
+    Raises ValueError when tau is not among sigma.facets().
+    """
+    if sigma._facets is None:
+        sigma.facets()
+    entry = sigma._facets.get(tau)
+    if entry is None:
+        raise ValueError("tau is not a facet of sigma")
+    return entry
+
+
+def _int_coords(rows, v):
+    """Coordinates of v in integer HNF rows, for v in the lattice they generate.
+
+    Each coordinate is read off its row's pivot column, as in Lattice.coords,
+    and is an exact integer quotient.
+    """
+    rest = list(v)
+    out = []
+    for row in rows:
+        p = next(j for j, x in enumerate(row) if x)
+        c = rest[p] // row[p]
+        if c:
+            rest = [x - c * y for x, y in zip(rest, row)]
+        out.append(c)
+    return out
+
+
 def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
     """Canonical primitive lattice normal of the facet tau inside sigma.
 
@@ -787,27 +832,21 @@ def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
     with kernel span(tau).  So with b_k the HNF basis of span(sigma), every
     u with sum_k u_k (-a.b_k) = g gives a normal sum_k u_k b_k that points
     inwards, and these u form one coset of tau's coordinates in the b_k; the
-    HNF of those coordinates reduces it to one canonical u.
+    HNF of those coordinates reduces it to one canonical u.  a is the row
+    that facets() keeps for tau, the coordinates are integers because
+    span(sigma) is saturated, and the normal is kept in sigma's per-facet
+    slot, so it is computed once per pair.  Raises ValueError when tau is
+    not a facet of sigma.
     """
-    if tau.dim != sigma.dim - 1:
-        raise ValueError("tau must be a facet of sigma")
-    coords = []
-    for t in tau.span.rows:
-        c = sigma.span.coords(t)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise ValueError("tau is not a subcell of sigma")
-        coords.append([x.numerator for x in c])
-    # the facet-defining inequality of sigma that is tight on tau
-    tau_base = tau.base_point
-    a = next((r[:-1] for r in sigma.ineq_rows
-              if not any(int_dot(r[:-1], t) for t in tau.span.rows)
-              and int_dot(r[:-1], tau_base) == r[-1]), None)
-    if a is None:
-        raise ValueError("tau is not a facet of sigma")
-    bs = sigma.span.rows
-    u, _ = _xgcd_vector([-int_dot(a, b) for b in bs])
-    u = _reduce_mod_rows(u, hnf(coords) if coords else [])
-    return [sum(c * b[i] for c, b in zip(u, bs)) for i in range(sigma.n)]
+    entry = _facet_entry(sigma, tau)
+    if entry[1] is None:
+        a = entry[0][:-1]
+        bs = sigma.span.rows
+        coords = [_int_coords(bs, t) for t in tau.span.rows]
+        u, _ = _xgcd_vector([-int_dot(a, b) for b in bs])
+        u = _reduce_mod_rows(u, hnf(coords) if coords else [])
+        entry[1] = tuple(sum(c * b[i] for c, b in zip(u, bs)) for i in range(sigma.n))
+    return list(entry[1])
 
 
 # --------------------------------------------------------- weighted cells ----
