@@ -733,28 +733,6 @@ def maximal_cells_of(cells):
             if not any(o != c and _contained_in(c, o) for o in cells)]
 
 
-# ------------------------------------------------------------ triangulation --
-
-def triangulate(p: Polyhedron):
-    """Pulling triangulation into simplices, each a tuple of ambient vertices.
-
-    Deterministic: cones the lexicographically smallest vertex over the
-    triangulations of the facets that miss it.  Bounded cells only.
-    """
-    if not p.is_bounded():
-        raise ValueError("cannot triangulate an unbounded polyhedron")
-    if p.dim == 0:
-        return [(tuple(p.base_point),)]
-    apex = tuple(min(tuple(v) for v in p.vertices()))
-    out = []
-    for f in p.facets():
-        if f.contains(apex):
-            continue
-        for s in triangulate(f):
-            out.append(s + (apex,))
-    return out
-
-
 # ---------------------------------------------------------- lattice normals --
 
 def _xgcd_vector(f):

@@ -4,18 +4,22 @@ restriction to charts, piecewise-linear functions, and exact integration.
 
 A form is a sum of terms poly * d'x_I ∧ d''x_J with I, J ascending index
 tuples; all generators have degree 1 and anticommute across both families.
+
+Integrals are in each cell's lattice measure, by Lasserre's facet recursion
+(Proc. AMS 126, 1998) down the face lattice that the cell caches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import gcd, lcm, prod
 from operator import add
 
-from .linalg import _bareiss, det, vec_dot
-from .polyhedra import (Chart, Complex, Polyhedron, WeightedCell, intersect,
-                        primitive_normal, triangulate)
+from .cones import int_dot
+from .linalg import _bareiss, vec_dot
+from .polyhedra import (Chart, Complex, WeightedCell, _facet_entry, intersect,
+                        primitive_normal)
 from .scalars import Q, QONE, QZERO, qof
 
 
@@ -250,15 +254,6 @@ def _sort_indices(idx):
     return out, sign
 
 
-def _insert_index(i, idx):
-    """(new tuple, sign) from prepending generator i to the sorted tuple idx."""
-    if i in idx:
-        return None, 0
-    pos = sum(1 for x in idx if x < i)
-    out = tuple(sorted(idx + (i,)))
-    return out, (-1) ** pos
-
-
 def _superform(n, terms):
     """SuperForm over sorted, in-range index pairs and Poly coefficients.
 
@@ -411,7 +406,7 @@ class SuperForm:
                 dp = p.partial(i)
                 if dp.is_zero():
                     continue
-                ii2, sign = _insert_index(i, ii)
+                ii2, sign = _merge_indices((i,), ii)
                 if ii2 is None:
                     continue
                 q = dp if sign > 0 else -dp
@@ -427,7 +422,7 @@ class SuperForm:
                 dp = p.partial(i)
                 if dp.is_zero():
                     continue
-                jj2, sign = _insert_index(i, jj)
+                jj2, sign = _merge_indices((i,), jj)
                 if jj2 is None:
                     continue
                 q = dp if sign * block > 0 else -dp
@@ -551,47 +546,53 @@ def _sign_reorder(d):
     return -1 if (d * (d - 1) // 2) % 2 else 1
 
 
-def integrate_poly_over_simplex(p: Poly, verts):
-    """Exact integral of p over the simplex with the given local vertices."""
-    d = p.n
-    if len(verts) != d + 1:
-        raise ValueError("vertex count mismatch")
-    if d == 0:
-        return p.constant_value()
-    # substitute from the last vertex: a simplex of triangulate ends with its
-    # cell's smallest vertex, the chart base, so in chart coordinates the
-    # substitution has no shift
-    v0 = verts[-1]
-    lin = [[verts[i][j] - v0[j] for i in range(d)] for j in range(d)]
-    jac = abs(det(lin))
-    if jac == 0:
-        return QZERO
-    h = p.compose_affine(lin, v0, d)
-    total = QZERO
-    for e, c in h.terms.items():
-        num = 1
-        for k in e:
-            num *= factorial(k)
-        total += c * Fraction(num, factorial(sum(e) + d))
-    return jac * total
+def _monomial_integral(sigma, e, memo):
+    """Integral of the ambient monomial x^e over sigma in its lattice measure.
 
-
-def integrate_local(g: Poly, cell: Polyhedron):
-    """Integral of a chart-coordinate polynomial over the cell's chart image."""
-    chart = cell.chart
-    if g.n != chart.dim:
-        raise ValueError("polynomial lives in the wrong chart")
-    if cell.dim == 0:
-        return g.constant_value()
-    total = QZERO
-    for simplex in triangulate(cell):
-        verts = [chart.to_local(v) for v in simplex]
-        total += integrate_poly_over_simplex(g, verts)
-    return total
+    Lasserre's facet recursion: with x0 the base point of sigma (a vertex),
+    k = dim sigma and q = |e|, the divergence theorem for (x - x0) x^e on
+    the affine hull of sigma gives (k + q) I(sigma, e) = sum_tau h_tau
+    I(tau, e) + sum_i x0_i e_i I(sigma, e - 1_i).  tau runs over the facets,
+    (a, b) is the row a.x <= b that sigma keeps for tau, and h_tau =
+    (b - a.x0) / g, with g the gcd of a over sigma's span basis, is the
+    lattice distance from x0 to tau, so the Euclidean norms cancel.  x0 is
+    kept in ints where integral, and int_dot(row, .) stops at a's n entries.
+    A point is evaluated.  memo keeps each (face, e), and for each face its
+    facets with h_tau != 0, so each face is visited once per monomial.
+    """
+    key = (sigma, e)
+    val = memo.get(key)
+    if val is None:
+        x0 = [x.numerator if x.denominator == 1 else x for x in sigma.base_point]
+        if not sigma.dim:
+            val = prod(x ** k for x, k in zip(x0, e) if k)
+        else:
+            heights = memo.get(sigma)
+            if heights is None:
+                bs = sigma.span.rows
+                heights = memo[sigma] = []
+                for tau in sigma.facets():
+                    row = _facet_entry(sigma, tau)[0]
+                    h = row[-1] - int_dot(row, x0)
+                    if h:
+                        heights.append((tau, Q(h, gcd(*(int_dot(row, b) for b in bs)))))
+            total = sum(h * _monomial_integral(tau, e, memo) for tau, h in heights)
+            for i, k in enumerate(e):
+                if k and x0[i]:
+                    lower = e[:i] + (k - 1,) + e[i + 1:]
+                    total += x0[i] * k * _monomial_integral(sigma, lower, memo)
+            val = Q(total, sigma.dim + sum(e))
+        memo[key] = val
+    return val
 
 
 def integrate_top(eta: SuperForm, wc: WeightedCell):
-    """Exact integral of a (d,d)-form over a bounded weighted cell of dim d."""
+    """Exact integral of a (d,d)-form over a bounded weighted cell of dim d.
+
+    On the chart x = base + B u, p d'x_I ∧ d''x_J restricts to the minors of
+    B on the rows I and J times p d'u ∧ d''u, so each ambient coefficient
+    goes to _monomial_integral as it is, with one memo for the whole form.
+    """
     cell = wc.cell
     d = cell.dim
     if eta.n != cell.n:
@@ -604,12 +605,18 @@ def integrate_top(eta: SuperForm, wc: WeightedCell):
         raise ValueError("cannot integrate over an unbounded cell")
     if eta.is_zero():
         return QZERO
-    loc = eta.restrict(cell.chart)
-    full = tuple(range(d))
-    g = loc.terms.get((full, full))
-    if g is None:
-        return QZERO
-    return wc.weight * _sign_reorder(d) * integrate_local(g, cell)
+    basis = cell.span.rows
+
+    def minor(idx):
+        return _bareiss([[b[i] for b in basis] for i in idx])[1]
+
+    memo, total = {}, 0
+    for (ii, jj), p in eta.terms.items():
+        scale = minor(ii) * minor(jj)
+        if scale:
+            total += scale * sum(c * _monomial_integral(cell, e, memo)
+                                 for e, c in p.terms.items())
+    return wc.weight * _sign_reorder(d) * total
 
 
 def boundary_integral(alpha: SuperForm, wc: WeightedCell, which: str):

@@ -17,10 +17,6 @@ from math import gcd
 from deltaforms.scalars import QONE, QZERO, qof
 
 
-def mat_copy(m):
-    return [list(r) for r in m]
-
-
 def rref(rows):
     """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
     m = [ [qof(x) for x in r] for r in rows ]
@@ -90,7 +86,7 @@ def kernel_rational(rows, ncols=None):
 
 def det(rows):
     """Determinant by Gaussian elimination over Q."""
-    m = mat_copy(rows)
+    m = [[qof(x) for x in r] for r in rows]
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a nonsquare matrix")

@@ -14,7 +14,12 @@ presentation, cells and transports.
 
 `integrate_local` is the version that substituted from the first vertex of
 each simplex, before the simplices were integrated from the chart base; it
-runs on the library's own `Poly` and triangulation.
+runs on the library's own `Poly`.  `triangulate` is the pulling
+triangulation that the library integrated with before it integrated by the
+facet recursion, and `integrate_top` and `boundary_integral` are the
+library's bodies of that time, on the library's `SuperForm.restrict` and on
+this `integrate_local`: the triangulation route, the cross-check for an
+integrator that is itself a divergence theorem.
 """
 
 from fractions import Fraction
@@ -23,9 +28,9 @@ from math import factorial
 
 from deltaforms.currents import cell_summary, transport_form
 from deltaforms.linalg import clear_denominators, vec_dot
-from deltaforms.polyhedra import primitive_normal, triangulate
-from deltaforms.scalars import QONE, QZERO, qof
-from deltaforms.superforms import SuperForm
+from deltaforms.polyhedra import WeightedCell, primitive_normal
+from deltaforms.scalars import Q, QONE, QZERO, qof
+from deltaforms.superforms import SuperForm, _sign_reorder
 from linalg_oracle import det
 
 
@@ -219,6 +224,26 @@ def check_balanced_refined(R):
     return True, None
 
 
+def triangulate(p):
+    """Pulling triangulation into simplices, each a tuple of ambient vertices.
+
+    Deterministic: cones the lexicographically smallest vertex over the
+    triangulations of the facets that miss it.  Bounded cells only.
+    """
+    if not p.is_bounded():
+        raise ValueError("cannot triangulate an unbounded polyhedron")
+    if p.dim == 0:
+        return [(tuple(p.base_point),)]
+    apex = tuple(min(tuple(v) for v in p.vertices()))
+    out = []
+    for f in p.facets():
+        if f.contains(apex):
+            continue
+        for s in triangulate(f):
+            out.append(s + (apex,))
+    return out
+
+
 def integrate_poly_over_simplex(p, verts):
     """Exact integral of p over the simplex with the given local vertices."""
     d = p.n
@@ -253,3 +278,63 @@ def integrate_local(g, cell):
         verts = [chart.to_local(v) for v in simplex]
         total += integrate_poly_over_simplex(g, verts)
     return total
+
+
+def integrate_top(eta, wc):
+    """Exact integral of a (d,d)-form over a bounded weighted cell of dim d."""
+    cell = wc.cell
+    d = cell.dim
+    if eta.n != cell.n:
+        raise ValueError("ambient dimension mismatch")
+    if not eta.is_zero():
+        bd = eta.bidegree()
+        if bd != (d, d):
+            raise ValueError(f"form bidegree {bd} does not match cell dimension {d}")
+    if not cell.is_bounded():
+        raise ValueError("cannot integrate over an unbounded cell")
+    if eta.is_zero():
+        return QZERO
+    loc = eta.restrict(cell.chart)
+    full = tuple(range(d))
+    g = loc.terms.get((full, full))
+    if g is None:
+        return QZERO
+    return wc.weight * _sign_reorder(d) * integrate_local(g, cell)
+
+
+def boundary_integral(alpha, wc, which):
+    """Boundary pairing of Stokes type over the facets of a bounded cell.
+
+    which='first' pairs with the second-slot normals and carries a leading
+    minus sign; which='second' pairs with first-slot normals and a plus sign.
+    Facet weights are the canonical lattice weights; the result is checked to
+    be invariant under rescaling one facet weight.
+    """
+    if which not in ("first", "second"):
+        raise ValueError("which must be 'first' or 'second'")
+    cell = wc.cell
+    m = cell.dim
+    if not cell.is_bounded():
+        raise ValueError("cannot integrate over an unbounded cell")
+    if not alpha.is_zero():
+        bd = alpha.bidegree()
+        want = (m - 1, m) if which == "first" else (m, m - 1)
+        if bd != want:
+            raise ValueError(f"form bidegree {bd} does not match {want}")
+    slot = "second" if which == "first" else "prime"
+    total = QZERO
+    checked = False
+    for tau in cell.facets():
+        w = primitive_normal(cell, tau)
+        nvec = [wc.weight * Q(x) for x in w]
+        contracted = alpha.contract(nvec, slot)
+        val = integrate_top(contracted, WeightedCell(tau, 1))
+        if not checked:
+            # facet-weight independence: double the facet weight, halve n
+            half = alpha.contract([x / 2 for x in nvec], slot)
+            val2 = integrate_top(half, WeightedCell(tau, 2))
+            if val2 != val:
+                raise AssertionError("boundary term depends on the facet weight")
+            checked = True
+        total += val
+    return -total if which == "first" else total

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 import polyhedra_oracle
+from superform_oracle import triangulate
 from deltaforms.io import dumps_canonical
 from deltaforms.linalg import Lattice, complement_lattice, det, integer_kernel
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,
+    WeightedCell,
     box,
     intersect,
     maximal_cells_of,
@@ -21,10 +23,9 @@ from deltaforms.polyhedra import (
     single_point,
     stable_weight,
     translate,
-    triangulate,
     whole_space,
 )
-from deltaforms.superforms import Poly, integrate_local
+from deltaforms.superforms import SuperForm, integrate_top
 
 Q = Fraction
 
@@ -34,8 +35,17 @@ def halfplane(a, b):
 
 
 def volume(p):
-    """Volume of a bounded cell in its own canonical lattice chart."""
-    return integrate_local(Poly.const(p.dim, 1), p)
+    """Volume of a bounded cell in its own canonical lattice chart.
+
+    The integral of d'u_1 ∧ d''u_1 ∧ ... ∧ d'u_d ∧ d''u_d for the chart
+    coordinates u_k, the dual rows u_rows[k] applied to x.
+    """
+    form = SuperForm.scalar(p.n, 1)
+    for row in p.chart.u_rows:
+        du = {i: c for i, c in enumerate(row) if c}
+        form = (form.wedge(SuperForm(p.n, {((i,), ()): c for i, c in du.items()}))
+                .wedge(SuperForm(p.n, {((), (i,)): c for i, c in du.items()})))
+    return integrate_top(form, WeightedCell(p, 1))
 
 
 def intersection_lattice(l1, l2):

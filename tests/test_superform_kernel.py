@@ -4,8 +4,8 @@ Poly arithmetic, compose_affine and pullback_affine must give exactly the
 oracle's terms, with no zero coefficient, int exponent tuples and Fraction
 values; the balancing check must give the oracle's verdict and certificate.
 A current computes its balancing verdict once, and hands out copies of it.
-Integrals over cells, which now substitute from the chart base, equal the
-oracle's first-vertex substitution.
+Integrals of top forms over cells, which now run the facet recursion, equal
+the oracle's triangulation route.
 """
 
 import json
@@ -15,14 +15,14 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superform_oracle as oracle
 from deltaforms.currents import (BalancingError, DeltaForm,
                                  _check_balanced_refined, require_balanced)
-from deltaforms.polyhedra import polyhedron, ray_from, triangulate
-from deltaforms.superforms import Poly, SuperForm, _superform, integrate_local
+from deltaforms.polyhedra import WeightedCell, polyhedron, ray_from, segment
+from deltaforms.superforms import Poly, SuperForm, _superform, integrate_top
 from test_currents import DIRECTIONS, RATIONALS, WEIGHTS
 
 MAX_DEGREE = 5
@@ -364,34 +364,57 @@ def test_mutating_a_certificate_does_not_change_the_next_call():
 # ------------------------------------------------------------- integration --
 
 @st.composite
-def bounded_cells(draw):
-    """A nonempty bounded cell in R^1 or R^2: a box with lo < hi, cut by up
-    to three more rows and in R^2 sometimes by an equality."""
-    n = draw(st.integers(1, 2))
-    ineqs = []
+def integrands(draw):
+    """(cell, eta, weight): a nonempty bounded cell in R^1 to R^4 and a
+    polynomial (d,d)-form for its dimension d, with a rational weight.
+
+    The cell is a box with lo < hi, cut by up to three more rows and by up
+    to n rational equalities, all of them through one rational point of the
+    box, so it is never empty; n equalities can leave a point.
+    """
+    n = draw(st.integers(1, 4))
+    ineqs, pt = [], []
     for i in range(n):
         lo, hi = sorted(draw(st.lists(RATIONALS, min_size=2, max_size=2,
                                       unique=True)))
         unit = [int(i == j) for j in range(n)]
         ineqs += [(unit, hi), ([-x for x in unit], -lo)]
-    row = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                    RATIONALS)
-    ineqs += draw(st.lists(row, max_size=3))
-    eqs = draw(st.lists(row, max_size=1)) if n == 2 else []
+        pt.append(lo + (hi - lo) * draw(st.fractions(0, 1, max_denominator=4)))
+    normals = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    slack = st.fractions(0, 3, max_denominator=4)
+    ineqs += [(a, sum(x * y for x, y in zip(a, pt)) + draw(slack))
+              for a in draw(st.lists(normals, max_size=3))]
+    k = draw(st.integers(0, n))
+    eqs = [(a, sum(x * y for x, y in zip(a, pt)))
+           for a in draw(st.lists(normals, min_size=k, max_size=k))]
     cell = polyhedron(n, ineqs, eqs)
-    assume(cell is not None)
-    return cell
+    d = cell.dim
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= 3).map(tuple)
+    index = st.sampled_from(list(combinations(range(n), d)))
+    eta = SuperForm(n, draw(st.dictionaries(
+        st.tuples(index, index),
+        st.dictionaries(exps, RATIONALS, min_size=1, max_size=4).map(
+            lambda t: Poly(n, t)),
+        min_size=1, max_size=3)))
+    return cell, eta, draw(WEIGHTS)
 
 
 @settings(max_examples=200, deadline=None)
-@given(bounded_cells(), st.data())
-def test_integrate_local_matches_the_first_vertex_substitution(cell, data):
-    d = cell.dim
-    exps = st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(
-        lambda e: sum(e) <= 3).map(tuple)
-    g = Poly(d, data.draw(st.dictionaries(exps, RATIONALS, max_size=5)))
-    assert integrate_local(g, cell) == oracle.integrate_local(g, cell)
-    if d:
-        # the substitution is shift-free: each simplex ends at the chart base
-        assert all(cell.chart.to_local(s[-1]) == [0] * d
-                   for s in triangulate(cell))
+@given(integrands())
+# the triangle (0,0), (2,1), (1,3), on which a float oracle once differed
+@example((polyhedron(2, [([1, -2], 0), ([2, 1], 5), ([-3, 1], 0)]),
+          SuperForm(2, {((0, 1), (0, 1)): Poly(2, {(1, 0): Q(1, 3),
+                                                   (0, 2): Q(2, 7)})}), Q(1)))
+# a segment whose facet rows have gcd 2 on its lattice (0, 1) + Z(1, 2)
+@example((segment([0, 1], [2, 5]),
+          SuperForm(2, {((0,), (1,)): Poly(2, {(1, 1): 1, (0, 0): 3})}), Q(3, 2)))
+# a box whose base point is not the origin
+@example((polyhedron(3, [([1, 0, 0], 2), ([-1, 0, 0], -1), ([0, 1, 0], 3),
+                         ([0, -1, 0], 1), ([0, 0, 1], Q(1, 2)),
+                         ([0, 0, -1], Q(1, 3))]),
+          SuperForm(3, {((0, 1, 2), (0, 1, 2)): Poly(3, {(2, 1, 0): 1})}), Q(1)))
+def test_integrate_top_matches_the_triangulation_oracle(integrand):
+    cell, eta, w = integrand
+    wc = WeightedCell(cell, w)
+    assert integrate_top(eta, wc) == oracle.integrate_top(eta, wc)

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import superform_oracle as oracle
 from deltaforms.polyhedra import (Complex, WeightedCell, box, polyhedron,
                                   segment, single_point)
 from deltaforms.superforms import (ContinuityError, PiecewiseForm, PLFunction,
                                    Poly, SuperForm, boundary_integral,
-                                   integrate_poly_over_simplex, integrate_top,
-                                   stokes_check)
+                                   integrate_top, stokes_check)
 
 
 def dP(n, i):
@@ -219,9 +219,10 @@ def test_restrict_to_diagonal():
 # --------------------------------------------------------------- integration
 
 def test_simplex_monomial_integral():
-    p = Poly(2, {(1, 1): F(1)})
-    verts = [[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]]
-    assert integrate_poly_over_simplex(p, verts) == F(1, 24)
+    tri = polyhedron(2, ineqs=[([-1, 0], 0), ([0, -1], 0), ([1, 1], 1)])
+    form = (SuperForm.from_poly(Poly(2, {(1, 1): F(1)}))
+            .wedge(dP(2, 0)).wedge(dS(2, 0)).wedge(dP(2, 1)).wedge(dS(2, 1)))
+    assert integrate_top(form, WeightedCell(tri, 1)) == F(1, 24)
 
 
 def test_integrate_unit_square_volume_form():
@@ -345,6 +346,8 @@ def _stokes_cells():
 
 
 def test_stokes_randomized_corpus():
+    # integrate_top is itself a divergence theorem, so each side is also
+    # checked against the triangulation route, not only against the other
     rng = random.Random(20240822)
     cells = _stokes_cells()
     ran = 0
@@ -352,14 +355,16 @@ def test_stokes_randomized_corpus():
         m = cell.dim
         n = cell.n
         for _ in range(3):
-            w = F(rng.randint(1, 5), rng.randint(1, 3))
-            a1 = random_form(rng, n, m - 1, m, maxdeg=2)
-            lhs, rhs, ok = stokes_check(a1, WeightedCell(cell, w), "first")
-            assert ok, (cell, a1, lhs, rhs)
-            a2 = random_form(rng, n, m, m - 1, maxdeg=2)
-            lhs, rhs, ok = stokes_check(a2, WeightedCell(cell, w), "second")
-            assert ok, (cell, a2, lhs, rhs)
-            ran += 2
+            wc = WeightedCell(cell, F(rng.randint(1, 5), rng.randint(1, 3)))
+            for which, alpha in (
+                    ("first", random_form(rng, n, m - 1, m, maxdeg=2)),
+                    ("second", random_form(rng, n, m, m - 1, maxdeg=2))):
+                lhs, rhs, ok = stokes_check(alpha, wc, which)
+                assert ok, (cell, alpha, lhs, rhs)
+                d_alpha = alpha.dprime() if which == "first" else alpha.dsecond()
+                assert lhs == oracle.integrate_top(d_alpha, wc)
+                assert rhs == oracle.boundary_integral(alpha, wc, which)
+                ran += 1
     assert ran >= 50
 
 
