@@ -10,9 +10,11 @@ A coefficient moves from one cell to another by one pull-back along
 Chart.transition_to (transport_form), for the identity or for an affine
 map, and is passed on unchanged when the transition is the identity map;
 pushforward pulls the image back along the map's affine left inverse
-on each cell.  Only the contraction boundary route, pairings with ambient
-test forms, and the ambient lifts of exterior_product and as_piecewise_form
-go through ambient coordinates (chart_to_ambient).
+on each cell.  exterior_product wedges the factors' coefficients with their
+chart variables renamed into the product cell's chart.  Only the
+contraction boundary route, pairings with ambient test forms, and the
+ambient lift of as_piecewise_form go through ambient coordinates
+(chart_to_ambient).
 """
 
 from copy import deepcopy
@@ -50,6 +52,7 @@ from .superforms import (
     PiecewiseForm,
     Poly,
     SuperForm,
+    _shifted,
     _superform,
     integrate_top,
 )
@@ -124,16 +127,10 @@ def transport_form(form, src_cell, dst_cell, f=None):
     The result is the form at f(x), written in dst_cell's chart coordinates
     of x; f is None for the identity.  f must carry the affine hull of
     dst_cell into that of src_cell.  When the transition is the identity
-    map (square identity matrix, zero offset), the form itself is returned:
-    forms are never changed in place, so sharing it is safe.
+    map, pullback_affine returns the form itself.
     """
     m_rows, off = dst_cell.chart.transition_to(src_cell.chart, f)
-    k = dst_cell.dim
-    if (form.n == k == len(m_rows) and not any(off)
-            and all(x == (i == j) for i, row in enumerate(m_rows)
-                    for j, x in enumerate(row))):
-        return form
-    return form.pullback_affine(m_rows, off, k=k)
+    return form.pullback_affine(m_rows, off, k=dst_cell.dim)
 
 
 def chart_to_ambient(form, cell):
@@ -654,21 +651,31 @@ def ps_multiply(alpha, T):
 
 
 def exterior_product(S, T):
-    """Product current on the product space, coefficients lifted and wedged."""
+    """Product current on the product space, each cell built from its factors.
+
+    The HNF basis of span(c1 x c2) is block-diag(basis c1, basis c2), so when
+    the product's base point is the two base points joined, f1 wedged with f2
+    renamed past c1's coordinates is the coefficient in the product's chart.
+    Otherwise (a product with lines) the wedge moves once from the joined
+    factor charts into it, along the factors' padded dual rows.
+    """
     A, B = S.canonicalize(), T.canonicalize()
     n, m = A.n, B.n
-    p1 = [[QONE if j == i else QZERO for j in range(n + m)] for i in range(n)]
-    p2 = [[QONE if j == n + i else QZERO for j in range(n + m)] for i in range(m)]
-    zn = [QZERO] * n
-    zm = [QZERO] * m
-    lifts_b = [(c2, chart_to_ambient(f2, c2).pullback_affine(p2, zm, k=n + m), w2)
-               for c2, f2, w2 in B.terms]
     out = []
     for c1, f1, w1 in A.terms:
-        lift1 = chart_to_ambient(f1, c1).pullback_affine(p1, zn, k=n + m)
-        for c2, lift2, w2 in lifts_b:
+        ch1 = c1.chart
+        for c2, f2, w2 in B.terms:
+            ch2 = c2.chart
             prod = product_polyhedron(c1, c2)
-            form = lift1.wedge(lift2).restrict(prod.chart)
+            k = prod.dim
+            form = _shifted(f1, k, 0).wedge(_shifted(f2, k, c1.dim))
+            base = ch1.base + ch2.base
+            if prod.chart.base != base:
+                duals = ([u + (0,) * m for u in ch1.u_rows]
+                         + [(0,) * n + u for u in ch2.u_rows])
+                m_rows = [[int_dot(u, b) for b in prod.chart.basis] for u in duals]
+                form = form.pullback_affine(
+                    m_rows, _dual_coords(duals, prod.chart.base, base), k=k)
             out.append((prod, form, w1 * w2))
     return DeltaForm(n + m, out).canonicalize()
 

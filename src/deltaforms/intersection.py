@@ -6,6 +6,8 @@ factor by a generic vector and keeping the stable intersections.  Both are
 exposed so results can be cross-checked exactly.
 """
 
+from math import lcm
+
 from .currents import (
     AffineMap,
     BalancingError,
@@ -35,7 +37,7 @@ from .polyhedra import (
     primitive_normal,
     stable_weight,
 )
-from .scalars import Q, QONE, QZERO, qof, qstr
+from .scalars import Q, QONE, qof, qstr
 from .superforms import PiecewiseForm, Poly, SuperForm, _plfunction
 
 
@@ -144,19 +146,26 @@ def _divisor_core(phi, R):
         g0 = gradients[contributions[0][0]]
         if all(gradients[sigma] == g0 for sigma, _, _ in contributions):
             continue
-        # the gradient that agrees with g0 on tau and is zero on the
-        # complement: sum_k (g0 . basis_k) u_k over the chart's dual rows
+        # the star's gradients over one common denominator, so the chart's
+        # integer rows and normals meet them in integers
+        den = lcm(*(x.denominator for sigma, _, _ in contributions
+                    for x in gradients[sigma]))
+        grads = {sigma: [x.numerator * (den // x.denominator) for x in gradients[sigma]]
+                 for sigma, _, _ in contributions}
+        # den times the gradient that agrees with g0 on tau and is zero on
+        # the complement: sum_k (g0 . basis_k) u_k over the chart's dual rows
         ch = tau.chart
-        base_grad = [QZERO] * n
+        g0 = grads[contributions[0][0]]
+        base_grad = [0] * n
         for b, u in zip(ch.basis, ch.u_rows):
-            c = vec_dot(g0, b)
+            c = int_dot(g0, b)
             base_grad = [x + c * y for x, y in zip(base_grad, u)]
         beta = SuperForm.zero(tau.dim)
         for sigma, form, w in contributions:
-            jump = [a - b for a, b in zip(gradients[sigma], base_grad)]
-            c = vec_dot(jump, primitive_normal(sigma, tau))
+            jump = [a - b for a, b in zip(grads[sigma], base_grad)]
+            c = int_dot(jump, primitive_normal(sigma, tau))
             if c:
-                beta = beta + transport_form(form.scale(w), sigma, tau).scale(c)
+                beta = beta + transport_form(form.scale(w), sigma, tau).scale(Q(c, den))
         if not beta.is_zero():
             out.append((tau, beta, QONE))
     return DeltaForm(n, out).canonicalize()

@@ -575,14 +575,41 @@ def translate(p: Polyhedron, v):
 
 
 def product_polyhedron(p: Polyhedron, q: Polyhedron):
-    """p x q inside R^{p.n + q.n}."""
+    """p x q inside R^{p.n + q.n}, assembled from the factors' canonical rows.
+
+    p's rows padded with zeros on the right, then q's padded on the left, are
+    canonical for p x q, so no double description runs: the equalities stay
+    an integer RREF (primitive rows, positive pivots, in disjoint column
+    blocks), each inequality stays primitive and zero at every pivot, and the
+    facets of p x q are F x q and p x G, so the padded rows, sorted, are its
+    facet rows.  Two pointed factors seed a new product's rays, (x1 t2, x2 t1,
+    t1 t2) made primitive for each two vertices x1/t1 and x2/t2 and each
+    factor's recession rays padded, and its lexicographically smallest
+    vertex, the two base points joined.  With lines, generators() runs the
+    double description on these rows.
+    """
     n1, n2 = p.n, q.n
     left, right = (0,) * n1, (0,) * n2
-    ineqs = ([(r[:-1] + right, r[-1]) for r in p.ineq_rows]
-             + [(left + r[:-1], r[-1]) for r in q.ineq_rows])
-    eqs = ([(r[:-1] + right, r[-1]) for r in p.eq_rows]
-           + [(left + r[:-1], r[-1]) for r in q.eq_rows])
-    return polyhedron(n1 + n2, ineqs, eqs=eqs)
+    key = (n1 + n2,
+           tuple(r[:-1] + right + r[-1:] for r in p.eq_rows)
+           + tuple(left + r for r in q.eq_rows),
+           tuple(sorted([r[:-1] + right + r[-1:] for r in p.ineq_rows]
+                        + [left + r for r in q.ineq_rows])))
+    inst = _CACHE.get(key)
+    if inst is None:
+        (rays1, lines1), (rays2, lines2) = p.generators(), q.generators()
+        gens = None
+        if not lines1 and not lines2:
+            gens = (tuple(tuple(_primitive([*(x * r2[-1] for x in r1[:-1]),
+                                            *(x * r1[-1] for x in r2[:-1]),
+                                            r1[-1] * r2[-1]]))
+                          for r1 in rays1 if r1[-1] for r2 in rays2 if r2[-1])
+                    + tuple(r[:-1] + right + (0,) for r in rays1 if not r[-1])
+                    + tuple(left + r for r in rays2 if not r[-1]), ())
+        inst = _intern(*key, gens)
+        if gens is not None:
+            inst._base = p.base_point + q.base_point
+    return inst
 
 
 def affine_preimage(p: Polyhedron, lin_rows, shift, domain_n):

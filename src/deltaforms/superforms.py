@@ -268,6 +268,15 @@ def _superform(n, terms):
     return f
 
 
+def _shifted(form, k, offset):
+    """form in k variables, its variables and generators i renamed i + offset."""
+    pad = (0,) * offset, (0,) * (k - form.n - offset)
+    return _superform(k, {
+        (tuple(i + offset for i in ii), tuple(j + offset for j in jj)):
+            _poly(k, {pad[0] + e + pad[1]: c for e, c in p.terms.items()})
+        for (ii, jj), p in form.terms.items()})
+
+
 class SuperForm:
     """Normal-form sum of poly * d'x_I ∧ d''x_J terms in n variables."""
 
@@ -474,6 +483,11 @@ class SuperForm:
             raise ValueError("affine map shape mismatch")
         if k is None:
             k = len(lin_rows[0]) if n and lin_rows else 0
+        if k == n and not any(shift) and all(
+                len(row) == k and all(x == (i == j) for j, x in enumerate(row))
+                for i, row in enumerate(lin_rows)):
+            # the identity map: forms are never changed in place, so share it
+            return self
         lin = [[x if type(x) is int else qof(x) for x in row] for row in lin_rows]
         shift = [s if type(s) is int else qof(s) for s in shift]
         den = lcm(*(x.denominator for row in lin for x in row))
@@ -605,12 +619,23 @@ def integrate_top(eta: SuperForm, wc: WeightedCell):
         raise ValueError("cannot integrate over an unbounded cell")
     if eta.is_zero():
         return QZERO
+    return _integrate_top(eta, wc, {})
+
+
+def _integrate_top(eta, wc, memo):
+    """integrate_top's sum, unchecked, with a memo of _monomial_integral.
+
+    The memo's values depend only on the face and the monomial, so one memo
+    serves every call over faces of one cell.
+    """
+    cell = wc.cell
+    d = cell.dim
     basis = cell.span.rows
 
     def minor(idx):
         return _bareiss([[b[i] for b in basis] for i in idx])[1]
 
-    memo, total = {}, 0
+    total = 0
     for (ii, jj), p in eta.terms.items():
         scale = minor(ii) * minor(jj)
         if scale:
@@ -641,15 +666,16 @@ def boundary_integral(alpha: SuperForm, wc: WeightedCell, which: str):
     slot = "second" if which == "first" else "prime"
     total = QZERO
     checked = False
+    memo = {}
     for tau in cell.facets():
         w = primitive_normal(cell, tau)
         nvec = [wc.weight * Q(x) for x in w]
         contracted = alpha.contract(nvec, slot)
-        val = integrate_top(contracted, WeightedCell(tau, 1))
+        val = _integrate_top(contracted, WeightedCell(tau, 1), memo)
         if not checked:
             # facet-weight independence: double the facet weight, halve n
             half = alpha.contract([x / 2 for x in nvec], slot)
-            val2 = integrate_top(half, WeightedCell(tau, 2))
+            val2 = _integrate_top(half, WeightedCell(tau, 2), memo)
             if val2 != val:
                 raise AssertionError("boundary term depends on the facet weight")
             checked = True

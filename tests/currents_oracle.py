@@ -18,6 +18,10 @@ pytest.
   former method body.
 - _prepare_for_divisor slices along the function's walls and checks the
   complex in its own body rather than through _complex_presentation.
+- exterior_product lifts each factor's coefficient to ambient coordinates,
+  pulls it back along the projections onto the product space, wedges, and
+  restricts to the product cell's chart; its product cells come from
+  polyhedra_oracle.product_polyhedron, through polyhedron().
 
 Everything else (cells, transports for the identity map, the stable pairs,
 the balancing check) is the library's own, except invert, which left the
@@ -67,6 +71,7 @@ from deltaforms.polyhedra import (
 )
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
 from linalg_oracle import invert
+from polyhedra_oracle import product_polyhedron
 
 
 def translate_delta(T, v):
@@ -328,3 +333,23 @@ def _prepare_for_divisor(phi, T):
     if not ok:
         raise BalancingError("current is not balanced", cert)
     return R
+
+
+def exterior_product(S, T):
+    """Product current on the product space, coefficients lifted and wedged."""
+    A, B = S.canonicalize(), T.canonicalize()
+    n, m = A.n, B.n
+    p1 = [[QONE if j == i else QZERO for j in range(n + m)] for i in range(n)]
+    p2 = [[QONE if j == n + i else QZERO for j in range(n + m)] for i in range(m)]
+    zn = [QZERO] * n
+    zm = [QZERO] * m
+    lifts_b = [(c2, chart_to_ambient(f2, c2).pullback_affine(p2, zm, k=n + m), w2)
+               for c2, f2, w2 in B.terms]
+    out = []
+    for c1, f1, w1 in A.terms:
+        lift1 = chart_to_ambient(f1, c1).pullback_affine(p1, zn, k=n + m)
+        for c2, lift2, w2 in lifts_b:
+            prod = product_polyhedron(c1, c2)
+            form = lift1.wedge(lift2).restrict(prod.chart)
+            out.append((prod, form, w1 * w2))
+    return DeltaForm(n + m, out).canonicalize()

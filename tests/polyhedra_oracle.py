@@ -18,6 +18,9 @@ verbatim as reference oracles for the tests and not collected by pytest.
   every cell builds its own span, complement and unimodular inverse.  These
   are the old Polyhedron property bodies, with their per-instance caches, so
   property(span) and friends put the old route back on the class.
+- product_polyhedron, from before the product's canonical rows were
+  assembled from the factors': the padded rows go through polyhedron(),
+  which runs a double description on the product.
 """
 
 from deltaforms.linalg import (
@@ -151,3 +154,14 @@ def chart(self) -> Chart:
         comp = complement_lattice(self.span)
         self._chart = Chart(self.n, self.base_point, self.span.rows, comp.rows)
     return self._chart
+
+
+def product_polyhedron(p, q):
+    """p x q inside R^{p.n + q.n}."""
+    n1, n2 = p.n, q.n
+    left, right = (0,) * n1, (0,) * n2
+    ineqs = ([(r[:-1] + right, r[-1]) for r in p.ineq_rows]
+             + [(left + r[:-1], r[-1]) for r in q.ineq_rows])
+    eqs = ([(r[:-1] + right, r[-1]) for r in p.eq_rows]
+           + [(left + r[:-1], r[-1]) for r in q.eq_rows])
+    return polyhedron(n1 + n2, ineqs, eqs=eqs)
