@@ -11,11 +11,18 @@ lattices (polyhedra._facet_rows).
 
 from __future__ import annotations
 
+from operator import mul
+
 from .linalg import _ivec_primitive as _primitive
 
 
 def int_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    """The dot product u.v, summed in one builtin loop.
+
+    map stops at the shorter argument, as zip does, so a full row (a, b)
+    dotted with a point of n coordinates gives a.x over a's n entries.
+    """
+    return sum(map(mul, u, v))
 
 
 def double_description(rows, dim):
@@ -65,7 +72,7 @@ def double_description(rows, dim):
         for i in pos:
             for j in neg:
                 common = zeros[i] & zeros[j]
-                if bin(common).count("1") < need:
+                if common.bit_count() < need:
                     continue
                 if any(zeros[q] & common == common for q in range(len(rays))
                        if q != i and q != j):

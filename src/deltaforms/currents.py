@@ -52,9 +52,10 @@ from .superforms import (
     PiecewiseForm,
     Poly,
     SuperForm,
+    _integrate_top,
     _shifted,
     _superform,
-    integrate_top,
+    _top_is_zero,
 )
 
 
@@ -391,13 +392,15 @@ class DeltaForm:
             raise ValueError("bidegree mismatch: test form has bidegree %r, "
                              "expected %r" % (eb, (self.n - s, self.n - t)))
         total = QZERO
+        memo = {}  # one Lasserre memo for every piece
         for cell, form, w in T.terms:
             piece = intersect(cell, window)
             if piece is None or piece.dim < cell.dim:
                 continue
             a = transport_form(form, cell, piece)
             g = chart_to_ambient(a, piece).wedge(eta)
-            total += integrate_top(g, WeightedCell(piece, w))
+            if not _top_is_zero(g, piece):
+                total += _integrate_top(g, WeightedCell(piece, w), memo)
         return total
 
 

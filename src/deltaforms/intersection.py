@@ -28,6 +28,7 @@ from .currents import (
 from .cones import int_dot
 from .linalg import clear_denominators, rank, vec_dot
 from .polyhedra import (
+    _CACHE,
     Complex,
     ComplexError,
     implicit_rows,
@@ -349,12 +350,22 @@ def _stable_pairs(A, B, v):
     A and B are canonical.  Returns (pairs, None), pairs a list of
     (c1, c2, c1 & c2) in the order of A's and B's terms, or (None, (c1, c2))
     for the first pair that meets for small eps without a strict interior
-    point or with affine hulls that are not transversal.
+    point or with affine hulls that are not transversal.  The answer is
+    kept in polyhedra._CACHE, so displacement_product does not check again
+    the vector that generic_vector accepted.
     """
-    n = A.n
     w = clear_denominators(v)
     left = maximal_cells_of([c for c, _, _ in A.terms])
     right = maximal_cells_of([c for c, _, _ in B.terms])
+    memo = ("stable", tuple(left), tuple(right), tuple(w))
+    found = _CACHE.get(memo)
+    if found is None:
+        found = _CACHE[memo] = _stable_scan(A.n, left, right, w)
+    return found
+
+
+def _stable_scan(n, left, right, w):
+    """_stable_pairs's answer for maximal cells and a primitive integer w."""
     pairs = []
     for c1 in left:
         for c2 in right:

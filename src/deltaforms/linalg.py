@@ -18,6 +18,7 @@ on a saturated lattice, reads the remaining rows as a complement.
 from __future__ import annotations
 
 from math import gcd, lcm, prod
+from operator import mul
 
 from .scalars import Q, QZERO, QONE, qof
 
@@ -25,11 +26,17 @@ from .scalars import Q, QZERO, QONE, qof
 # ---------------------------------------------------------------- rational --
 
 def mat_mul_vec(m, v):
-    return [sum((r[j] * v[j] for j in range(len(v))), QZERO) for r in m]
+    return [vec_dot(r, v) for r in m]
 
 
 def vec_dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), QZERO)
+    """a.b as a Fraction, summed in one builtin loop over the shorter length.
+
+    Integer products stay ints until one Q at the end; a Fraction term
+    makes the sum a Fraction.
+    """
+    s = sum(map(mul, a, b))
+    return Q(s) if type(s) is int else s
 
 
 def vec_sub(a, b):
@@ -98,9 +105,12 @@ def det(rows):
 # ----------------------------------------------------------------- integer --
 
 def _ivec_primitive(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    """v divided by the gcd of its entries; an all-zero v is copied as it is.
+
+    math.gcd of all entries at once is non-negative, and 0 exactly when
+    every entry is 0.
+    """
+    g = gcd(*v)
     if g in (0, 1):
         return list(v)
     return [x // g for x in v]
@@ -114,20 +124,27 @@ def _int_rref(rows):
     pivot_columns).
     """
     m = [list(r) for r in rows]
+    nrows = len(m)
     pivots = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
+        if r == nrows:
+            break  # every row has its pivot
+        piv = r
+        while piv < nrows and not m[piv][c]:
+            piv += 1
+        if piv == nrows:
             continue
         top = _ivec_primitive(m[piv])
-        if top[c] < 0:
+        p = top[c]
+        if p < 0:
             top = [-x for x in top]
+            p = -p
         m[piv], m[r] = m[r], top
         for i, row in enumerate(m):
-            if i != r and row[c]:
-                m[i] = _ivec_primitive([top[c] * x - row[c] * y
-                                        for x, y in zip(row, top)])
+            f = row[c]
+            if f and i != r:
+                m[i] = _ivec_primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
     return m[:len(pivots)], pivots
 
@@ -190,10 +207,14 @@ def hnf(rows):
     Rows are integer vectors.  Output rows have strictly increasing pivot
     columns, positive pivots, and entries above each pivot reduced into
     [0, pivot).  The result is the unique canonical basis of the lattice.
+
+    Nonzero rows already of that shape are returned at once: elimination
+    would find each row alone in its pivot column and every reduction
+    quotient 0, so it would return them unchanged.
     """
     m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
+    if not m or _is_hnf(m):
+        return m
     ncols = len(m[0])
     out = []
     col = 0
@@ -229,6 +250,23 @@ def hnf(rows):
             if q:
                 out[k] = [a - q * b for a, b in zip(out[k], out[i])]
     return [list(r) for r in out]
+
+
+def _is_hnf(m):
+    """Whether nonzero rows are hnf's output: pivots strictly increasing and
+    positive, with every entry above a pivot in [0, pivot)."""
+    prev = -1
+    for i, row in enumerate(m):
+        if any(row[:prev + 1]):
+            return False
+        p = prev + 1
+        while not row[p]:
+            p += 1
+        piv = row[p]
+        if piv < 0 or any(not 0 <= m[k][p] < piv for k in range(i)):
+            return False
+        prev = p
+    return True
 
 
 def smith_normal_form(a):

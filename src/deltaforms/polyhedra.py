@@ -67,8 +67,9 @@ from .scalars import Q, QONE, QZERO, qof, qstr
 
 # The intern table maps canonical keys to polyhedra, the memo keys of
 # _cleared to what polyhedron() or implicit_rows returned for that input
-# (None for an empty set), ("span", n, rows) to a span lattice and
-# ("frame", n, rows) to a lattice's frame, so one clear empties all four.
+# (None for an empty set), ("span", n, rows) to a span lattice,
+# ("frame", n, rows) to a lattice's frame and ("stable", left, right, w)
+# to intersection._stable_pairs's answer, so one clear empties all five.
 _CACHE: dict = {}
 _MISS = object()
 
@@ -305,10 +306,14 @@ class Polyhedron:
     normal, split frame] (_facet_entry): row is the inequality row that the
     facet makes tight, and the other two start as None and are filled on
     first use by primitive_normal and currents._split_coordinates.
+
+    Its hash and sort_key are computed once, when the cell is interned.
+    The rows are int tuples, whose hashes are the same in every process, so
+    set and dict orders do not depend on when a cell was made.
     """
 
-    __slots__ = ("n", "eq_rows", "ineq_rows", "_span", "_chart", "_base",
-                 "_facets", "_faces", "_generators")
+    __slots__ = ("n", "eq_rows", "ineq_rows", "_hash", "sort_key", "_span",
+                 "_chart", "_base", "_facets", "_faces", "_generators")
 
     def __init__(self, n, eq_rows, ineq_rows, _token=None):
         if _token is not _SENTINEL:
@@ -316,6 +321,8 @@ class Polyhedron:
         self.n = n
         self.eq_rows = eq_rows
         self.ineq_rows = ineq_rows
+        self._hash = hash((n, eq_rows, ineq_rows))
+        self.sort_key = (n, len(eq_rows), eq_rows, ineq_rows)
         self._span = None
         self._chart = None
         self._base = None
@@ -332,14 +339,10 @@ class Polyhedron:
         return self is other or (isinstance(other, Polyhedron) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return f"Polyhedron(n={self.n}, dim={self.dim}, eqs={len(self.eq_rows)}, ineqs={len(self.ineq_rows)})"
-
-    @property
-    def sort_key(self):
-        return (self.n, len(self.eq_rows), self.eq_rows, self.ineq_rows)
 
     # -- basic geometry ------------------------------------------------------
     @property

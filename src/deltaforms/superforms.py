@@ -607,19 +607,25 @@ def integrate_top(eta: SuperForm, wc: WeightedCell):
     B on the rows I and J times p d'u ∧ d''u, so each ambient coefficient
     goes to _monomial_integral as it is, with one memo for the whole form.
     """
-    cell = wc.cell
+    if _top_is_zero(eta, wc.cell):
+        return QZERO
+    return _integrate_top(eta, wc, {})
+
+
+def _top_is_zero(eta, cell):
+    """integrate_top's checks: raise unless eta is a form to integrate over
+    cell, and say whether it is zero."""
     d = cell.dim
     if eta.n != cell.n:
         raise ValueError("ambient dimension mismatch")
-    if not eta.is_zero():
+    zero = eta.is_zero()
+    if not zero:
         bd = eta.bidegree()
         if bd != (d, d):
             raise ValueError(f"form bidegree {bd} does not match cell dimension {d}")
     if not cell.is_bounded():
         raise ValueError("cannot integrate over an unbounded cell")
-    if eta.is_zero():
-        return QZERO
-    return _integrate_top(eta, wc, {})
+    return zero
 
 
 def _integrate_top(eta, wc, memo):

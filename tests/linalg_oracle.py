@@ -10,11 +10,25 @@ multiplication; and the full Smith normal form with both transforms and the
 divisibility sweep, which the library's diagonal form replaced.  None of
 them calls back into deltaforms.linalg, so a fault in the library's
 elimination cannot hide in both sides of a comparison.
+
+The integer kernels from before their loops ran inside builtins: int_dot
+(formerly in cones) and vec_dot summed a generator, vec_dot from a Fraction
+zero; _ivec_primitive took the gcd one entry at a time; _int_rref searched
+each column to the end with next() over a generator; and hnf eliminated
+even rows already in Hermite normal form.
 """
 
 from math import gcd
 
 from deltaforms.scalars import QONE, QZERO, qof
+
+
+def int_dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def vec_dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), QZERO)
 
 
 def rref(rows):
@@ -258,3 +272,76 @@ def smith_normal_form(a):
             rt[t] = [-x for x in rt[t]]
         t += 1
     return m, rt, cti
+
+
+def _int_rref(rows):
+    """Reduced row echelon form of integer rows, in integers.
+
+    Gauss-Jordan taking the first row with a nonzero entry as the pivot row,
+    each row kept primitive with a positive pivot.  Returns (rows,
+    pivot_columns).
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        top = _ivec_primitive(m[piv])
+        if top[c] < 0:
+            top = [-x for x in top]
+        m[piv], m[r] = m[r], top
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = _ivec_primitive([top[c] * x - row[c] * y
+                                        for x, y in zip(row, top)])
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def hnf(rows):
+    """Canonical row Hermite normal form of the lattice spanned by rows.
+
+    Rows are integer vectors.  Output rows have strictly increasing pivot
+    columns, positive pivots, and entries above each pivot reduced into
+    [0, pivot).  The result is the unique canonical basis of the lattice.
+    """
+    m = [list(r) for r in rows if any(r)]
+    if not m:
+        return []
+    ncols = len(m[0])
+    out = []
+    col = 0
+    while m and col < ncols:
+        rows_nz = [r for r in m if r[col] != 0]
+        if not rows_nz:
+            col += 1
+            continue
+        # reduce the column to a single nonzero entry by gcd steps
+        while True:
+            rows_nz = sorted((r for r in m if r[col] != 0), key=lambda r: abs(r[col]))
+            if len(rows_nz) <= 1:
+                break
+            small = rows_nz[0]
+            for r in rows_nz[1:]:
+                q = r[col] // small[col]
+                for j in range(ncols):
+                    r[j] -= q * small[j]
+        m = [r for r in m if any(r)]
+        rows_nz = [r for r in m if r[col] != 0]
+        if rows_nz:
+            piv = rows_nz[0]
+            m.remove(piv)
+            if piv[col] < 0:
+                piv = [-x for x in piv]
+            out.append(piv)
+        col += 1
+    # reduce entries above pivots, left to right so earlier columns stay put
+    for i in range(len(out)):
+        p = next(j for j in range(ncols) if out[i][j] != 0)
+        for k in range(i):
+            q = out[k][p] // out[i][p]
+            if q:
+                out[k] = [a - q * b for a, b in zip(out[k], out[i])]
+    return [list(r) for r in out]

@@ -21,6 +21,9 @@ verbatim as reference oracles for the tests and not collected by pytest.
 - product_polyhedron, from before the product's canonical rows were
   assembled from the factors': the padded rows go through polyhedron(),
   which runs a double description on the product.
+- polyhedron_hash and sort_key, from before both were computed once when a
+  cell is interned: the old __hash__ and sort_key bodies, which rebuilt
+  their tuples on every call.
 """
 
 from deltaforms.linalg import (
@@ -165,3 +168,11 @@ def product_polyhedron(p, q):
     eqs = ([(r[:-1] + right, r[-1]) for r in p.eq_rows]
            + [(left + r[:-1], r[-1]) for r in q.eq_rows])
     return polyhedron(n1 + n2, ineqs, eqs=eqs)
+
+
+def polyhedron_hash(self):
+    return hash(self.key)
+
+
+def sort_key(self):
+    return (self.n, len(self.eq_rows), self.eq_rows, self.ineq_rows)
