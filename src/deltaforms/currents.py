@@ -8,9 +8,12 @@ normalized multiplier is always 1.
 
 A coefficient moves from one cell to another by one pull-back along
 Chart.transition_to (transport_form), for the identity or for an affine
-map, and is passed on unchanged when the transition is the identity map;
-pushforward pulls the image back along the map's affine left inverse
-on each cell.  exterior_product wedges the factors' coefficients with their
+map cleared to integers, and is passed on unchanged when the transition is
+the identity map.  The map layer is in integers: pushforward decides
+injectivity and properness on each cell from one integer elimination,
+whose right block holds the affine left inverse that the image is pulled
+back along, and pullback_surjective takes its right inverse from one
+integer elimination.  exterior_product wedges the factors' coefficients with their
 chart variables renamed into the product cell's chart.  Only the
 contraction boundary route, pairings with ambient test forms, and the
 ambient lift of as_piecewise_form go through ambient coordinates
@@ -21,22 +24,22 @@ from copy import deepcopy
 
 from .cones import int_dot
 from .linalg import (
+    _bareiss,
+    _int_duals,
     _int_rref,
+    _over_denominator,
+    _ratio,
+    _rref_kernel,
     clear_denominators,
-    det,
-    integer_kernel,
-    kernel_rational,
     mat_mul_vec,
-    rank,
-    solve_linear,
     vec_dot,
-    vec_sub,
 )
 from .polyhedra import (
     Complex,
     WeightedCell,
     _dual_coords,
     _facet_entry,
+    _int_coords,
     _pairs,
     affine_preimage,
     intersect,
@@ -82,9 +85,10 @@ def cell_summary(cell):
 # ------------------------------------------------------------- affine maps --
 
 class AffineMap:
-    """x -> lin . x + shift from R^n to R^m."""
+    """x -> lin . x + shift from R^n to R^m; ints is (L, s, D), lin and shift
+    times their common denominator D as ints, cleared once per map."""
 
-    __slots__ = ("n", "m", "lin", "shift")
+    __slots__ = ("n", "m", "lin", "shift", "ints")
 
     def __init__(self, lin_rows, shift):
         self.lin = tuple(tuple(qof(x) for x in row) for row in lin_rows)
@@ -95,6 +99,10 @@ class AffineMap:
         self.n = len(self.lin[0]) if self.lin else 0
         if any(len(row) != self.n for row in self.lin):
             raise ValueError("rows must have equal length")
+        flat, den = _over_denominator([x for row in self.lin for x in row]
+                                      + list(self.shift))
+        n, m = self.n, self.m
+        self.ints = [flat[i * n:(i + 1) * n] for i in range(m)], flat[m * n:], den
 
     @classmethod
     def identity(cls, n):
@@ -111,10 +119,10 @@ class AffineMap:
         return [vec_dot(row, x) + s for row, s in zip(self.lin, self.shift)]
 
     def apply_linear(self, v):
-        return [vec_dot(row, v) for row in self.lin]
+        return mat_mul_vec(self.lin, v)
 
     def is_surjective(self):
-        return rank([list(r) for r in self.lin]) == self.m
+        return _int_duals(self.ints[0], self.n) is not None
 
     def __repr__(self):
         return "AffineMap(%r, %r)" % (self.lin, self.shift)
@@ -158,8 +166,7 @@ def normalize_hyperplane(a, b):
     if ia[j] < 0:
         ia = [-x for x in ia]
     if type(a[j]) is int and type(b) is int:
-        q, r = divmod(b * ia[j], a[j])
-        return tuple(ia), Q(b * ia[j], a[j]) if r else q
+        return tuple(ia), _ratio(b * ia[j], a[j])
     return tuple(ia), qof(b) * ia[j] / qof(a[j])
 
 
@@ -535,14 +542,13 @@ def _split_coordinates(sigma, tau):
         w = next((w for w in tch.w_rows if int_dot(w, nvec)), None)
         if w is None:
             raise AssertionError("facet normal lies in the facet span")
-        rows = [[int_dot(u, b) for b in sch.basis] for u in tch.u_rows + (w,)]
-        off = _dual_coords(tch.u_rows + (w,), sch.base, tch.base)
-        # the integer RREF of [rows | I] holds the inverse, row i over red[i][i]
-        d = len(rows)
-        red, _ = _int_rref([row + [int(i == j) for j in range(d)]
-                            for i, row in enumerate(rows)])
-        inv = [[x if r[i] == 1 else Q(x, r[i]) for x in r[d:]]
-               for i, r in enumerate(red)]
+        duals = tch.u_rows + (w,)
+        off = _dual_coords(duals, sch.base, tch.base)
+        # the change M[i][j] = duals[i] . b_j inverted: its columns' integer
+        # duals are scale M^-1
+        cols = [[int_dot(u, b) for u in duals] for b in sch.basis]
+        inv, scale, _, _ = _int_duals(cols, len(cols))
+        inv = [[_ratio(x, scale) for x in r] for r in inv]
         entry[2] = inv, [-int_dot(r, off) for r in inv], int_dot(w, nvec)
     return entry[2]
 
@@ -690,8 +696,7 @@ def fundamental_cycle(n):
 
 def translate_delta(T, v):
     """The current shifted by the vector v."""
-    v = [qof(x) for x in v]
-    back = AffineMap(AffineMap.identity(T.n).lin, [-x for x in v])
+    back = AffineMap(AffineMap.identity(T.n).lin, [-qof(x) for x in v])
     out = []
     for cell, form, w in T.canonicalize().terms:
         moved = translate(cell, v)
@@ -701,89 +706,110 @@ def translate_delta(T, v):
 
 # ----------------------------------------------------- pushforward, pullback --
 
+def _not_injective(f, cell):
+    """Raise the error of a cell on whose affine hull f is not injective: not
+    proper if its recession cone meets ker f beyond 0, else not injective,
+    with the first vector of the rational kernel of f on the hull."""
+    rec = recession_cone(cell)
+    if rec.dim > 0:
+        cap = intersect(rec, polyhedron(f.n, [], eqs=[(row, 0) for row in f.lin]))
+        if cap.dim > 0:
+            raise PreconditionError(
+                "pushforward is not proper on a cell",
+                {"cell": cell_summary(cell),
+                 "recession_direction": [qstr(x) for x in cap.span.basis()[0]]})
+    red, pivots = _int_rref([clear_denominators(r) for r in f.lin]
+                            + [list(w) for w in cell.chart.w_rows])
+    free = next(c for c in range(f.n) if c not in pivots)
+    direction = [int(c == free) for c in range(f.n)]
+    for r, p in zip(red, pivots):
+        direction[p] = Q(-r[free], r[p])
+    raise PreconditionError(
+        "map is not injective on a cell",
+        {"cell": cell_summary(cell),
+         "kernel_direction": [qstr(x) for x in direction]})
+
+
 def pushforward(f, T):
     """Image current under an affine map injective and proper on each cell.
 
-    On each cell f has an affine left inverse g on the cell's affine hull:
-    with c0 = f(base) and mcols the images f_lin(b_k) of the chart basis,
-    the duals p_k . mcols[j] = [k = j] give g(y) = base + sum_k
-    (p_k . (y - c0)) b_k.  The image is the cell's inequalities pulled back
-    along g, cut to the affine hull of the image by the integer kernel of
-    mcols.  polyhedron() canonicalizes and interns it, so the image does not
-    depend on the duals off that hull.  The coefficient is pulled back along
-    g by one transport_form, and the weight gains the lattice index of the
-    image.
+    Per cell, one integer RREF of [L b_k | I] (f.ints = L, s, D; b_k the
+    chart basis) decides both: rank d = dim cell means f is injective on the
+    affine hull, and so proper, as the recession cone lies in the hull's
+    directions; a lower rank raises what _not_injective finds.  Its duals
+    p_k . f_lin(b_j) = [k = j] give the left inverse g(y) = base +
+    sum_k (p_k . (y - c0)) b_k, c0 = f(base).  The image is the cell's
+    inequalities pulled back along g, cut by the integer kernel of the
+    L b_k; the coefficient is pulled back along g in the image's chart
+    (M[k][j] = p_k . nb_j, c[k] = p_k . (nb - c0)), and the weight gains
+    the lattice index, a Bareiss determinant over D^d.  All in integers.
     """
     if f.n != T.n:
         raise ValueError("map domain does not match the current")
-    A = T.canonicalize()
     m = f.m
+    L, s, D = f.ints
     out = []
-    ker_eqs = [(list(row), QZERO) for row in f.lin]
-    for cell, form, w in A.terms:
-        rec = recession_cone(cell)
-        if rec.dim > 0:
-            fiber = polyhedron(f.n, [], eqs=ker_eqs)
-            cap = intersect(rec, fiber) if fiber is not None else None
-            if cap is not None and cap.dim > 0:
-                raise PreconditionError(
-                    "pushforward is not proper on a cell",
-                    {"cell": cell_summary(cell),
-                     "recession_direction": [qstr(x) for x in cap.span.basis()[0]]})
+    for cell, form, w in T.canonicalize().terms:
         sch = cell.chart
-        kernel = kernel_rational([list(r) for r in f.lin]
-                                 + [list(wr) for wr in sch.w_rows], f.n)
-        if kernel:
-            raise PreconditionError(
-                "map is not injective on a cell",
-                {"cell": cell_summary(cell),
-                 "kernel_direction": [qstr(x) for x in kernel[0]]})
-        c0 = f.apply(sch.base)
-        mcols = [f.apply_linear(b) for b in sch.basis]
-        d = cell.dim
-        duals = [solve_linear(mcols, [QONE if j == k else QZERO for j in range(d)])
-                 for k in range(d)]
-        lin = [[sum(b[i] * p[j] for b, p in zip(sch.basis, duals)) for j in range(m)]
-               for i in range(f.n)]
-        g = AffineMap(lin, vec_sub(sch.base, mat_mul_vec(lin, c0)))
-        nu = polyhedron(
-            m, [([vec_dot(r[:-1], col) for col in zip(*g.lin)],
-                 r[-1] - vec_dot(r[:-1], g.shift)) for r in cell.ineq_rows],
-            eqs=[(k, vec_dot(k, c0)) for k in integer_kernel(mcols, m)])
+        icols = [[int_dot(row, b) for row in L] for b in sch.basis]
+        inverse = _int_duals(icols, m)
+        if inverse is None:
+            _not_injective(f, cell)
+        # p_k = D q_k / lam; the image rows are the rational ones times lam delta
+        q, lam, red, pivots = inverse
+        qt = [[qk[j] for qk in q] for j in range(m)]
+        B, delta = _over_denominator(sch.base)
+        cB = [int_dot(row, B) + x * delta for row, x in zip(L, s)]  # D delta c0
+        ineqs = []
+        for r in cell.ineq_rows:
+            a = [int_dot([int_dot(r, b) for b in sch.basis], col) for col in qt]
+            ineqs.append(([D * delta * x for x in a],
+                          lam * (r[-1] * delta - int_dot(r, B)) + int_dot(a, cB)))
+        eqs = [([D * delta * x for x in k], int_dot(k, cB))
+               for k in _rref_kernel(red, pivots, m).rows]
+        nu = polyhedron(m, ineqs, eqs=eqs)
         if nu is None:
             raise AssertionError("image of a nonempty cell is empty")
-        idx = abs(det([nu.span.coords(col) for col in mcols]))
-        out.append((nu, transport_form(form, cell, nu, g), w * idx))
+        idx = abs(_bareiss([_int_coords(nu.span.rows, c) for c in icols])[1])
+        N, eta = _over_denominator(nu.chart.base)
+        diff = [D * delta * x - eta * c for x, c in zip(N, cB)]  # D delta eta (nb - c0)
+        m_rows = [[_ratio(D * int_dot(qk, nb), lam) for nb in nu.chart.basis]
+                  for qk in q]
+        off = [_ratio(int_dot(qk, diff), lam * delta * eta) for qk in q]
+        out.append((nu, form.pullback_affine(m_rows, off, k=len(q)),
+                    w * (idx if D == 1 else Q(idx, D ** len(q)))))
     return DeltaForm(m, out).canonicalize()
 
 
 def pullback_surjective(f, S):
-    """Preimage current under a surjective affine map."""
+    """Preimage current under a surjective affine map.
+
+    One integer RREF of [L | I] (f.ints = L, s, D) decides surjectivity and
+    gives a right inverse, L v_j = lam e_j.  With kb the kernel of L, the
+    weight is the index of the lifted chart basis and kb in the preimage's
+    span over that of the v_j and kb in Z^n, times (lam / D)^(m - dim).
+    """
     if f.m != S.n:
         raise ValueError("map target does not match the current")
-    if not f.is_surjective():
-        raise ValueError("map is not surjective; use the general pull-back")
-    A = S.canonicalize()
     n, m = f.n, f.m
-    kb = integer_kernel([list(r) for r in f.lin], n)
-    vcols = [solve_linear([list(r) for r in f.lin],
-                          [QONE if i == j else QZERO for i in range(m)])
-             for j in range(m)]
-    full = [[(vcols[j][i] if j < m else Q(kb[j - m][i])) for j in range(n)]
-            for i in range(n)]
-    dv = abs(det(full))
+    L, _, D = f.ints
+    inverse = _int_duals(L, n)
+    if inverse is None:
+        raise ValueError("map is not surjective; use the general pull-back")
+    v, lam, red, pivots = inverse
+    vt = list(zip(*v))
+    kb = _rref_kernel(red, pivots, n).basis()
+    dv = abs(_bareiss(v + kb)[1])
     out = []
-    for cell, form, w in A.terms:
-        pre = affine_preimage(cell, [list(r) for r in f.lin], list(f.shift), n)
+    for cell, form, w in S.canonicalize().terms:
+        pre = affine_preimage(cell, f.lin, f.shift, n)
         if pre is None:
             raise AssertionError("preimage of a nonempty cell is empty")
-        wcols = [solve_linear([list(r) for r in f.lin], [Q(x) for x in bs])
-                 for bs in cell.chart.basis]
-        coords = [pre.span.coords(v) for v in wcols + [list(b) for b in kb]]
-        if any(c is None for c in coords):
-            raise AssertionError("preimage directions escape the preimage span")
-        lam = w * abs(det(coords)) / dv
-        out.append((pre, transport_form(form, cell, pre, f), lam))
+        lifts = [[int_dot(row, b) for row in vt] for b in cell.chart.basis]
+        index = abs(_bareiss([_int_coords(pre.span.rows, x) for x in lifts + kb])[1])
+        e = m - cell.dim
+        out.append((pre, transport_form(form, cell, pre, f),
+                    w * Q(index * lam ** e, dv * D ** e)))
     return DeltaForm(n, out).canonicalize()
 
 

@@ -361,6 +361,9 @@ def load_document(path):
             return json.load(fh)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
+    except RecursionError:
+        # arrays or objects nested past the interpreter's recursion limit
+        raise DocumentError(f"{path} is nested too deeply to decode")
     except ValueError as e:
         # JSONDecodeError, or an integer literal past Python's digit limit
         raise DocumentError(f"{path} is not valid JSON: {e}")

@@ -1,9 +1,8 @@
 """Exact linear algebra over Q and lattice computations over Z.
 
 There is one elimination of each kind, in integers: Gauss-Jordan
-(_int_rref) and fraction-free Bareiss (_bareiss).  The rational rref, rank
-and det clear denominators and run them, and solve_linear and
-kernel_rational go through rref.
+(_int_rref) and fraction-free Bareiss (_bareiss); the rational rank clears
+denominators and runs Bareiss.
 
 Lattices are full sublattices of their rational span intersected with Z^n;
 bases are kept in a canonical row echelon form (Hermite normal form) so that
@@ -20,7 +19,7 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .scalars import Q, QZERO, QONE, qof
+from .scalars import Q, qof
 
 
 # ---------------------------------------------------------------- rational --
@@ -39,67 +38,8 @@ def vec_dot(a, b):
     return Q(s) if type(s) is int else s
 
 
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def rref(rows):
-    """Reduced row echelon form. Returns (rref_rows, pivot_columns).
-
-    Clearing each row of denominators is a positive scaling, which keeps the
-    row space, so the integer RREF divided by its pivots is the (unique)
-    rational one.
-    """
-    red, pivots = _int_rref([clear_denominators(r) for r in rows])
-    return [[Q(x, row[p]) for x in row] for row, p in zip(red, pivots)], pivots
-
-
 def rank(rows) -> int:
     return _bareiss([clear_denominators(r) for r in rows])[0]
-
-
-def solve_linear(a_rows, b):
-    """One solution x of A x = b, or None if inconsistent."""
-    if not a_rows:
-        return [] if all(x == 0 for x in b) else None
-    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
-    red, pivots = rref(aug)
-    n = len(a_rows[0])
-    x = [QZERO] * n
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None
-        x[p] = row[n]
-    return x
-
-
-def kernel_rational(rows, ncols):
-    """Basis of the rational kernel {x : A x = 0} as a list of vectors."""
-    red, pivots = rref(rows) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [QZERO] * ncols
-        v[f] = QONE
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
-
-
-def det(rows):
-    """Determinant over Q, by Bareiss on the matrix scaled to integers.
-
-    Scaling by den, the lcm of the denominators, multiplies the determinant
-    by den**n.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a nonsquare matrix")
-    m = [[qof(x) for x in r] for r in rows]
-    den = lcm(*(x.denominator for r in m for x in r))
-    return Q(_bareiss([[x.numerator * (den // x.denominator) for x in r]
-                       for r in m])[1], den ** n)
 
 
 # ----------------------------------------------------------------- integer --
@@ -177,28 +117,58 @@ def _bareiss(rows):
     return r, (sign * prev if full else 0)
 
 
+def _int_duals(rows, width):
+    """(duals, scale, red, pivots) of independent integer rows, or None.
+
+    One integer RREF of [rows | I] is [E rows | E], with red its left block;
+    a pivot in the identity block means the rows are dependent.  On the
+    pivot columns E rows is diagonal, so duals[k], zero off them and
+    scale E[i][k] / red[i][p_i] on pivot column p_i, satisfy
+    duals[k] . rows[j] = scale [k = j], scale the lcm of the pivots.
+    """
+    d = len(rows)
+    red, pivots = _int_rref([row + [int(i == j) for j in range(d)]
+                             for i, row in enumerate(rows)])
+    if pivots and pivots[-1] >= width:
+        return None
+    scale = lcm(*(r[p] for r, p in zip(red, pivots)))
+    duals = [[0] * width for _ in range(d)]
+    for r, p in zip(red, pivots):
+        for k, dual in enumerate(duals):
+            dual[p] = r[width + k] * (scale // r[p])
+    return duals, scale, [r[:width] for r in red], pivots
+
+
 def _unimodular_inverse(rows):
     """Inverse of a square integer matrix of determinant +-1, in integers.
 
-    The integer RREF of [M | I] is [I | M^-1] exactly when M^-1 is integral;
-    a pivot other than 1, or outside the first n columns, means M is not
-    unimodular.
+    Its rows are the duals of the matrix's columns, which come with scale 1
+    exactly when the inverse is integral, that is when M is unimodular.
     """
-    n = len(rows)
-    red, pivots = _int_rref([list(r) + [int(i == j) for j in range(n)]
-                             for i, r in enumerate(rows)])
-    if pivots != list(range(n)) or any(row[i] != 1 for i, row in enumerate(red)):
+    duals = _int_duals([list(c) for c in zip(*rows)], len(rows))
+    if duals is None or duals[1] != 1:
         raise ValueError("matrix is not unimodular")
-    return [row[n:] for row in red]
+    return duals[0]
+
+
+def _over_denominator(v):
+    """(ints, den): ints and Fractions v as ints over den, the lcm of their
+    denominators."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _ratio(a, b):
+    """a / b for ints: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Q(a, b) if r else q
 
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
     if all(type(x) is int for x in v):
         return _ivec_primitive(v)
-    v = [qof(x) for x in v]
-    den = lcm(*(x.denominator for x in v))
-    return _ivec_primitive([x.numerator * (den // x.denominator) for x in v])
+    return _ivec_primitive(_over_denominator([qof(x) for x in v])[0])
 
 
 def hnf(rows):

@@ -53,6 +53,8 @@ from .linalg import (
     _identity_lattice,
     _int_rref,
     _ivec_primitive as _primitive,
+    _over_denominator,
+    _ratio,
     _rref_kernel,
     _unimodular_inverse,
     clear_denominators,
@@ -228,16 +230,16 @@ def _frame(lat):
     return frame
 
 
-def _dual_coords(rows, x, base):
-    """The integer rows applied to x - base.
+def _dual_coords(rows, x, base, xden=1):
+    """The integer rows applied to x / xden - base.
 
-    Taken in integers over the common denominator of x and base, so the
+    Taken in integers over a common denominator of x / xden and base, so the
     values are ints when that denominator is 1, and Fractions otherwise.
     """
     x = [v if type(v) is int else qof(v) for v in x]
-    den = lcm(*(v.denominator for v in x), *(b.denominator for b in base))
-    dx = [v.numerator * (den // v.denominator) - b.numerator * (den // b.denominator)
-          for v, b in zip(x, base)]
+    den = lcm(*(v.denominator * xden for v in x), *(b.denominator for b in base))
+    dx = [v.numerator * (den // (v.denominator * xden))
+          - b.numerator * (den // b.denominator) for v, b in zip(x, base)]
     out = [int_dot(r, dx) for r in rows]
     return out if den == 1 else [Q(c, den) for c in out]
 
@@ -283,18 +285,19 @@ class Chart:
         """Affine map u_other = M . u_self + c from x to f(x), or to x.
 
         u_self are this chart's coordinates of x and u_other are other's
-        coordinates of f(x); f is anything with apply and apply_linear, such
-        as an affine map, and must carry this chart's span into other's.
-        The offset c is other's coordinates of the image base point, taken
-        in integers by to_local: ints when they are integral.
+        coordinates of f(x); f is an AffineMap, and must carry this chart's
+        span into other's.  Taken in integers, over the denominator of f.ints
+        and of the base point: entries are ints when they are integral.
         """
         if f is None:
-            cols, base = self.basis, self.base
-        else:
-            cols = [f.apply_linear(b) for b in self.basis]
-            base = f.apply(self.base)
-        m_rows = [[int_dot(u, col) for col in cols] for u in other.u_rows]
-        return m_rows, other.to_local(base)
+            m_rows = [[int_dot(u, b) for b in self.basis] for u in other.u_rows]
+            return m_rows, other.to_local(self.base)
+        L, s, den = f.ints
+        B, bden = _over_denominator(self.base)
+        cols = [[int_dot(row, b) for row in L] for b in self.basis]
+        m_rows = [[_ratio(int_dot(u, c), den) for c in cols] for u in other.u_rows]
+        image = [int_dot(row, B) + x * bden for row, x in zip(L, s)]
+        return m_rows, _dual_coords(other.u_rows, image, other.base, den * bden)
 
 
 class Polyhedron:
@@ -616,13 +619,28 @@ def product_polyhedron(p: Polyhedron, q: Polyhedron):
 
 
 def affine_preimage(p: Polyhedron, lin_rows, shift, domain_n):
-    """{x : lin.x + shift in p} as a polyhedron in R^domain_n."""
-    lin = [[qof(x) for x in r] for r in lin_rows]
-    shift = [qof(s) for s in shift]
+    """{x : lin.x + shift in p} as a polyhedron in R^domain_n.
+
+    With lin and shift cleared to ints L, s over D, each row a.y <= b of p
+    pulls back to a.L x <= D b - a.s.  Under a zero-shift projection onto
+    leading or trailing coordinates, product_polyhedron assembles it.
+    """
+    k = len(shift)
+    flat, den = _over_denominator([x for row in lin_rows for x in row] + list(shift))
+    s = flat[k * domain_n:]
+    if domain_n > k > 0 and den == 1 and not any(s):
+        for lead in (0, domain_n - k):
+            if flat[:k * domain_n] == [int(j == i + lead) for i in range(k)
+                                       for j in range(domain_n)]:
+                rest = whole_space(domain_n - k)
+                return (product_polyhedron(rest, p) if lead
+                        else product_polyhedron(p, rest))
+    cols = [flat[j:k * domain_n:domain_n] for j in range(domain_n)]
 
     def pull(rows):
-        return [([sum(r[i] * lin[i][j] for i in range(p.n)) for j in range(domain_n)],
-                 r[-1] - vec_dot(r[:-1], shift)) for r in rows]
+        # zip stops int_dot at the k entries of a
+        return [([int_dot(r, col) for col in cols], den * r[-1] - int_dot(r, s))
+                for r in rows]
 
     return polyhedron(domain_n, pull(p.ineq_rows), eqs=pull(p.eq_rows))
 

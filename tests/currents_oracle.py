@@ -18,6 +18,13 @@ pytest.
   former method body.
 - _prepare_for_divisor slices along the function's walls and checks the
   complex in its own body rather than through _complex_presentation.
+- rational_pushforward and rational_pullback_surjective are the bodies
+  that came before the map layer ran in integers: per cell, the rational
+  kernel decided injectivity, the recession cone met the fibre of every
+  cell with lines, each dual of the left (or right) inverse came from its
+  own rational solve, the coefficient moved along the AffineMap of the left
+  inverse through transport_form, and the lattice index was a rational
+  determinant of Lattice.coords.
 - exterior_product lifts each factor's coefficient to ambient coordinates,
   pulls it back along the projections onto the product space, wedges, and
   restricts to the product cell's chart; its product cells come from
@@ -26,11 +33,14 @@ pytest.
 Everything else (cells, transports for the identity map, the stable pairs,
 the balancing check) is the library's own, except invert, which left the
 library once no caller needed a rational inverse: it comes from
-linalg_oracle, whose invert has the same body.
+linalg_oracle, whose invert has the same body.  So do solve_linear,
+kernel_rational and vec_sub, which left the library with the rational map
+layer.
 """
 
 from deltaforms.cones import int_dot
 from deltaforms.currents import (
+    AffineMap,
     BalancingError,
     DeltaForm,
     PreconditionError,
@@ -48,16 +58,7 @@ from deltaforms.intersection import (
     _stable_pairs,
     _touches_own_boundary,
 )
-from deltaforms.linalg import (
-    det,
-    integer_kernel,
-    kernel_rational,
-    mat_mul_vec,
-    rank,
-    solve_linear,
-    vec_dot,
-    vec_sub,
-)
+from deltaforms.linalg import integer_kernel, mat_mul_vec, rank, vec_dot
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,
@@ -70,7 +71,7 @@ from deltaforms.polyhedra import (
     translate,
 )
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
-from linalg_oracle import invert
+from linalg_oracle import det, invert, kernel_rational, solve_linear, vec_sub
 from polyhedra_oracle import product_polyhedron
 
 
@@ -353,3 +354,89 @@ def exterior_product(S, T):
             form = lift1.wedge(lift2).restrict(prod.chart)
             out.append((prod, form, w1 * w2))
     return DeltaForm(n + m, out).canonicalize()
+
+
+def rational_pushforward(f, T):
+    """Image current under an affine map injective and proper on each cell.
+
+    On each cell f has an affine left inverse g on the cell's affine hull:
+    with c0 = f(base) and mcols the images f_lin(b_k) of the chart basis,
+    the duals p_k . mcols[j] = [k = j] give g(y) = base + sum_k
+    (p_k . (y - c0)) b_k.  The image is the cell's inequalities pulled back
+    along g, cut to the affine hull of the image by the integer kernel of
+    mcols.  polyhedron() canonicalizes and interns it, so the image does not
+    depend on the duals off that hull.  The coefficient is pulled back along
+    g by one transport_form, and the weight gains the lattice index of the
+    image.
+    """
+    if f.n != T.n:
+        raise ValueError("map domain does not match the current")
+    A = T.canonicalize()
+    m = f.m
+    out = []
+    ker_eqs = [(list(row), QZERO) for row in f.lin]
+    for cell, form, w in A.terms:
+        rec = recession_cone(cell)
+        if rec.dim > 0:
+            fiber = polyhedron(f.n, [], eqs=ker_eqs)
+            cap = intersect(rec, fiber) if fiber is not None else None
+            if cap is not None and cap.dim > 0:
+                raise PreconditionError(
+                    "pushforward is not proper on a cell",
+                    {"cell": cell_summary(cell),
+                     "recession_direction": [qstr(x) for x in cap.span.basis()[0]]})
+        sch = cell.chart
+        kernel = kernel_rational([list(r) for r in f.lin]
+                                 + [list(wr) for wr in sch.w_rows], f.n)
+        if kernel:
+            raise PreconditionError(
+                "map is not injective on a cell",
+                {"cell": cell_summary(cell),
+                 "kernel_direction": [qstr(x) for x in kernel[0]]})
+        c0 = f.apply(sch.base)
+        mcols = [f.apply_linear(b) for b in sch.basis]
+        d = cell.dim
+        duals = [solve_linear(mcols, [QONE if j == k else QZERO for j in range(d)])
+                 for k in range(d)]
+        lin = [[sum(b[i] * p[j] for b, p in zip(sch.basis, duals)) for j in range(m)]
+               for i in range(f.n)]
+        g = AffineMap(lin, vec_sub(sch.base, mat_mul_vec(lin, c0)))
+        nu = polyhedron(
+            m, [([vec_dot(r[:-1], col) for col in zip(*g.lin)],
+                 r[-1] - vec_dot(r[:-1], g.shift)) for r in cell.ineq_rows],
+            eqs=[(k, vec_dot(k, c0)) for k in integer_kernel(mcols, m)])
+        if nu is None:
+            raise AssertionError("image of a nonempty cell is empty")
+        idx = abs(det([nu.span.coords(col) for col in mcols]))
+        out.append((nu, transport_form(form, cell, nu, g), w * idx))
+    return DeltaForm(m, out).canonicalize()
+
+
+def rational_pullback_surjective(f, S):
+    """Preimage current under a surjective affine map."""
+    if f.m != S.n:
+        raise ValueError("map target does not match the current")
+    if not f.is_surjective():
+        raise ValueError("map is not surjective; use the general pull-back")
+    A = S.canonicalize()
+    n, m = f.n, f.m
+    kb = integer_kernel([list(r) for r in f.lin], n)
+    vcols = [solve_linear([list(r) for r in f.lin],
+                          [QONE if i == j else QZERO for i in range(m)])
+             for j in range(m)]
+    full = [[(vcols[j][i] if j < m else Q(kb[j - m][i])) for j in range(n)]
+            for i in range(n)]
+    dv = abs(det(full))
+    out = []
+    for cell, form, w in A.terms:
+        pre = affine_preimage(cell, [list(r) for r in f.lin], list(f.shift), n)
+        if pre is None:
+            raise AssertionError("preimage of a nonempty cell is empty")
+        wcols = [solve_linear([list(r) for r in f.lin], [Q(x) for x in bs])
+                 for bs in cell.chart.basis]
+        coords = [pre.span.coords(v) for v in wcols + [list(b) for b in kb]]
+        if any(c is None for c in coords):
+            raise AssertionError("preimage directions escape the preimage span")
+        lam = w * abs(det(coords)) / dv
+        out.append((pre, transport_form(form, cell, pre, f), lam))
+    return DeltaForm(n, out).canonicalize()

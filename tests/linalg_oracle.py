@@ -16,6 +16,11 @@ The integer kernels from before their loops ran inside builtins: int_dot
 zero; _ivec_primitive took the gcd one entry at a time; _int_rref searched
 each column to the end with next() over a generator; and hnf eliminated
 even rows already in Hermite normal form.
+
+The rational solver left the library with the rational map layer
+(pushforward and pullback_surjective now run on integer eliminations):
+the library's solve_linear and kernel_rational had the bodies of the two
+here, over the library's rref, and vec_sub is kept here as it was.
 """
 
 from math import gcd
@@ -29,6 +34,10 @@ def int_dot(u, v):
 
 def vec_dot(a, b):
     return sum((x * y for x, y in zip(a, b)), QZERO)
+
+
+def vec_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
 
 
 def rref(rows):

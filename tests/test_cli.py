@@ -259,6 +259,61 @@ class TestParseErrors:
         assert code == 1
 
 
+# Every verb that loads documents, with the kind of each document it reads,
+# in the order it reads them.
+DOCUMENT_VERBS = [
+    (["check-balance"], ["delta-form"]),
+    (["apply", "--op", "d1"], ["delta-form"]),
+    (["wedge"], ["delta-form", "delta-form"]),
+    (["transversal"], ["delta-form", "delta-form"]),
+    (["pushforward", "--map"], ["map", "delta-form"]),
+    (["pullback", "--map"], ["map", "delta-form"]),
+    (["integrate"], ["integrand"]),
+    (["stokes-check"], ["integrand"]),
+    (["eval", "--window"], ["window", "delta-form", "superform"]),
+]
+NESTING = 200000
+
+
+@pytest.fixture(scope="module")
+def document_files(tmp_path_factory):
+    """One valid document of each kind, and the two nested ones."""
+    root = tmp_path_factory.mktemp("documents")
+    cell = polyhedron_json(box([0, 0], [1, 1]))
+    area = SuperForm.d_prime_x(2, 0).wedge(SuperForm.d_second_x(2, 0))
+    docs = {"delta-form": deltaform_json(tropical_line()),
+            "map": map_json(AffineMap([[1, 0], [0, 1]], [0, 0])),
+            "integrand": {"cell": cell, "form": superform_json(area),
+                          "which": "first"},
+            "window": cell,
+            "superform": superform_json(SuperForm.scalar(2, 1))}
+    paths = {kind: write(root, kind + ".json", doc) for kind, doc in docs.items()}
+    # 200,000 nested arrays are 400 KB; the objects nest {"a": ...} as deep
+    (root / "arrays.json").write_text("[" * NESTING + "]" * NESTING)
+    (root / "objects.json").write_text('{"a":' * NESTING + "1" + "}" * NESTING)
+    paths["arrays"] = str(root / "arrays.json")
+    paths["objects"] = str(root / "objects.json")
+    return paths
+
+
+@pytest.mark.parametrize("nested", ["arrays", "objects"])
+@pytest.mark.parametrize("verb, kinds", DOCUMENT_VERBS,
+                         ids=[v[0] for v, _ in DOCUMENT_VERBS])
+def test_deeply_nested_documents_exit_one(capsys, document_files, nested,
+                                          verb, kinds):
+    """Each document a verb reads, nested past the recursion limit in turn,
+    exits 1 with exactly one parse document naming that file."""
+    for slot in range(len(kinds)):
+        paths = [document_files[nested if i == slot else kind]
+                 for i, kind in enumerate(kinds)]
+        code, out = run(capsys, *verb, *paths)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": {
+            "kind": "parse",
+            "message": "%s is nested too deeply to decode" % paths[slot]}}
+
+
 class TestApply:
     def test_closed_cycle_has_zero_differential(self, tmp_path, capsys):
         path = write(tmp_path, "line.json", deltaform_json(tropical_line()))

@@ -83,7 +83,7 @@ def brute_force_max(c, rows, rhs):
     for idx in combinations(range(len(rows)), n):
         sub = [rows[i] for i in idx]
         sub_rhs = [rhs[i] for i in idx]
-        from deltaforms.linalg import det, solve_linear
+        from linalg_oracle import det, solve_linear
 
         if det([list(map(Q, r)) for r in sub]) == 0:
             continue

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import polyhedra_oracle
+from linalg_oracle import det
 from superform_oracle import triangulate
 from deltaforms.io import dumps_canonical
-from deltaforms.linalg import Lattice, complement_lattice, det, integer_kernel
+from deltaforms.linalg import Lattice, complement_lattice, integer_kernel
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,

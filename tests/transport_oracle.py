@@ -25,11 +25,11 @@ Everything else (charts, cells, compose_affine) is the library's own.
 from itertools import combinations
 
 from deltaforms.cones import int_dot
-from deltaforms.linalg import det, mat_mul_vec, vec_dot, vec_sub
+from deltaforms.linalg import mat_mul_vec, vec_dot
 from deltaforms.polyhedra import primitive_normal
 from deltaforms.scalars import Q, QONE, qof
 from deltaforms.superforms import _superform
-from linalg_oracle import invert
+from linalg_oracle import det, invert, vec_sub
 
 
 def to_local(self, x):

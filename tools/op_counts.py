@@ -29,6 +29,9 @@ FUNCTIONS = {
     "_ivec_primitive": ("linalg.py", "_ivec_primitive"),
     "int_dot": ("cones.py", "int_dot"),
     "pullback_affine": ("superforms.py", "pullback_affine"),
+    "pushforward": ("currents.py", "pushforward"),
+    "transition_to": ("polyhedra.py", "transition_to"),
+    "recession_cone": ("polyhedra.py", "recession_cone"),
     "_stable_pairs": ("intersection.py", "_stable_pairs"),
     "_stable_scan": ("intersection.py", "_stable_scan"),
     "_monomial_integral": ("superforms.py", "_monomial_integral"),
