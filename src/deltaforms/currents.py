@@ -4,7 +4,7 @@ A current is a finite sum of terms (cell, coefficient, weight) where the
 coefficient is a SuperForm written in the chart coordinates of the cell and
 the weight is a positive rational multiplier of the canonical lattice
 weight.  Canonicalization folds the weight into the coefficient, so the
-normalized multiplier is always 1.
+normalized multiplier is always 1, and no operation multiplies by it.
 
 A coefficient moves from one cell to another by one pull-back along
 Chart.transition_to (transport_form), for the identity or for an affine
@@ -218,7 +218,7 @@ def _sliced_terms(terms, hyperplanes):
 # ------------------------------------------------------------- delta forms --
 
 class DeltaForm:
-    """Finite sum of coefficient-weighted polyhedral integration currents."""
+    """Finite sum of weighted polyhedral currents; canonical weights are 1."""
 
     __slots__ = ("n", "terms", "_balancing", "_boundaries")
 
@@ -242,7 +242,7 @@ class DeltaForm:
     # -- structure -----------------------------------------------------------
 
     def canonicalize(self):
-        """Fold weights into coefficients, merge cells, drop vanishing terms."""
+        """Fold weights into coefficients, leaving 1, merge cells, drop zero terms."""
         acc = {}
         for cell, form, w in self.terms:
             f = form if w == 1 else form.scale(w)
@@ -298,7 +298,8 @@ class DeltaForm:
                 for key, terms in sorted(buckets.items())}
 
     def tridegrees(self):
-        return sorted(self.tridegree_components())
+        return sorted({(p, q, self.n - c.dim)
+                       for c, f, _ in self.canonicalize().terms for p, q in f.bidegrees()})
 
     # -- refinement and equality ----------------------------------------------
 
@@ -400,26 +401,26 @@ class DeltaForm:
                              "expected %r" % (eb, (self.n - s, self.n - t)))
         total = QZERO
         memo = {}  # one Lasserre memo for every piece
-        for cell, form, w in T.terms:
+        for cell, form, _ in T.terms:
             piece = intersect(cell, window)
             if piece is None or piece.dim < cell.dim:
                 continue
             a = transport_form(form, cell, piece)
             g = chart_to_ambient(a, piece).wedge(eta)
             if not _top_is_zero(g, piece):
-                total += _integrate_top(g, WeightedCell(piece, w), memo)
+                total += _integrate_top(g, WeightedCell(piece, 1), memo)
         return total
 
 
 # ----------------------------------------------------------------- balancing --
 
 def _facet_stars(terms):
-    """Group the terms around their shared facets, as (cell, form, weight)."""
+    """Group canonical terms around their shared facets, as (cell, form)."""
     stars = {}
-    for cell, form, w in terms:
+    for cell, form, _ in terms:
         if cell.dim:
             for tau in cell.facets():
-                stars.setdefault(tau, []).append((cell, form, w))
+                stars.setdefault(tau, []).append((cell, form))
     return stars
 
 
@@ -432,9 +433,8 @@ def _check_balanced_refined(R):
     for (p, q, r), comp in R.tridegree_components().items():
         stars = _facet_stars(comp.terms)
         for tau in sorted(stars, key=lambda c: c.sort_key):
-            spokes = [(primitive_normal(sigma, tau),
-                       transport_form(form.scale(w), sigma, tau))
-                      for sigma, form, w in stars[tau]]
+            spokes = [(primitive_normal(sigma, tau), transport_form(form, sigma, tau))
+                      for sigma, form in stars[tau]]
             residues = []
             for w_row in tau.chart.w_rows:
                 beta = SuperForm.zero(tau.dim)
@@ -468,7 +468,7 @@ def _check_balanced_refined(R):
 def _balanced_refinement(T):
     """(refined presentation, verdict, certificate) of T, computed once per current."""
     if T._balancing is None:
-        R = T.canonicalize().refine()
+        R = T.refine()
         T._balancing = (R,) + _check_balanced_refined(R)
     return T._balancing
 
@@ -575,14 +575,13 @@ def _boundary(T):
     if T._boundaries is None:
         R = require_balanced(T)
         prime, second = {}, {}
-        for cell, form, w in R.terms:
+        for cell, form, _ in R.terms:
             if cell.dim == 0:
                 continue
-            f = form.scale(w)
             for tau in cell.facets():
                 inv, shift, scale = _split_coordinates(cell, tau)
                 first_part, second_part = _extract_normal_parts(
-                    f.pullback_affine(inv, shift), tau.dim)
+                    form.pullback_affine(inv, shift), tau.dim)
                 _add_facet_term(prime, tau, second_part.scale(-scale))
                 _add_facet_term(second, tau, first_part.scale(scale))
         T._boundaries = _facet_current(T.n, prime), _facet_current(T.n, second)
@@ -607,10 +606,10 @@ def boundary_second_via_contraction(T):
 def _boundary_contraction(T, slot, sign):
     R = require_balanced(T)
     collected = {}
-    for cell, form, w in R.terms:
+    for cell, form, _ in R.terms:
         if cell.dim == 0:
             continue
-        amb = chart_to_ambient(form.scale(w), cell)
+        amb = chart_to_ambient(form, cell)
         for tau in cell.facets():
             nvec = primitive_normal(cell, tau)
             beta = amb.contract([Q(x) for x in nvec], slot).restrict(tau.chart)
@@ -671,9 +670,9 @@ def exterior_product(S, T):
     A, B = S.canonicalize(), T.canonicalize()
     n, m = A.n, B.n
     out = []
-    for c1, f1, w1 in A.terms:
+    for c1, f1, _ in A.terms:
         ch1 = c1.chart
-        for c2, f2, w2 in B.terms:
+        for c2, f2, _ in B.terms:
             ch2 = c2.chart
             prod = product_polyhedron(c1, c2)
             k = prod.dim
@@ -685,7 +684,7 @@ def exterior_product(S, T):
                 m_rows = [[int_dot(u, b) for b in prod.chart.basis] for u in duals]
                 form = form.pullback_affine(
                     m_rows, _dual_coords(duals, prod.chart.base, base), k=k)
-            out.append((prod, form, w1 * w2))
+            out.append((prod, form, QONE))
     return DeltaForm(n + m, out).canonicalize()
 
 
@@ -741,7 +740,7 @@ def pushforward(f, T):
     sum_k (p_k . (y - c0)) b_k, c0 = f(base).  The image is the cell's
     inequalities pulled back along g, cut by the integer kernel of the
     L b_k; the coefficient is pulled back along g in the image's chart
-    (M[k][j] = p_k . nb_j, c[k] = p_k . (nb - c0)), and the weight gains
+    (M[k][j] = p_k . nb_j, c[k] = p_k . (nb - c0)), and the weight is
     the lattice index, a Bareiss determinant over D^d.  All in integers.
     """
     if f.n != T.n:
@@ -749,7 +748,7 @@ def pushforward(f, T):
     m = f.m
     L, s, D = f.ints
     out = []
-    for cell, form, w in T.canonicalize().terms:
+    for cell, form, _ in T.canonicalize().terms:
         sch = cell.chart
         icols = [[int_dot(row, b) for row in L] for b in sch.basis]
         inverse = _int_duals(icols, m)
@@ -777,7 +776,7 @@ def pushforward(f, T):
                   for qk in q]
         off = [_ratio(int_dot(qk, diff), lam * delta * eta) for qk in q]
         out.append((nu, form.pullback_affine(m_rows, off, k=len(q)),
-                    w * (idx if D == 1 else Q(idx, D ** len(q)))))
+                    idx if D == 1 else Q(idx, D ** len(q))))
     return DeltaForm(m, out).canonicalize()
 
 
@@ -801,7 +800,7 @@ def pullback_surjective(f, S):
     kb = _rref_kernel(red, pivots, n).basis()
     dv = abs(_bareiss(v + kb)[1])
     out = []
-    for cell, form, w in S.canonicalize().terms:
+    for cell, form, _ in S.canonicalize().terms:
         pre = affine_preimage(cell, f.lin, f.shift, n)
         if pre is None:
             raise AssertionError("preimage of a nonempty cell is empty")
@@ -809,7 +808,7 @@ def pullback_surjective(f, S):
         index = abs(_bareiss([_int_coords(pre.span.rows, x) for x in lifts + kb])[1])
         e = m - cell.dim
         out.append((pre, transport_form(form, cell, pre, f),
-                    w * Q(index * lam ** e, dv * D ** e)))
+                    Q(index * lam ** e, dv * D ** e)))
     return DeltaForm(n, out).canonicalize()
 
 
@@ -835,9 +834,9 @@ def as_piecewise_form(T):
     for reg in regions:
         rp = reg.relint_point()
         total = SuperForm.zero(A.n)
-        for cell, form, w in A.terms:
+        for cell, form, _ in A.terms:
             if cell.contains(rp):
-                total = total + chart_to_ambient(form.scale(w), cell)
+                total = total + chart_to_ambient(form, cell)
         pieces[reg] = total
     cx = Complex(regions, validate=False)
     return PiecewiseForm(cx, pieces)

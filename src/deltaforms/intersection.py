@@ -111,10 +111,16 @@ def _complex_presentation(T, pool=()):
         return C.refine(extra_hyperplanes=pool)
 
 
-def _prepare_for_divisor(phi, T):
-    """Slice T along phi's walls and verify compatibility and balancing."""
-    R = _complex_presentation(T, hyperplane_pool(phi.maximal))
+def _balanced_presentation(T, pool=(), factor=None):
+    """_complex_presentation(T, pool), checked for balance on itself.
+
+    The verdict is is_balanced()'s, as refine() adds walls inside cells, whose
+    spokes cancel, and splits facets, whose residues restrict; the face may
+    differ, so a wedge factor ("left", "right") raises with is_balanced()'s."""
+    R = _complex_presentation(T, pool)
     ok, cert = _check_balanced_refined(R)
+    if not ok and factor:
+        raise BalancingError("wedge factor (%s) is not balanced" % factor, T.is_balanced()[1])
     if not ok:
         raise BalancingError("current is not balanced", cert)
     return R
@@ -133,9 +139,9 @@ def _divisor_core(phi, R):
     gradient g, then g - base_grad = sum_j (g . comp_j) w_j over the duals of
     tau's chart, so the star's sum is sum_j (g . comp_j) residue_j with the
     residues that _check_balanced_refined requires to be zero.
-    divisor_intersect checks them on this very presentation, and
-    wedge_diagonal cuts the product of two balanced complex presentations,
-    which each cut keeps balanced; so a skipped star adds exactly zero.
+    _balanced_presentation checks them on the presentation divisor_intersect
+    cuts and on both factors of wedge_diagonal's product, which each cut
+    keeps balanced; so a skipped star adds exactly zero.
     """
     n = R.n
     gradients = {cell: phi.gradient(_covering_cell(phi.maximal, cell, "function"))
@@ -145,14 +151,14 @@ def _divisor_core(phi, R):
     for tau in sorted(stars, key=lambda c: c.sort_key):
         contributions = sorted(stars[tau], key=lambda t: t[0].sort_key)
         g0 = gradients[contributions[0][0]]
-        if all(gradients[sigma] == g0 for sigma, _, _ in contributions):
+        if all(gradients[sigma] == g0 for sigma, _ in contributions):
             continue
         # the star's gradients over one common denominator, so the chart's
         # integer rows and normals meet them in integers
-        den = lcm(*(x.denominator for sigma, _, _ in contributions
+        den = lcm(*(x.denominator for sigma, _ in contributions
                     for x in gradients[sigma]))
         grads = {sigma: [x.numerator * (den // x.denominator) for x in gradients[sigma]]
-                 for sigma, _, _ in contributions}
+                 for sigma, _ in contributions}
         # den times the gradient that agrees with g0 on tau and is zero on
         # the complement: sum_k (g0 . basis_k) u_k over the chart's dual rows
         ch = tau.chart
@@ -162,11 +168,11 @@ def _divisor_core(phi, R):
             c = int_dot(g0, b)
             base_grad = [x + c * y for x, y in zip(base_grad, u)]
         beta = SuperForm.zero(tau.dim)
-        for sigma, form, w in contributions:
+        for sigma, form in contributions:
             jump = [a - b for a, b in zip(grads[sigma], base_grad)]
             c = int_dot(jump, primitive_normal(sigma, tau))
             if c:
-                beta = beta + transport_form(form.scale(w), sigma, tau).scale(Q(c, den))
+                beta = beta + transport_form(form, sigma, tau).scale(Q(c, den))
         if not beta.is_zero():
             out.append((tau, beta, QONE))
     return DeltaForm(n, out).canonicalize()
@@ -181,8 +187,7 @@ def divisor_intersect(phi, T):
     """
     if phi.complex.n != T.n:
         raise ValueError("function lives in the wrong ambient space")
-    R = _prepare_for_divisor(phi, T)
-    return _divisor_core(phi, R)
+    return _divisor_core(phi, _balanced_presentation(T, hyperplane_pool(phi.maximal)))
 
 
 def corner_locus(phi):
@@ -238,23 +243,18 @@ def wedge_diagonal(S, T):
     if S.n != T.n:
         raise ValueError("wedge factors live in different spaces")
     n = S.n
-    for name, U in (("left", S), ("right", T)):
-        ok, cert = U.is_balanced()
-        if not ok:
-            raise BalancingError(
-                "wedge factor (%s) is not balanced" % name, cert)
-    A = _complex_presentation(S)
-    B = _complex_presentation(T)
+    A = _balanced_presentation(S, factor="left")
+    B = _balanced_presentation(T, factor="right")
     X = exterior_product(A, B)
     for i in range(n, 0, -1):
         phi = _wall_function(2 * n, i - 1, n + i - 1)
         pool = hyperplane_pool(phi.maximal)
         X = DeltaForm(2 * n, _sliced_terms(X.terms, pool)).canonicalize()
         X = _divisor_core(phi, X)
-        if X.is_zero():
+        if not X.terms:
             return DeltaForm(n)
     p1 = AffineMap.projection(2 * n, range(n))
-    return pushforward(p1, X).canonicalize()
+    return pushforward(p1, X)
 
 
 # ------------------------------------------------- transversal intersection --
@@ -458,7 +458,7 @@ def pullback_general(f, S):
     lifted = exterior_product(fundamental_cycle(n), S)
     prod = wedge_diagonal(gamma, lifted)
     p1 = AffineMap.projection(n + m, range(n))
-    return pushforward(p1, prod).canonicalize()
+    return pushforward(p1, prod)
 
 
 # ------------------------------------------------------------ property suite --

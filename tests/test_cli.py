@@ -194,40 +194,108 @@ class TestParseErrors:
 
     @staticmethod
     def malformed(what):
-        """A tropical line document with one defect, or a PL function one."""
+        """A tropical line document with one defect, or a PL function or an
+        affine map one."""
         doc = deltaform_json(tropical_line())
         term = doc["terms"][0]
+        form_term = term["form"]["terms"][0]
         if what == "malformed rational":
             term["weight"] = "1/0"
+        elif what == "boolean rational":
+            term["weight"] = True
+        elif what == "null rational":
+            term["weight"] = None
         elif what == "unknown keys":
             term["colour"] = "red"
         elif what == "empty polyhedron":
             term["cell"]["ineqs"] = [{"a": ["1/1", "0/1"], "b": "-1/1"},
                                      {"a": ["-1/1", "0/1"], "b": "0/1"}]
+        elif what == "vector not a list":
+            term["cell"]["ineqs"][0]["a"] = "1/1"
+        elif what == "vector of the wrong length":
+            term["cell"]["ineqs"][0]["a"] = ["1/1"]
+        elif what == "term not an object":
+            doc["terms"][0] = 5
+        elif what == "ineqs not a list":
+            term["cell"]["ineqs"] = 5
+        elif what == "polynomial not a list":
+            form_term["poly"] = 5
+        elif what == "duplicate monomial":
+            form_term["poly"] *= 2
+        elif what == "dp out of range":
+            form_term["dp"] = [1]
+        elif what == "dp not increasing":
+            form_term["dp"] = [0, 0]
+        elif what == "superform terms not a list":
+            term["form"]["terms"] = 5
+        elif what == "duplicate index pair":
+            term["form"]["terms"] *= 2
         elif what == "chart off the cell":
             term["chart"] = {"base": ["-1/2", "0/1"], "basis": [[1, 0]]}
+        elif what == "chart basis count":
+            term["chart"]["basis"] = []
+        elif what == "chart basis not integral":
+            term["chart"]["basis"] = [["1/2", "0/1"]]
+        elif what == "terms not a list":
+            doc["terms"] = 5
+        elif what == "cell in the wrong dimension":
+            term["cell"] = {"n": 3, "ineqs": []}
+        elif what == "map with no rows":
+            doc = {"lin": [], "shift": []}
         else:
             doc = plfunction_json(pl_max(1, [([1], 0), ([0], 0)]))
-            doc["pieces"][1]["cell"] = doc["pieces"][0]["cell"]
+            if what == "empty complex":
+                doc["complex"]["cells"] = []
+            else:
+                doc["pieces"][1]["cell"] = doc["pieces"][0]["cell"]
         return doc
 
     @pytest.mark.parametrize("what, message", [
         ("malformed rational", "malformed rational '1/0'"),
+        ("boolean rational", "expected a rational, got a boolean"),
+        ("null rational", "expected a rational, got NoneType"),
         ("unknown keys", "delta-form term has unknown keys ['colour']"),
         ("empty polyhedron", "polyhedron is empty"),
+        ("vector not a list", "expected a list of rationals"),
+        ("vector of the wrong length", "expected a vector of length 2, got 1"),
+        ("vector text", "malformed vector '1,,2'"),
+        ("term not an object", "delta-form term must be an object"),
+        ("ineqs not a list", "polyhedron inequalities must be a list"),
+        ("polynomial not a list", "polynomial must be a list of monomials"),
+        ("duplicate monomial", "duplicate monomial in polynomial"),
+        ("dp out of range", "dp index out of range for 1 variables"),
+        ("dp not increasing", "dp must be strictly increasing"),
+        ("superform terms not a list", "superform terms must be a list"),
+        ("duplicate index pair", "duplicate generator index pair in superform"),
         ("chart off the cell", "chart base point does not lie on the cell"),
+        ("chart basis count", "chart basis must list 1 vectors"),
+        ("chart basis not integral", "chart basis vectors must be integral"),
+        ("terms not a list", "delta-form terms must be a list"),
+        ("cell in the wrong dimension", "term cell has the wrong ambient dimension"),
+        ("map with no rows", "affine map needs at least one linear row"),
         ("duplicate piece", "duplicate piece for cell 0"),
+        ("empty complex", "complex must list at least one cell"),
     ])
     def test_malformed_documents_exit_one(self, tmp_path, capsys, what, message):
         """Exit 1 with exactly one parse document naming the defect."""
         doc = self.malformed(what)
-        if what == "duplicate piece":
+        if what in ("duplicate piece", "empty complex"):
             # no verb reads a PL function document
-            with pytest.raises(DocumentError, match="^%s$" % message):
+            with pytest.raises(DocumentError) as e:
                 parse_plfunction(doc)
+            assert str(e.value) == message
             return
-        for verb in (["check-balance"], ["apply", "--op", "d1"]):
-            code, out = run(capsys, *verb, write(tmp_path, "bad.json", doc))
+        bad = write(tmp_path, "bad.json", doc)
+        line = write(tmp_path, "line.json", deltaform_json(tropical_line()))
+        if what == "vector text":
+            verbs = [["wedge", "--method", "displacement", "--vector", "1,,2",
+                      line, line]]
+        elif what == "map with no rows":
+            verbs = [["pushforward", "--map", bad, line]]
+        else:
+            verbs = [["check-balance", bad], ["apply", "--op", "d1", bad]]
+        for argv in verbs:
+            code, out = run(capsys, *argv)
             assert code == 1
             assert out.count("\n") == 1
             assert json.loads(out) == {"error": {"kind": "parse",

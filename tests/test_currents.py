@@ -22,6 +22,7 @@ from deltaforms.currents import (
     chart_to_ambient,
     exterior_product,
     fundamental_cycle,
+    hyperplane_pool,
     normalize_hyperplane,
     piecewise_to_delta,
     ps_multiply,
@@ -31,7 +32,7 @@ from deltaforms.currents import (
     transport_form,
 )
 from deltaforms.intersection import (
-    _prepare_for_divisor,
+    _balanced_presentation,
     corner_locus,
     displacement_product,
     generic_vector,
@@ -861,7 +862,8 @@ def test_prepare_for_divisor_matches_the_oracle(n):
         phi = pl_max(n, [([rng.randint(-2, 2) for _ in range(n)],
                           rng.randint(-2, 2)) for _ in range(3)])
         for T in (random_balanced(rng, n), random_current(rng, n, size=2)):
-            got = outcome(_prepare_for_divisor, phi, T)
+            got = outcome(lambda phi, T: _balanced_presentation(
+                T, hyperplane_pool(phi.maximal)), phi, T)
             assert got == outcome(currents_oracle._prepare_for_divisor, phi, T)
             nonzero += got[0] == "terms" and bool(got[1])
     assert nonzero >= 6
