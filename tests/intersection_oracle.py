@@ -9,15 +9,22 @@ not collected by pytest.
   Fractions, through Polyhedron.contains.
 - _facet_stars scales every form by its weight while grouping, also in the
   stars that are then dropped.
+- _wall_cut is one step of wedge_diagonal's loop before it cut one cell at
+  a time: max(x_a, x_b) as a two-piece PLFunction (_wall_function), every
+  term sliced along its wall, then the library's _divisor_core, looked up
+  when called, so that a test can swap in the one above.
 
 Everything else (transports, normals, the balancing check) is the
 library's own.
 """
 
+from deltaforms import intersection
 from deltaforms.currents import (
     DeltaForm,
     PreconditionError,
+    _sliced_terms,
     cell_summary,
+    hyperplane_pool,
     transport_form,
 )
 from deltaforms.linalg import vec_dot
@@ -80,3 +87,16 @@ def _divisor_core(phi, R):
             out[tau] = out.get(tau, SuperForm.zero(tau.dim)) + beta
     return DeltaForm(n, [(tau, beta, QONE) for tau, beta in out.items()
                          if not beta.is_zero()]).canonicalize()
+
+
+def _wall_function(N, a, b):
+    """max(x_a, x_b) on R^N as a two-piece PLFunction."""
+    return intersection.pl_max(N, [([int(j == i) for j in range(N)], 0) for i in (a, b)])
+
+
+def _wall_cut(X, a, b):
+    """X sliced along the wall x_a = x_b, then cut by max(x_a, x_b)."""
+    phi = _wall_function(X.n, a, b)
+    pool = hyperplane_pool(phi.maximal)
+    X = DeltaForm(X.n, _sliced_terms(X.terms, pool)).canonicalize()
+    return intersection._divisor_core(phi, X)

@@ -35,11 +35,13 @@ import corpus  # noqa: E402  (perfbench/corpus.py: the flagship pairs)
 
 
 def install_parent_routes(m):
-    """Put the replaced span, chart, base_point and divisor bodies back."""
+    """Put the replaced span, chart, base_point, divisor and wall-cut bodies
+    back; the old wall cut reaches the wedge through _divisor_core."""
     for name in ("span", "chart", "base_point"):
         m.setattr(polyhedra.Polyhedron, name,
                   property(getattr(polyhedra_oracle, name)))
     m.setattr(intersection, "_divisor_core", intersection_oracle._divisor_core)
+    m.setattr(intersection, "_wall_cut", intersection_oracle._wall_cut)
     m.setattr(currents, "_covering_cell", intersection_oracle._covering_cell)
 
 

@@ -7,6 +7,12 @@ polynomial (2 to 4 terms, slopes in -2..2, constants with denominator at
 most 2), and one factor carries a random multilinear polynomial coefficient,
 put on it by a wedge with a full-dimensional current.  The corpus is seeded,
 so a failing pair reproduces.
+
+In R^3 two corner loci are surfaces, and their product is a curve.  There
+closed cells of the two factors can meet below the expected dimension while
+the displaced cells still meet, in cells that shrink onto that face; the
+displacement route must count such a pair as zero.  The R^3 corpus has 3 to
+5 affine pieces with slopes in -1..1, where many pairs do that.
 """
 
 import random
@@ -27,12 +33,12 @@ from deltaforms.polyhedra import whole_space
 from deltaforms.superforms import Poly, SuperForm
 
 
-def tropical_hypersurface(rng, n):
-    """The corner locus of a max of 2 to 4 random affine functions."""
+def tropical_hypersurface(rng, n, pieces=(2, 4), slope=2):
+    """The corner locus of a max of random affine functions."""
     while True:
-        affines = [([rng.randint(-2, 2) for _ in range(n)],
+        affines = [([rng.randint(-slope, slope) for _ in range(n)],
                     Q(rng.randint(-4, 4), rng.randint(1, 2)))
-                   for _ in range(rng.randint(2, 4))]
+                   for _ in range(rng.randint(*pieces))]
         C = corner_locus(pl_max(n, affines))
         if C.terms:
             return C
@@ -68,3 +74,30 @@ def test_diagonal_equals_displacement_on_generated_pairs(n, count):
     # factors carry a coefficient that is not constant
     assert nonzero >= count * 3 // 4
     assert smooth >= count * 3 // 4
+
+
+def assert_routes_agree_on_a_curve(S, T):
+    diag = wedge_diagonal(S, T)
+    v = generic_vector(S, T)
+    disp = displacement_product(S, T, v)
+    assert diag.equals(disp), v
+    assert {c.dim for c, _, _ in disp.terms} == {1}, v
+    return v
+
+
+def test_displacement_drops_pairs_that_meet_below_the_expected_dimension():
+    """The smallest pair found: at v = (1, 1, 1) two cells meet at the point
+    (1, 2, -3/2) and their shifts still meet, in segments that shrink onto it."""
+    S = corner_locus(pl_max(3, [([0, -1, 1], 0), ([0, -1, -1], -3),
+                                ([-1, 0, 1], -1)]))
+    T = corner_locus(pl_max(3, [([-1, 1, 1], -1), ([0, -1, -1], -1),
+                                ([-1, -1, 1], 3)]))
+    assert assert_routes_agree_on_a_curve(S, T) == [1, 1, 1]
+
+
+def test_diagonal_equals_displacement_on_corner_loci_in_r3():
+    rng = random.Random(232)
+    for _ in range(20):
+        S, T = (tropical_hypersurface(rng, 3, pieces=(3, 5), slope=1)
+                for _ in range(2))
+        assert_routes_agree_on_a_curve(S, T)
