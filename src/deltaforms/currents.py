@@ -13,11 +13,11 @@ the identity map.  The map layer is in integers: pushforward decides
 injectivity and properness on each cell from one integer elimination,
 whose right block holds the affine left inverse that the image is pulled
 back along, and pullback_surjective takes its right inverse from one
-integer elimination.  exterior_product wedges the factors' coefficients with their
-chart variables renamed into the product cell's chart.  Only the
-contraction boundary route, pairings with ambient test forms, and the
-ambient lift of as_piecewise_form go through ambient coordinates
-(chart_to_ambient).
+integer elimination.  _product_form wedges two factors' coefficients in the
+joined factor chart and pulls the wedge back once into a cell inside the
+product.  Only the contraction boundary route, pairings with ambient test
+forms, and the ambient lift of as_piecewise_form go through ambient
+coordinates (chart_to_ambient).
 """
 
 from copy import deepcopy
@@ -658,34 +658,35 @@ def ps_multiply(alpha, T):
     return DeltaForm(T.n, out).canonicalize()
 
 
-def exterior_product(S, T):
-    """Product current on the product space, each cell built from its factors.
+def _product_form(c1, f1, c2, f2, cell):
+    """f1 x f2 written in the chart of a cell inside c1 x c2.
 
-    The HNF basis of span(c1 x c2) is block-diag(basis c1, basis c2), so when
-    the product's base point is the two base points joined, f1 wedged with f2
-    renamed past c1's coordinates is the coefficient in the product's chart.
-    Otherwise (a product with lines) the wedge moves once from the joined
-    factor charts into it, along the factors' padded dual rows.
-    """
+    f1 wedged with f2 renamed past c1's coordinates lives in the joined
+    factor chart (the two base points joined, the factors' u_rows padded),
+    exact on the hull of c1 x c2, so one pull-back moves it into cell's
+    chart.  For cell = c1 x c2 with the joined base point that is the
+    identity (its HNF basis is block-diag(basis c1, basis c2)), and
+    pullback_affine returns the wedge unchanged."""
+    ch1, ch2, ch = c1.chart, c2.chart, cell.chart
+    k = c1.dim + c2.dim
+    form = _shifted(f1, k, 0).wedge(_shifted(f2, k, c1.dim))
+    duals = ([u + (0,) * c2.n for u in ch1.u_rows]
+             + [(0,) * c1.n + u for u in ch2.u_rows])
+    m_rows = [[int_dot(u, b) for b in ch.basis] for u in duals]
+    return form.pullback_affine(
+        m_rows, _dual_coords(duals, ch.base, ch1.base + ch2.base), k=cell.dim)
+
+
+def exterior_product(S, T):
+    """Product current on the product space, each cell built from its factors
+    (product_polyhedron), with the coefficient _product_form gives."""
     A, B = S.canonicalize(), T.canonicalize()
-    n, m = A.n, B.n
     out = []
     for c1, f1, _ in A.terms:
-        ch1 = c1.chart
         for c2, f2, _ in B.terms:
-            ch2 = c2.chart
             prod = product_polyhedron(c1, c2)
-            k = prod.dim
-            form = _shifted(f1, k, 0).wedge(_shifted(f2, k, c1.dim))
-            base = ch1.base + ch2.base
-            if prod.chart.base != base:
-                duals = ([u + (0,) * m for u in ch1.u_rows]
-                         + [(0,) * n + u for u in ch2.u_rows])
-                m_rows = [[int_dot(u, b) for b in prod.chart.basis] for u in duals]
-                form = form.pullback_affine(
-                    m_rows, _dual_coords(duals, prod.chart.base, base), k=k)
-            out.append((prod, form, QONE))
-    return DeltaForm(n + m, out).canonicalize()
+            out.append((prod, _product_form(c1, f1, c2, f2, prod), QONE))
+    return DeltaForm(A.n + B.n, out).canonicalize()
 
 
 def fundamental_cycle(n):

@@ -1,7 +1,7 @@
 """Intersection calculus: divisors, wedge products, stable displacement.
 
 The wedge product of two currents is computed two independent ways: by
-cutting the exterior product with the diagonal walls, and by displacing one
+walking each pair of factor cells to the diagonal, and by displacing one
 factor by a generic vector and keeping the stable intersections.  Both are
 exposed so results can be cross-checked exactly.
 """
@@ -16,6 +16,7 @@ from .currents import (
     _check_balanced_refined,
     _covering_cell,
     _facet_stars,
+    _product_form,
     _sliced_terms,
     cell_summary,
     exterior_product,
@@ -36,6 +37,7 @@ from .polyhedra import (
     maximal_cells_of,
     polyhedron,
     primitive_normal,
+    product_polyhedron,
     stable_weight,
 )
 from .scalars import Q, QONE, qof, qstr
@@ -227,58 +229,63 @@ def corner_locus_identity_check(phi, T):
 
 # ------------------------------------------------------------ diagonal wedge --
 
-def _wall_cut(X, a, b):
-    """The canonical balanced current X on R^N cut by max(x_a, x_b).
+def _wall_slice(sigma, a, b):
+    """(sigma & H, c) for the cell sigma and the wall max(x_a, x_b), or None.
 
-    One pass over the terms by wedge_diagonal's per-cell rule, with
-    h = x_a - x_b: each cell's generators tell on which sides of h = 0 it
-    lies, and canonicalize sums the slices that land on one cell.
+    h = x_a - x_b, H = {h = 0} and c = gcd_k h(b_k) over sigma's lattice
+    basis.  None when c = 0, when h <= 0 on sigma, or when sigma & H is not
+    a facet of sigma or of its half h >= 0.  If h >= 0 on sigma, sigma & H
+    is the face of the rays with h = 0, empty unless one is a point (t > 0).
     """
-    h = [0] * X.n
-    h[a], h[b] = 1, -1
-    wall = polyhedron(X.n, [], eqs=[(h, 0)])
-    out = []
-    for sigma, form, _ in X.terms:
-        c = gcd(*(r[a] - r[b] for r in sigma.span.rows))
-        if not c:
-            continue
-        rays, lines = sigma.generators()
-        if all(ln[a] == ln[b] for ln in lines) and all(r[a] <= r[b] for r in rays):
-            continue
-        tau = intersect(sigma, wall)
-        if tau is not None and tau.dim == sigma.dim - 1:
-            out.append((tau, transport_form(form, sigma, tau).scale(c), QONE))
-    return DeltaForm(X.n, out).canonicalize()
+    c = gcd(*(r[a] - r[b] for r in sigma.span.rows))
+    if not c:
+        return None
+    rays, lines = sigma.generators()
+    if all(ln[a] == ln[b] for ln in lines) and (
+            all(r[a] <= r[b] for r in rays)
+            or all(r[a] > r[b] or not r[-1] and r[a] == r[b] for r in rays)):
+        return None
+    tau = intersect(sigma, polyhedron(sigma.n, [], eqs=[(
+        [(j == a) - (j == b) for j in range(sigma.n)], 0)]))
+    return (tau, c) if tau is not None and tau.dim == sigma.dim - 1 else None
 
 
 def wedge_diagonal(S, T):
     """Wedge product computed on the diagonal of the product space.
 
-    The exterior product X of the two inputs, which must be balanced, is
-    cut by the walls max(x_i, y_i) for each coordinate, then projected back
-    along the first factor.  Each wall is cut one cell at a time
-    (_wall_cut).  With h = x_i - y_i, max(x_i, y_i) = y_i + max(h, 0), and
-    the linear y_i cuts a balanced X to zero: at each facet its star's sum
-    is a combination of the balancing residues, as in _divisor_core.  Every
-    cut keeps X balanced.  max(h, 0) bends only on H = {h = 0}, so a cell
-    sigma on which h takes both signs, or h >= 0 with sigma & H a facet,
-    gives tau = sigma & H its coefficient transported to tau and scaled by
-    c = gcd_k h(b_k) over sigma's lattice basis; every other cell gives
-    nothing.  c is h on the inward primitive normal of tau, since h maps
-    sigma's lattice onto cZ with kernel tau's lattice.
+    S x T, for balanced S and T, is cut by the walls max(x_i, y_i) and
+    projected back along the first factor.  max(x_i, y_i) = y_i + max(h, 0)
+    with h = x_i - y_i; the linear y_i cuts a balanced current to zero (each
+    star's sum is a combination of the balancing residues, as in
+    _divisor_core), and max(h, 0) bends only on h = 0, so each cell is cut
+    on its own (_wall_slice) and every cut stays balanced.  c is h on the
+    inward primitive normal of the slice, as h maps the cell's lattice onto
+    cZ with kernel the slice's.  So each pair of terms (c1, f1), (c2, f2)
+    is walked alone: sigma = c1 x c2 is cut by the walls i = n, ..., 1,
+    each slice is sigma met with the walls so far, and a chain that does
+    not stop ends on sigma & Delta.  Only there is f1 x f2 built, moved
+    once into that cell's chart (_product_form; charts are exact on nested
+    affine hulls), with the product of the c as its weight.  Summing terms
+    on one cell is linear, so summing once at the end changes nothing.
     """
     if S.n != T.n:
         raise ValueError("wedge factors live in different spaces")
     n = S.n
     A = _balanced_presentation(S, factor="left")
     B = _balanced_presentation(T, factor="right")
-    X = exterior_product(A, B)
-    for i in range(n, 0, -1):
-        X = _wall_cut(X, i - 1, n + i - 1)
-        if not X.terms:
-            return DeltaForm(n)
+    out = []
+    for c1, f1, _ in A.terms:
+        for c2, f2, _ in B.terms:
+            tau, weight = product_polyhedron(c1, c2), 1
+            for i in range(n, 0, -1):
+                cut = _wall_slice(tau, i - 1, n + i - 1)
+                if cut is None:
+                    break
+                tau, weight = cut[0], weight * cut[1]
+            else:
+                out.append((tau, _product_form(c1, f1, c2, f2, tau), weight))
     p1 = AffineMap.projection(2 * n, range(n))
-    return pushforward(p1, X)
+    return pushforward(p1, DeltaForm(2 * n, out))
 
 
 # ------------------------------------------------- transversal intersection --
@@ -294,9 +301,9 @@ def transversal_product(S, T):
     must have the expected dimension and avoid both boundaries, and the
     weight picks up the index of the sum of the two direction lattices.
     """
-    A, B = S.canonicalize(), T.canonicalize()
-    if A.n != B.n:
+    if S.n != T.n:
         raise ValueError("product factors live in different spaces")
+    A, B = S.canonicalize(), T.canonicalize()
     n = A.n
     if not A.terms or not B.terms:
         return DeltaForm(n)

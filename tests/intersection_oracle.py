@@ -13,24 +13,42 @@ not collected by pytest.
   a time: max(x_a, x_b) as a two-piece PLFunction (_wall_function), every
   term sliced along its wall, then the library's _divisor_core, looked up
   when called, so that a test can swap in the one above.
+- _cell_wall_cut is the step that replaced it: one pass over the terms of
+  the whole current, each cell cut by the wall on its own.
+- wedge_diagonal_by_walls is wedge_diagonal before it walked each pair of
+  factor cells to the diagonal: the whole exterior product (built by
+  _exterior_product, which moves a product with lines into its chart in a
+  branch of its own), then one cut of the whole current per wall, by
+  _cell_wall_cut or by the cut a test passes in.
 
 Everything else (transports, normals, the balancing check) is the
 library's own.
 """
 
+from math import gcd
+
 from deltaforms import intersection
+from deltaforms.cones import int_dot
 from deltaforms.currents import (
+    AffineMap,
     DeltaForm,
     PreconditionError,
     _sliced_terms,
     cell_summary,
     hyperplane_pool,
+    pushforward,
     transport_form,
 )
 from deltaforms.linalg import vec_dot
-from deltaforms.polyhedra import primitive_normal
+from deltaforms.polyhedra import (
+    _dual_coords,
+    intersect,
+    polyhedron,
+    primitive_normal,
+    product_polyhedron,
+)
 from deltaforms.scalars import QONE, QZERO
-from deltaforms.superforms import SuperForm
+from deltaforms.superforms import SuperForm, _shifted
 
 
 def _covering_cell(maximal, cell, what):
@@ -100,3 +118,97 @@ def _wall_cut(X, a, b):
     pool = hyperplane_pool(phi.maximal)
     X = DeltaForm(X.n, _sliced_terms(X.terms, pool)).canonicalize()
     return intersection._divisor_core(phi, X)
+
+
+def _cell_wall_cut(X, a, b):
+    """The canonical balanced current X on R^N cut by max(x_a, x_b).
+
+    One pass over the terms by wedge_diagonal's per-cell rule, with
+    h = x_a - x_b: each cell's generators tell on which sides of h = 0 it
+    lies, and canonicalize sums the slices that land on one cell.
+    """
+    h = [0] * X.n
+    h[a], h[b] = 1, -1
+    wall = polyhedron(X.n, [], eqs=[(h, 0)])
+    out = []
+    for sigma, form, _ in X.terms:
+        c = gcd(*(r[a] - r[b] for r in sigma.span.rows))
+        if not c:
+            continue
+        rays, lines = sigma.generators()
+        if all(ln[a] == ln[b] for ln in lines) and all(r[a] <= r[b] for r in rays):
+            continue
+        tau = intersect(sigma, wall)
+        if tau is not None and tau.dim == sigma.dim - 1:
+            out.append((tau, transport_form(form, sigma, tau).scale(c), QONE))
+    return DeltaForm(X.n, out).canonicalize()
+
+
+def _exterior_product(S, T):
+    """Product current on the product space, each cell built from its factors.
+
+    The HNF basis of span(c1 x c2) is block-diag(basis c1, basis c2), so when
+    the product's base point is the two base points joined, f1 wedged with f2
+    renamed past c1's coordinates is the coefficient in the product's chart.
+    Otherwise (a product with lines) the wedge moves once from the joined
+    factor charts into it, along the factors' padded dual rows.
+    """
+    A, B = S.canonicalize(), T.canonicalize()
+    n, m = A.n, B.n
+    out = []
+    for c1, f1, _ in A.terms:
+        ch1 = c1.chart
+        for c2, f2, _ in B.terms:
+            ch2 = c2.chart
+            prod = product_polyhedron(c1, c2)
+            k = prod.dim
+            form = _shifted(f1, k, 0).wedge(_shifted(f2, k, c1.dim))
+            base = ch1.base + ch2.base
+            if prod.chart.base != base:
+                duals = ([u + (0,) * m for u in ch1.u_rows]
+                         + [(0,) * n + u for u in ch2.u_rows])
+                m_rows = [[int_dot(u, b) for b in prod.chart.basis] for u in duals]
+                form = form.pullback_affine(
+                    m_rows, _dual_coords(duals, prod.chart.base, base), k=k)
+            out.append((prod, form, QONE))
+    return DeltaForm(n + m, out).canonicalize()
+
+
+def wedge_diagonal_by_walls(S, T, cut=None):
+    """The exterior product of the balanced factors cut by each wall in
+    turn, by cut (default _cell_wall_cut), then projected back."""
+    if cut is None:
+        cut = _cell_wall_cut
+    if S.n != T.n:
+        raise ValueError("wedge factors live in different spaces")
+    n = S.n
+    A = intersection._balanced_presentation(S, factor="left")
+    B = intersection._balanced_presentation(T, factor="right")
+    X = _exterior_product(A, B)
+    for i in range(n, 0, -1):
+        X = cut(X, i - 1, n + i - 1)
+        if not X.terms:
+            return DeltaForm(n)
+    p1 = AffineMap.projection(2 * n, range(n))
+    return pushforward(p1, X)
+
+
+def count_calls(m, module, name, fn=None):
+    """Set module.name to fn (default: itself) through the monkeypatch
+    context m, counting its calls; returns the list each call appends to."""
+    fn = getattr(module, name) if fn is None else fn
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    m.setattr(module, name, counted)
+    return calls
+
+
+def install_wedge_by_walls(m, cut=None):
+    """Set intersection.wedge_diagonal to wedge_diagonal_by_walls with cut,
+    counting its calls (count_calls), so a test can tell that it ran."""
+    return count_calls(m, intersection, "wedge_diagonal",
+                       lambda S, T: wedge_diagonal_by_walls(S, T, cut))

@@ -9,8 +9,9 @@ import pytest
 
 from deltaforms.currents import (AffineMap, DeltaForm, fundamental_cycle,
                                  pullback_surjective, pushforward)
-from deltaforms.intersection import wedge_diagonal
-from deltaforms.polyhedra import ray_from
+from deltaforms.intersection import (divisor_intersect, pl_max,
+                                     transversal_product, wedge_diagonal)
+from deltaforms.polyhedra import ray_from, whole_space
 from deltaforms.superforms import SuperForm
 
 
@@ -33,6 +34,22 @@ MISUSE = [
     ("wedge_diagonal with factors in R^2 and R^3",
      lambda: wedge_diagonal(tropical_line(), fundamental_cycle(3)),
      ValueError, "wedge factors live in different spaces"),
+    ("DeltaForm in R^3 with a cell of R^2",
+     lambda: DeltaForm(3, [(whole_space(2), SuperForm.scalar(2, 1), 1)]),
+     ValueError, "cell lives in the wrong ambient space"),
+    ("DeltaForm with a number as coefficient",
+     lambda: DeltaForm(2, [(whole_space(2), 1, 1)]),
+     TypeError, "coefficient must be a SuperForm"),
+    ("DeltaForm with an ambient coefficient on a ray",
+     lambda: DeltaForm(2, [(ray_from([0, 0], [1, 0]), SuperForm.scalar(2, 1), 1)]),
+     ValueError, "coefficient must be written in the chart coordinates of its cell"),
+    ("divisor_intersect with a function on R^3 and a current in R^2",
+     lambda: divisor_intersect(pl_max(3, [([1, 0, 0], 0), ([0, 1, 0], 0)]),
+                               tropical_line()),
+     ValueError, "function lives in the wrong ambient space"),
+    ("transversal_product with factors in R^2 and R^3",
+     lambda: transversal_product(tropical_line(), fundamental_cycle(3)),
+     ValueError, "product factors live in different spaces"),
 ]
 
 

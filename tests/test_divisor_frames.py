@@ -26,7 +26,7 @@ from deltaforms.currents import (
     fundamental_cycle,
     ps_multiply,
 )
-from deltaforms.intersection import divisor_intersect, pl_max, wedge_diagonal
+from deltaforms.intersection import divisor_intersect, pl_max
 from deltaforms.polyhedra import Complex, polyhedron, ray_from
 from deltaforms.superforms import PiecewiseForm, Poly, SuperForm
 
@@ -35,25 +35,33 @@ import corpus  # noqa: E402  (perfbench/corpus.py: the flagship pairs)
 
 
 def install_parent_routes(m):
-    """Put the replaced span, chart, base_point, divisor and wall-cut bodies
-    back; the old wall cut reaches the wedge through _divisor_core."""
+    """Put the replaced span, chart, base_point, divisor and wedge bodies
+    back; the old wedge cuts the exterior product wall by wall with the
+    sliced cut, which reaches _divisor_core.  Returns the list that each
+    call of the old wedge appends to."""
     for name in ("span", "chart", "base_point"):
         m.setattr(polyhedra.Polyhedron, name,
                   property(getattr(polyhedra_oracle, name)))
     m.setattr(intersection, "_divisor_core", intersection_oracle._divisor_core)
-    m.setattr(intersection, "_wall_cut", intersection_oracle._wall_cut)
     m.setattr(currents, "_covering_cell", intersection_oracle._covering_cell)
+    return intersection_oracle.install_wedge_by_walls(m, intersection_oracle._wall_cut)
 
 
 def on_both_routes(monkeypatch, run):
-    """(run() now, run() on the parent routes), each on an empty intern table."""
-    polyhedra._CACHE.clear()
-    new = run()
+    """(run() now, run() on the parent routes), each on an empty intern table.
+
+    wedge_diagonal is counted on both sides, so a run that wedges must reach
+    the old wedge as often as the new one."""
     polyhedra._CACHE.clear()
     with monkeypatch.context() as m:
-        install_parent_routes(m)
+        walked = intersection_oracle.count_calls(m, intersection, "wedge_diagonal")
+        new = run()
+    polyhedra._CACHE.clear()
+    with monkeypatch.context() as m:
+        by_walls = install_parent_routes(m)
         old = run()
     polyhedra._CACHE.clear()
+    assert len(walked) == len(by_walls)
     return new, old
 
 
@@ -188,7 +196,7 @@ def test_divisors_match_the_every_star_route(monkeypatch, n):
 def test_flagship_wedges_match_the_every_star_route(monkeypatch):
     """The diagonal route on the flagship pairs in all eight classes."""
     def run():
-        return [(cls, name, outcome(wedge_diagonal, S, T))
+        return [(cls, name, outcome(intersection.wedge_diagonal, S, T))
                 for cls in range(corpus.CLASSES) for name, S, T in flagship(cls)]
 
     new, old = on_both_routes(monkeypatch, run)

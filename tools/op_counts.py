@@ -23,6 +23,8 @@ WORKLOADS = ("wedge-diagonal", "wedge-displacement", "identities")
 # label -> (file name, function name) as cProfile records them
 FUNCTIONS = {
     "polyhedron": ("polyhedra.py", "polyhedron"),
+    "intersect": ("polyhedra.py", "intersect"),
+    "product_polyhedron": ("polyhedra.py", "product_polyhedron"),
     "double_description": ("cones.py", "double_description"),
     "_int_rref": ("linalg.py", "_int_rref"),
     "hnf": ("linalg.py", "hnf"),
