@@ -2,9 +2,10 @@
 
 A current is a finite sum of terms (cell, coefficient, weight) where the
 coefficient is a SuperForm written in the chart coordinates of the cell and
-the weight is a positive rational multiplier of the canonical lattice
-weight.  Canonicalization folds the weight into the coefficient, so the
-normalized multiplier is always 1, and no operation multiplies by it.
+the weight is a rational multiplier of the canonical lattice weight.  The
+DeltaForm constructor is the one place that normalizes: it folds each
+weight into its coefficient, sums the terms on each cell and drops zero
+coefficients, so every stored weight is 1 and no operation multiplies by it.
 
 A coefficient moves from one cell to another by one pull-back along
 Chart.transition_to (transport_form), for the identity or for an affine
@@ -218,7 +219,12 @@ def _sliced_terms(terms, hyperplanes):
 # ------------------------------------------------------------- delta forms --
 
 class DeltaForm:
-    """Finite sum of weighted polyhedral currents; canonical weights are 1."""
+    """Finite sum of weighted polyhedral currents, canonical from the start.
+
+    The constructor folds each weight into its coefficient, sums the terms
+    on each cell and drops zero coefficients, so terms holds one
+    (cell, form, 1) per cell, sorted by sort_key.
+    """
 
     __slots__ = ("n", "terms", "_balancing", "_boundaries")
 
@@ -226,7 +232,7 @@ class DeltaForm:
         self.n = int(n)
         self._balancing = None  # memo of _balanced_refinement
         self._boundaries = None  # memo of _boundary
-        norm = []
+        acc = {}
         for cell, form, weight in terms:
             if cell.n != self.n:
                 raise ValueError("cell lives in the wrong ambient space")
@@ -235,26 +241,21 @@ class DeltaForm:
             if form.n != cell.dim:
                 raise ValueError(
                     "coefficient must be written in the chart coordinates of its cell")
-            norm.append((cell, form, qof(weight)))
+            w = qof(weight)
+            f = form if w == 1 else form.scale(w)
+            acc[cell] = acc[cell] + f if cell in acc else f
+        norm = [(cell, f, QONE) for cell, f in acc.items() if not f.is_zero()]
         norm.sort(key=lambda t: t[0].sort_key)
         self.terms = tuple(norm)
 
     # -- structure -----------------------------------------------------------
 
     def canonicalize(self):
-        """Fold weights into coefficients, leaving 1, merge cells, drop zero terms."""
-        acc = {}
-        for cell, form, w in self.terms:
-            f = form if w == 1 else form.scale(w)
-            if cell in acc:
-                acc[cell] = acc[cell] + f
-            else:
-                acc[cell] = f
-        terms = [(cell, f, QONE) for cell, f in acc.items() if not f.is_zero()]
-        return DeltaForm(self.n, terms)
+        """The current itself: it is canonical as constructed."""
+        return self
 
     def is_zero(self):
-        return not self.canonicalize().terms
+        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, DeltaForm) or other.n != self.n:
@@ -273,15 +274,13 @@ class DeltaForm:
                                   for cell, form, w in self.terms])
 
     def __eq__(self, other):
-        """Structural equality of normalized presentations."""
+        """Structural equality of canonical presentations."""
         if not isinstance(other, DeltaForm):
             return NotImplemented
-        a, b = self.canonicalize(), other.canonicalize()
-        return a.n == b.n and a.terms == b.terms
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        c = self.canonicalize()
-        return hash((c.n, c.terms))
+        return hash((self.n, self.terms))
 
     def __repr__(self):
         return "DeltaForm(n=%d, %d terms)" % (self.n, len(self.terms))
@@ -289,7 +288,7 @@ class DeltaForm:
     def tridegree_components(self):
         """Decomposition by (coefficient bidegree, cell codimension)."""
         buckets = {}
-        for cell, form, w in self.canonicalize().terms:
+        for cell, form, w in self.terms:
             r = self.n - cell.dim
             for p, q in form.bidegrees():
                 comp = form.component(p, q)
@@ -299,7 +298,7 @@ class DeltaForm:
 
     def tridegrees(self):
         return sorted({(p, q, self.n - c.dim)
-                       for c, f, _ in self.canonicalize().terms for p, q in f.bidegrees()})
+                       for c, f, _ in self.terms for p, q in f.bidegrees()})
 
     # -- refinement and equality ----------------------------------------------
 
@@ -309,13 +308,11 @@ class DeltaForm:
         The sliced cells intersect pairwise in common faces, which the raw
         term cells of a sum need not do.
         """
-        T = self.canonicalize()
-        pool = set(hyperplane_pool([c for c, _, _ in T.terms]))
+        pool = set(hyperplane_pool([c for c, _, _ in self.terms]))
         for h in extra_hyperplanes:
             if h is not None:
                 pool.add(h)
-        sliced = _sliced_terms(T.terms, sorted(pool))
-        return DeltaForm(self.n, sliced).canonicalize()
+        return DeltaForm(self.n, _sliced_terms(self.terms, sorted(pool)))
 
     def equals(self, other):
         """Exact equality as currents, over a common refinement per stratum."""
@@ -328,8 +325,8 @@ class DeltaForm:
             tb = cb[key].terms if key in cb else ()
             pool = hyperplane_pool([c for c, _, _ in ta]
                                    + [c for c, _, _ in tb])
-            if (DeltaForm(self.n, _sliced_terms(ta, pool)).canonicalize().terms
-                    != DeltaForm(self.n, _sliced_terms(tb, pool)).canonicalize().terms):
+            if (DeltaForm(self.n, _sliced_terms(ta, pool)).terms
+                    != DeltaForm(self.n, _sliced_terms(tb, pool)).terms):
                 return False
         return True
 
@@ -345,12 +342,12 @@ class DeltaForm:
     def dp_prime(self):
         """Cellwise first-kind derivative of the coefficients."""
         return DeltaForm(self.n, [(cell, form.dprime(), w)
-                                  for cell, form, w in self.terms]).canonicalize()
+                                  for cell, form, w in self.terms])
 
     def dp_second(self):
         """Cellwise second-kind derivative of the coefficients."""
         return DeltaForm(self.n, [(cell, form.dsecond(), w)
-                                  for cell, form, w in self.terms]).canonicalize()
+                                  for cell, form, w in self.terms])
 
     def boundary_prime(self):
         """Facet-supported part of the first-kind current differential.
@@ -368,11 +365,11 @@ class DeltaForm:
 
     def d_prime(self):
         """First-kind current differential."""
-        return (self.dp_prime() - self.boundary_prime()).canonicalize()
+        return self.dp_prime() - self.boundary_prime()
 
     def d_second(self):
         """Second-kind current differential."""
-        return (self.dp_second() - self.boundary_second()).canonicalize()
+        return self.dp_second() - self.boundary_second()
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -382,14 +379,15 @@ class DeltaForm:
         The current must have a uniform current degree (s, t) and eta the
         complementary bidegree (n - s, n - t).
         """
-        T = self.canonicalize()
         if not window.is_bounded():
             raise ValueError("evaluation window must be bounded")
+        if window.n != self.n:
+            raise ValueError("evaluation window lives in the wrong ambient space")
         if eta.n != self.n:
             raise ValueError("test form lives in the wrong ambient space")
         if eta.is_zero():
             return QZERO
-        degs = {(p + r, q + r) for p, q, r in T.tridegrees()}
+        degs = {(p + r, q + r) for p, q, r in self.tridegrees()}
         if len(degs) > 1:
             raise ValueError("bidegree mismatch: current degree is not uniform")
         if not degs:
@@ -401,7 +399,7 @@ class DeltaForm:
                              "expected %r" % (eb, (self.n - s, self.n - t)))
         total = QZERO
         memo = {}  # one Lasserre memo for every piece
-        for cell, form, _ in T.terms:
+        for cell, form, _ in self.terms:
             piece = intersect(cell, window)
             if piece is None or piece.dim < cell.dim:
                 continue
@@ -415,7 +413,7 @@ class DeltaForm:
 # ----------------------------------------------------------------- balancing --
 
 def _facet_stars(terms):
-    """Group canonical terms around their shared facets, as (cell, form)."""
+    """Group terms around their shared facets, as (cell, form)."""
     stars = {}
     for cell, form, _ in terms:
         if cell.dim:
@@ -553,18 +551,6 @@ def _split_coordinates(sigma, tau):
     return entry[2]
 
 
-def _add_facet_term(collected, tau, beta):
-    """Add beta to the facet's sum in collected, unless it is zero."""
-    if not beta.is_zero():
-        collected[tau] = collected[tau] + beta if tau in collected else beta
-
-
-def _facet_current(n, collected):
-    """The canonical current of the facet sums in collected."""
-    return DeltaForm(n, [(tau, beta, QONE)
-                         for tau, beta in collected.items()]).canonicalize()
-
-
 def _boundary(T):
     """(boundary_prime, boundary_second) of T, computed together once per current.
 
@@ -574,7 +560,7 @@ def _boundary(T):
     """
     if T._boundaries is None:
         R = require_balanced(T)
-        prime, second = {}, {}
+        prime, second = [], []
         for cell, form, _ in R.terms:
             if cell.dim == 0:
                 continue
@@ -582,9 +568,9 @@ def _boundary(T):
                 inv, shift, scale = _split_coordinates(cell, tau)
                 first_part, second_part = _extract_normal_parts(
                     form.pullback_affine(inv, shift), tau.dim)
-                _add_facet_term(prime, tau, second_part.scale(-scale))
-                _add_facet_term(second, tau, first_part.scale(scale))
-        T._boundaries = _facet_current(T.n, prime), _facet_current(T.n, second)
+                prime.append((tau, second_part, -scale))
+                second.append((tau, first_part, scale))
+        T._boundaries = DeltaForm(T.n, prime), DeltaForm(T.n, second)
     return T._boundaries
 
 
@@ -605,7 +591,7 @@ def boundary_second_via_contraction(T):
 
 def _boundary_contraction(T, slot, sign):
     R = require_balanced(T)
-    collected = {}
+    out = []
     for cell, form, _ in R.terms:
         if cell.dim == 0:
             continue
@@ -613,8 +599,8 @@ def _boundary_contraction(T, slot, sign):
         for tau in cell.facets():
             nvec = primitive_normal(cell, tau)
             beta = amb.contract([Q(x) for x in nvec], slot).restrict(tau.chart)
-            _add_facet_term(collected, tau, beta.scale(sign))
-    return _facet_current(T.n, collected)
+            out.append((tau, beta, sign))
+    return DeltaForm(T.n, out)
 
 
 # --------------------------------------------------------------- products --
@@ -648,14 +634,13 @@ def ps_multiply(alpha, T):
     """
     if alpha.complex.n != T.n:
         raise ValueError("piecewise form lives in the wrong ambient space")
-    R = T.canonicalize()
     pool = hyperplane_pool(alpha.maximal)
     out = []
-    for cell, form, w in _sliced_terms(R.terms, pool):
+    for cell, form, w in _sliced_terms(T.terms, pool):
         covering = _covering_cell(alpha.maximal, cell, "piecewise form")
         restricted = alpha.pieces[covering].restrict(cell.chart)
         out.append((cell, restricted.wedge(form), w))
-    return DeltaForm(T.n, out).canonicalize()
+    return DeltaForm(T.n, out)
 
 
 def _product_form(c1, f1, c2, f2, cell):
@@ -680,13 +665,12 @@ def _product_form(c1, f1, c2, f2, cell):
 def exterior_product(S, T):
     """Product current on the product space, each cell built from its factors
     (product_polyhedron), with the coefficient _product_form gives."""
-    A, B = S.canonicalize(), T.canonicalize()
     out = []
-    for c1, f1, _ in A.terms:
-        for c2, f2, _ in B.terms:
+    for c1, f1, _ in S.terms:
+        for c2, f2, _ in T.terms:
             prod = product_polyhedron(c1, c2)
             out.append((prod, _product_form(c1, f1, c2, f2, prod), QONE))
-    return DeltaForm(A.n + B.n, out).canonicalize()
+    return DeltaForm(S.n + T.n, out)
 
 
 def fundamental_cycle(n):
@@ -698,7 +682,7 @@ def translate_delta(T, v):
     """The current shifted by the vector v."""
     back = AffineMap(AffineMap.identity(T.n).lin, [-qof(x) for x in v])
     out = []
-    for cell, form, w in T.canonicalize().terms:
+    for cell, form, w in T.terms:
         moved = translate(cell, v)
         out.append((moved, transport_form(form, cell, moved, back), w))
     return DeltaForm(T.n, out)
@@ -749,7 +733,7 @@ def pushforward(f, T):
     m = f.m
     L, s, D = f.ints
     out = []
-    for cell, form, _ in T.canonicalize().terms:
+    for cell, form, _ in T.terms:
         sch = cell.chart
         icols = [[int_dot(row, b) for row in L] for b in sch.basis]
         inverse = _int_duals(icols, m)
@@ -778,7 +762,7 @@ def pushforward(f, T):
         off = [_ratio(int_dot(qk, diff), lam * delta * eta) for qk in q]
         out.append((nu, form.pullback_affine(m_rows, off, k=len(q)),
                     idx if D == 1 else Q(idx, D ** len(q))))
-    return DeltaForm(m, out).canonicalize()
+    return DeltaForm(m, out)
 
 
 def pullback_surjective(f, S):
@@ -801,7 +785,7 @@ def pullback_surjective(f, S):
     kb = _rref_kernel(red, pivots, n).basis()
     dv = abs(_bareiss(v + kb)[1])
     out = []
-    for cell, form, _ in S.canonicalize().terms:
+    for cell, form, _ in S.terms:
         pre = affine_preimage(cell, f.lin, f.shift, n)
         if pre is None:
             raise AssertionError("preimage of a nonempty cell is empty")
@@ -810,7 +794,7 @@ def pullback_surjective(f, S):
         e = m - cell.dim
         out.append((pre, transport_form(form, cell, pre, f),
                     Q(index * lam ** e, dv * D ** e)))
-    return DeltaForm(n, out).canonicalize()
+    return DeltaForm(n, out)
 
 
 # ------------------------------------------------- piecewise-form interface --
@@ -822,20 +806,19 @@ def as_piecewise_form(T):
     terms; regions outside the support carry the zero form.  Incompatible
     boundary values surface as a ContinuityError with a witness.
     """
-    A = T.canonicalize()
-    tri = A.tridegrees()
+    tri = T.tridegrees()
     if any(r != 0 for _, _, r in tri):
         raise ValueError("only codimension-zero currents restrict to forms")
     if len({(p, q) for p, q, _ in tri}) > 1:
         raise ValueError("coefficients have mixed bidegree")
-    cells = [c for c, _, _ in A.terms]
+    cells = [c for c, _, _ in T.terms]
     pool = hyperplane_pool(cells)
-    regions = slice_cell(whole_space(A.n), pool)
+    regions = slice_cell(whole_space(T.n), pool)
     pieces = {}
     for reg in regions:
         rp = reg.relint_point()
-        total = SuperForm.zero(A.n)
-        for cell, form, _ in A.terms:
+        total = SuperForm.zero(T.n)
+        for cell, form, _ in T.terms:
             if cell.contains(rp):
                 total = total + chart_to_ambient(form, cell)
         pieces[reg] = total
@@ -847,4 +830,4 @@ def piecewise_to_delta(alpha):
     """The current integrating a piecewise smooth form over the whole space."""
     terms = [(cell, alpha.pieces[cell].restrict(cell.chart), QONE)
              for cell in alpha.maximal]
-    return DeltaForm(alpha.complex.n, terms).canonicalize()
+    return DeltaForm(alpha.complex.n, terms)

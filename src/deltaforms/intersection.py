@@ -105,7 +105,7 @@ def gradient_second_form(phi):
 
 def _complex_presentation(T, pool=()):
     """T sliced along the pool and, if its cells form no complex, refined."""
-    C = DeltaForm(T.n, _sliced_terms(T.canonicalize().terms, pool)).canonicalize()
+    C = DeltaForm(T.n, _sliced_terms(T.terms, pool))
     try:
         Complex([c for c, _, _ in C.terms])
         return C
@@ -168,15 +168,12 @@ def _divisor_core(phi, R):
         for b, u in zip(ch.basis, ch.u_rows):
             c = int_dot(g0, b)
             base_grad = [x + c * y for x, y in zip(base_grad, u)]
-        beta = SuperForm.zero(tau.dim)
         for sigma, form in contributions:
             jump = [a - b for a, b in zip(grads[sigma], base_grad)]
             c = int_dot(jump, primitive_normal(sigma, tau))
             if c:
-                beta = beta + transport_form(form, sigma, tau).scale(Q(c, den))
-        if not beta.is_zero():
-            out.append((tau, beta, QONE))
-    return DeltaForm(n, out).canonicalize()
+                out.append((tau, transport_form(form, sigma, tau), Q(c, den)))
+    return DeltaForm(n, out)
 
 
 def divisor_intersect(phi, T):
@@ -213,9 +210,9 @@ def corner_locus_identity_check(phi, T):
     D = divisor_intersect(phi, T)
     dsp = gradient_second_form(phi)
     wedge = ps_multiply(dsp, T)
-    expr2 = (wedge.d_prime() + ps_multiply(dsp, T.d_prime())).canonicalize()
+    expr2 = wedge.d_prime() + ps_multiply(dsp, T.d_prime())
     expr3 = (wedge.boundary_prime().scale(-1)
-             + ps_multiply(dsp, T.boundary_prime()).scale(-1)).canonicalize()
+             + ps_multiply(dsp, T.boundary_prime()).scale(-1))
     report = {
         "derivative_form": D.equals(expr2),
         "boundary_form": D.equals(expr3),
@@ -303,12 +300,11 @@ def transversal_product(S, T):
     """
     if S.n != T.n:
         raise ValueError("product factors live in different spaces")
-    A, B = S.canonicalize(), T.canonicalize()
-    n = A.n
-    if not A.terms or not B.terms:
+    n = S.n
+    if not S.terms or not T.terms:
         return DeltaForm(n)
-    dims_a = {c.dim for c, _, _ in A.terms}
-    dims_b = {c.dim for c, _, _ in B.terms}
+    dims_a = {c.dim for c, _, _ in S.terms}
+    dims_b = {c.dim for c, _, _ in T.terms}
     if len(dims_a) > 1 or len(dims_b) > 1:
         raise TransversalityError(
             "transversal product requires factors of pure dimension",
@@ -316,8 +312,8 @@ def transversal_product(S, T):
     r1 = n - dims_a.pop()
     r2 = n - dims_b.pop()
     out = []
-    for c1, f1, w1 in A.terms:
-        for c2, f2, w2 in B.terms:
+    for c1, f1, w1 in S.terms:
+        for c2, f2, w2 in T.terms:
             pi = intersect(c1, c2)
             if pi is None:
                 continue
@@ -336,7 +332,7 @@ def transversal_product(S, T):
                     "direction spaces are not transversal", cert)
             form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
             out.append((pi, form, idx))
-    return DeltaForm(n, out).canonicalize()
+    return DeltaForm(n, out)
 
 
 # ------------------------------------------------------ stable displacement --
@@ -378,12 +374,12 @@ def _lifted_system(c1, c2, w):
 def _stable_pairs(A, B, v):
     """The pairs of maximal cells that meet after displacing B by eps v.
 
-    A and B are canonical.  Returns (pairs, None), pairs a list of
-    (c1, c2, c1 & c2) in the order of A's and B's terms, or (None, (c1, c2))
-    for the first pair that meets for small eps without a strict interior
-    point or with affine hulls that are not transversal.  The answer is
-    kept in polyhedra._CACHE, so displacement_product does not check again
-    the vector that generic_vector accepted.
+    Returns (pairs, None), pairs a list of (c1, c2, c1 & c2) in the order
+    of A's and B's terms, or (None, (c1, c2)) for the first pair that meets
+    for small eps without a strict interior point or with affine hulls that
+    are not transversal.  The answer is kept in polyhedra._CACHE, so
+    displacement_product does not check again the vector that
+    generic_vector accepted.
     """
     w = clear_denominators(v)
     left = maximal_cells_of([c for c, _, _ in A.terms])
@@ -427,8 +423,7 @@ def is_generic(v, S, T):
     have a strict interior point and transversal affine hulls.  Returns
     (True, None) or (False, (left cell, right cell)).
     """
-    _, pair = _stable_pairs(S.canonicalize(), T.canonicalize(),
-                            [qof(x) for x in v])
+    _, pair = _stable_pairs(S, T, [qof(x) for x in v])
     return pair is None, pair
 
 
@@ -442,16 +437,15 @@ def displacement_product(S, T, v):
     if S.n != T.n:
         raise ValueError("product factors live in different spaces")
     v = [qof(x) for x in v]
-    A, B = S.canonicalize(), T.canonicalize()
-    pairs, failing = _stable_pairs(A, B, v)
+    pairs, failing = _stable_pairs(S, T, v)
     if failing is not None:
         raise NonGenericError(
             "displacement vector is not generic",
             {"vector": [qstr(x) for x in v],
              "left": cell_summary(failing[0]),
              "right": cell_summary(failing[1])})
-    terms_a = {c: (f, w) for c, f, w in A.terms}
-    terms_b = {c: (f, w) for c, f, w in B.terms}
+    terms_a = {c: (f, w) for c, f, w in S.terms}
+    terms_b = {c: (f, w) for c, f, w in T.terms}
     out = []
     for c1, c2, pi in pairs:
         f1, w1 = terms_a[c1]
@@ -459,7 +453,7 @@ def displacement_product(S, T, v):
         idx = stable_weight(c1.span, w1, c2.span, w2)
         form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
         out.append((pi, form, idx))
-    return DeltaForm(A.n, out).canonicalize()
+    return DeltaForm(S.n, out)
 
 
 def generic_vector(S, T, limit=64):
@@ -575,7 +569,7 @@ def product_property_suite():
             lhs = getattr(exterior_product(s, t), op)()
             rhs = (exterior_product(getattr(s, op)(), t)
                    + exterior_product(s, getattr(t, op)()).scale(sign))
-            leib.append(lhs.equals(rhs.canonicalize()))
+            leib.append(lhs.equals(rhs))
     checks["leibniz_exterior"] = all(leib)
 
     # trihomogeneity of products of trihomogeneous currents

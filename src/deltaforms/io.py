@@ -234,7 +234,6 @@ def parse_chart(doc, cell):
 # --------------------------------------------------------------- delta-forms
 
 def deltaform_json(T):
-    T = T.canonicalize()
     return {"n": T.n,
             "terms": [{"cell": polyhedron_json(cell),
                        "weight": q_json(w),

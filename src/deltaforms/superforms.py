@@ -441,6 +441,8 @@ class SuperForm:
 
     def contract(self, vec, slot):
         """Interior product with v' (slot='prime') or v'' (slot='second')."""
+        if slot not in ("prime", "second"):
+            raise ValueError("slot must be 'prime' or 'second'")
         vec = [qof(x) for x in vec]
         if len(vec) != self.n:
             raise ValueError("vector dimension mismatch")
@@ -457,15 +459,13 @@ class SuperForm:
                         continue
                     c = vec[i] * (-1) ** pos
                     put((ii[:pos] + ii[pos + 1:], jj), p * c)
-            elif slot == "second":
+            else:
                 block = (-1) ** len(ii)
                 for pos, j in enumerate(jj):
                     if vec[j] == 0:
                         continue
                     c = vec[j] * (-1) ** pos * block
                     put((ii, jj[:pos] + jj[pos + 1:]), p * c)
-            else:
-                raise ValueError("slot must be 'prime' or 'second'")
         return _superform(self.n, out)
 
     def pullback_affine(self, lin_rows, shift, k=None):

@@ -29,6 +29,9 @@ pytest.
   pulls it back along the projections onto the product space, wedges, and
   restricts to the product cell's chart; its product cells come from
   polyhedra_oracle.product_polyhedron, through polyhedron().
+- RawDeltaForm is DeltaForm from when its constructor kept the terms as
+  given (weights coerced, sorted by sort_key) and canonicalize() folded the
+  weights, merged the cells and dropped zero coefficients.
 
 Everything else (cells, transports for the identity map, the stable pairs,
 the balancing check) is the library's own, except invert, which left the
@@ -71,8 +74,40 @@ from deltaforms.polyhedra import (
     translate,
 )
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
+from deltaforms.superforms import SuperForm
 from linalg_oracle import det, invert, kernel_rational, solve_linear, vec_sub
 from polyhedra_oracle import product_polyhedron
+
+
+class RawDeltaForm:
+    """Finite sum of weighted polyhedral currents; canonical weights are 1."""
+
+    def __init__(self, n, terms=()):
+        self.n = int(n)
+        norm = []
+        for cell, form, weight in terms:
+            if cell.n != self.n:
+                raise ValueError("cell lives in the wrong ambient space")
+            if not isinstance(form, SuperForm):
+                raise TypeError("coefficient must be a SuperForm")
+            if form.n != cell.dim:
+                raise ValueError(
+                    "coefficient must be written in the chart coordinates of its cell")
+            norm.append((cell, form, qof(weight)))
+        norm.sort(key=lambda t: t[0].sort_key)
+        self.terms = tuple(norm)
+
+    def canonicalize(self):
+        """Fold weights into coefficients, leaving 1, merge cells, drop zero terms."""
+        acc = {}
+        for cell, form, w in self.terms:
+            f = form if w == 1 else form.scale(w)
+            if cell in acc:
+                acc[cell] = acc[cell] + f
+            else:
+                acc[cell] = f
+        terms = [(cell, f, QONE) for cell, f in acc.items() if not f.is_zero()]
+        return RawDeltaForm(self.n, terms)
 
 
 def translate_delta(T, v):

@@ -8,10 +8,11 @@ is done on the arguments.
 import pytest
 
 from deltaforms.currents import (AffineMap, DeltaForm, fundamental_cycle,
-                                 pullback_surjective, pushforward)
-from deltaforms.intersection import (divisor_intersect, pl_max,
-                                     transversal_product, wedge_diagonal)
-from deltaforms.polyhedra import ray_from, whole_space
+                                 ps_multiply, pullback_surjective, pushforward)
+from deltaforms.intersection import (displacement_product, divisor_intersect,
+                                     pl_max, pullback_general, transversal_product,
+                                     value_form, wedge_diagonal)
+from deltaforms.polyhedra import box, ray_from, whole_space
 from deltaforms.superforms import SuperForm
 
 
@@ -50,6 +51,36 @@ MISUSE = [
     ("transversal_product with factors in R^2 and R^3",
      lambda: transversal_product(tropical_line(), fundamental_cycle(3)),
      ValueError, "product factors live in different spaces"),
+    ("displacement_product with factors in R^2 and R^3",
+     lambda: displacement_product(tropical_line(), fundamental_cycle(3), [1, 2, 3]),
+     ValueError, "product factors live in different spaces"),
+    ("ps_multiply with a piecewise form on R^3 and a current in R^2",
+     lambda: ps_multiply(value_form(pl_max(3, [([1, 0, 0], 0), ([0, 1, 0], 0)])),
+                         tropical_line()),
+     ValueError, "piecewise form lives in the wrong ambient space"),
+    ("pullback_general with a map into R^3 on a current in R^2",
+     lambda: pullback_general(AffineMap.identity(3), tropical_line()),
+     ValueError, "map target does not match the current"),
+    ("eval_pairing over an unbounded window",
+     lambda: fundamental_cycle(2).eval_pairing(SuperForm.zero(2), whole_space(2)),
+     ValueError, "evaluation window must be bounded"),
+    ("eval_pairing over a window in R^3 for a current in R^2",
+     lambda: fundamental_cycle(2).eval_pairing(SuperForm.zero(2),
+                                               box([0, 0, 0], [1, 1, 1])),
+     ValueError, "evaluation window lives in the wrong ambient space"),
+    ("eval_pairing with a test form on R^3 for a current in R^2",
+     lambda: fundamental_cycle(2).eval_pairing(SuperForm.zero(3), box([0, 0], [1, 1])),
+     ValueError, "test form lives in the wrong ambient space"),
+    ("eval_pairing on a current of degrees (0, 0) and (1, 1)",
+     lambda: (fundamental_cycle(2) + tropical_line()).eval_pairing(
+         SuperForm.scalar(2, 1), box([0, 0], [1, 1])),
+     ValueError, "bidegree mismatch: current degree is not uniform"),
+    ("eval_pairing of the fundamental cycle with a (0, 0) test form",
+     lambda: fundamental_cycle(2).eval_pairing(SuperForm.scalar(2, 1), box([0, 0], [1, 1])),
+     ValueError, "bidegree mismatch: test form has bidegree (0, 0), expected (2, 2)"),
+    ("contract of the zero form in an unknown slot",
+     lambda: SuperForm.zero(2).contract([1, 0], "bogus"),
+     ValueError, "slot must be 'prime' or 'second'"),
 ]
 
 

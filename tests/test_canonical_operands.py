@@ -1,8 +1,9 @@
-"""Canonical operands are read once.
+"""Currents are canonical as constructed.
 
-canonicalize() leaves every weight 1, so the operations that read canonical
-terms never multiply by a weight, and results that are canonical by
-construction are not canonicalized again; every public result checked here
+The DeltaForm constructor folds each weight into its coefficient, sums the
+terms on each cell and drops zero coefficients, as canonicalize() did
+before (currents_oracle.RawDeltaForm), so every stored weight is 1 and
+canonicalize() returns the current itself; every public result checked here
 must be canonical.  wedge_diagonal and divisor_intersect check balance on
 the complex presentation they cut (_balanced_presentation), not on the
 refinement that is_balanced() builds: the verdicts must agree, and a wedge
@@ -42,14 +43,61 @@ from deltaforms.intersection import (
     wedge_diagonal,
 )
 from deltaforms.polyhedra import box, ray_from
+from deltaforms.scalars import Q
 from deltaforms.superforms import SuperForm
-from test_currents import random_balanced, random_current, random_form
+from currents_oracle import RawDeltaForm
+from test_currents import random_balanced, random_cell, random_current, random_form
 from test_displacement_oracle import flagship_pairs
 
 
 def assert_canonical(T):
     assert all(w == 1 for _, _, w in T.terms)
-    assert T.canonicalize().terms == T.terms
+    assert RawDeltaForm(T.n, T.terms).canonicalize().terms == T.terms
+
+
+WEIGHTS = [0, -1, 1, 2, Q(3, 2)]
+
+
+def raw_terms(rng, n):
+    """Terms on at most three cells, so cells repeat, in shuffled order:
+    random weights, zero coefficients, and pairs of terms that cancel."""
+    cells = [random_cell(rng, n) for _ in range(rng.randint(1, 3))]
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        c = rng.choice(cells)
+        f = random_form(rng, c.dim)
+        w = rng.choice(WEIGHTS)
+        kind = rng.randrange(4)
+        if kind == 0:
+            terms.append((c, SuperForm.zero(c.dim), w))
+        elif kind == 1:
+            terms += [(c, f, w), (c, f.scale(-2), Q(w, 2))]
+        else:
+            terms.append((c, f, w))
+    rng.shuffle(terms)
+    return terms
+
+
+def test_the_constructor_is_the_old_canonicalize():
+    rng = random.Random(0)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.choice([1, 2, 3])
+        raw = raw_terms(rng, n)
+        T = DeltaForm(n, raw)
+        old = RawDeltaForm(n, raw).canonicalize()
+        assert T.terms == old.terms
+        assert [repr(f) for _, f, _ in T.terms] == [repr(f) for _, f, _ in old.terms]
+        assert T.canonicalize() is T
+        assert T.is_zero() == (not old.terms)
+        cells = Counter(c for c, _, _ in raw)
+        seen["repeated cell"] += any(k > 1 for k in cells.values())
+        seen["zero coefficient"] += any(f.is_zero() for _, f, _ in raw)
+        seen["cancelled cell"] += len(T.terms) < len(cells)
+        seen["zero current"] += bool(raw) and T.is_zero()
+        for w in WEIGHTS:
+            seen[w] += any(x == w for _, _, x in raw)
+    assert min(seen.values()) >= 20, seen
 
 
 def random_function(rng, n):

@@ -685,3 +685,15 @@ class TestPLFunctionDocuments:
         with pytest.raises(DocumentError,
                            match="^pieces must cover exactly the maximal cells$"):
             parse_plfunction(doc)
+
+
+def test_dumps_canonical_writes_library_objects_as_their_documents():
+    seg = box([0, 1], [2, 3])
+    form = SuperForm.d_prime_x(2, 0).scale(Fraction(-2, 3))
+    T = tropical_line(weights=(2, 2, 2))
+    for obj, doc in [(Fraction(-2, 3), qstr(Fraction(-2, 3))),
+                     (seg, polyhedron_json(seg)),
+                     (form, superform_json(form)),
+                     (T, deltaform_json(T))]:
+        assert dumps_canonical(obj) == dumps_canonical(doc)
+        assert dumps_canonical({"x": [obj, None]}) == dumps_canonical({"x": [doc, None]})

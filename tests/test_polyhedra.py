@@ -379,3 +379,18 @@ def test_face_compatibility_matches_the_full_scan():
         assert dumps_canonical(got) == dumps_canonical(want)
         seen["complex" if got is None else "not complex"] += 1
     assert all(seen.values()), seen
+
+
+def test_value_objects_compare_hash_and_print_by_value():
+    seg, ray = segment([0, 0], [1, 1]), ray_from([0, 0], [1, 1])
+    a, b = WeightedCell(seg, Q(3, 2)), WeightedCell(seg, Q(3, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a != WeightedCell(seg, 1) and a != WeightedCell(ray, Q(3, 2)) and a != seg
+    assert repr(a) == "WeightedCell(%r, weight=3/2)" % seg
+    cx = Complex([seg])
+    assert cx == Complex(list(seg.faces())) and hash(cx) == hash(Complex([seg]))
+    assert cx != Complex([ray]) and cx != seg
+    lat = Lattice(2, [[2, 2], [1, 1]])
+    assert lat == seg.span and hash(lat) == hash(seg.span)
+    assert lat != Lattice(2, [[1, 0]]) and lat != Lattice(3, [[1, 1, 0]]) and lat != seg
+    assert repr(lat) == "Lattice(n=2, rows=((1, 1),))"
