@@ -186,9 +186,11 @@ def slice_cell(cell, hyperplanes):
     """Cut the cell along each hyperplane that crosses its relative interior.
 
     Returns the full-dimensional closed pieces; they tile the cell and their
-    walls all lie on pool hyperplanes, so pieces from different cells sliced
-    by the same pool intersect in common faces.  The integer normals of
-    normalize_hyperplane keys go to polyhedron() as they are.
+    new walls all lie on pool hyperplanes.  Pieces of different cells sliced
+    by the same pool meet in common faces when the cells already do, or
+    when the pool holds every cell's own hyperplanes, as in refine().  The
+    integer normals of normalize_hyperplane keys go to polyhedron() as they
+    are.
     """
     pieces = [cell]
     for a, b in hyperplanes:
@@ -578,8 +580,9 @@ def boundary_prime_via_contraction(T):
     """Boundary of the first kind computed by contracting facet normals.
 
     Independent route to the same current as DeltaForm.boundary_prime: the
-    ambient coefficient is contracted with the primitive facet normal in the
-    second slot and restricted to the facet.
+    ambient coefficient is contracted in the second slot with the part of
+    the primitive facet normal transverse to the facet, and restricted to
+    the facet.
     """
     return _boundary_contraction(T, "second", -1)
 
@@ -597,7 +600,12 @@ def _boundary_contraction(T, slot, sign):
             continue
         amb = chart_to_ambient(form, cell)
         for tau in cell.facets():
-            nvec = primitive_normal(cell, tau)
+            # the part of the normal transverse to tau, sum_j (w_j . nu) comp_j
+            # over tau's complement duals: balancing cancels these around
+            # tau, while the whole normals may sum to a vector along tau
+            ch = tau.chart
+            coef = [int_dot(w, primitive_normal(cell, tau)) for w in ch.w_rows]
+            nvec = [sum(k * c[i] for k, c in zip(coef, ch.comp)) for i in range(T.n)]
             beta = amb.contract([Q(x) for x in nvec], slot).restrict(tau.chart)
             out.append((tau, beta, sign))
     return DeltaForm(T.n, out)

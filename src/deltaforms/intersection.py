@@ -34,7 +34,6 @@ from .polyhedra import (
     ComplexError,
     implicit_rows,
     intersect,
-    maximal_cells_of,
     polyhedron,
     primitive_normal,
     product_polyhedron,
@@ -337,8 +336,10 @@ def transversal_product(S, T):
 
 # ------------------------------------------------------ stable displacement --
 #
-# Displacing T by eps v for an infinitesimal eps > 0 is decided over Q.  For
-# maximal cells c1 of S and c2 of T, the lifted polyhedron
+# Displacing T by eps v for an infinitesimal eps > 0 is decided over Q.  The
+# product is bilinear, so every pair of terms is displaced on its own (Fulton
+# & Sturmfels 1997): for a term cell c1 of S and a term cell c2 of T, the
+# lifted polyhedron
 #
 #     L = {(x, s) in R^(n+1) : x in c1, x - s v in c2, s >= 0}
 #
@@ -372,19 +373,21 @@ def _lifted_system(c1, c2, w):
 
 
 def _stable_pairs(A, B, v):
-    """The pairs of maximal cells that meet after displacing B by eps v.
+    """The pairs of terms that meet after displacing B by eps v.
 
-    Returns (pairs, None), pairs a list of (c1, c2, c1 & c2) in the order
-    of A's and B's terms, or (None, (c1, c2)) for the first pair that meets
-    for small eps without a strict interior point or with affine hulls that
-    are not transversal.  The answer is kept in polyhedra._CACHE, so
-    displacement_product does not check again the vector that
-    generic_vector accepted.
+    Every pair of terms is scanned, as the product is bilinear.  Returns
+    (pairs, None), pairs a list of (i, j, A's cell i & B's cell j) in the
+    order of A's and B's terms, or (None, (c1, c2)) for the first pair that
+    meets for small eps without a strict interior point or with affine
+    hulls that are not transversal.  Terms are sorted by cell, so the
+    indices hold for any current on the same cells, and the answer is kept
+    in polyhedra._CACHE under the two tuples of cells: displacement_product
+    does not check again the vector that generic_vector accepted.
     """
-    w = clear_denominators(v)
-    left = maximal_cells_of([c for c, _, _ in A.terms])
-    right = maximal_cells_of([c for c, _, _ in B.terms])
-    memo = ("stable", tuple(left), tuple(right), tuple(w))
+    w = tuple(clear_denominators(v))
+    left = tuple(c for c, _, _ in A.terms)
+    right = tuple(c for c, _, _ in B.terms)
+    memo = ("stable", left, right, w)
     found = _CACHE.get(memo)
     if found is None:
         found = _CACHE[memo] = _stable_scan(A.n, left, right, w)
@@ -392,10 +395,10 @@ def _stable_pairs(A, B, v):
 
 
 def _stable_scan(n, left, right, w):
-    """_stable_pairs's answer for maximal cells and a primitive integer w."""
+    """_stable_pairs's answer for two tuples of cells and a primitive w."""
     pairs = []
-    for c1 in left:
-        for c2 in right:
+    for i, c1 in enumerate(left):
+        for j, c2 in enumerate(right):
             pi = intersect(c1, c2)
             if pi is None:
                 continue
@@ -409,7 +412,7 @@ def _stable_scan(n, left, right, w):
                 # meets after the shift in cells that shrink onto that face,
                 # so its limit is zero
                 if pi.dim == c1.dim + c2.dim - n:
-                    pairs.append((c1, c2, pi))
+                    pairs.append((i, j, pi))
             elif len(rows) - 1 not in implicit:
                 # no strict point, but the pair still meets at some s > 0
                 return None, (c1, c2)
@@ -419,8 +422,8 @@ def _stable_scan(n, left, right, w):
 def is_generic(v, S, T):
     """Whether displacing T by eps v meets S transversally for small eps.
 
-    Checked on every pair of maximal cells: a surviving intersection must
-    have a strict interior point and transversal affine hulls.  Returns
+    Checked on every pair of terms: a surviving intersection must have a
+    strict interior point and transversal affine hulls.  Returns
     (True, None) or (False, (left cell, right cell)).
     """
     _, pair = _stable_pairs(S, T, [qof(x) for x in v])
@@ -430,8 +433,8 @@ def is_generic(v, S, T):
 def displacement_product(S, T, v):
     """Wedge product by displacing T with a generic vector.
 
-    Pairs of maximal cells that still meet after an infinitesimal shift by v
-    contribute their intersection with the stable lattice index; the vector
+    Every pair of terms that still meets after an infinitesimal shift by v
+    contributes its intersection with the stable lattice index; the vector
     must be generic or a NonGenericError names the failing pair.
     """
     if S.n != T.n:
@@ -444,12 +447,10 @@ def displacement_product(S, T, v):
             {"vector": [qstr(x) for x in v],
              "left": cell_summary(failing[0]),
              "right": cell_summary(failing[1])})
-    terms_a = {c: (f, w) for c, f, w in S.terms}
-    terms_b = {c: (f, w) for c, f, w in T.terms}
     out = []
-    for c1, c2, pi in pairs:
-        f1, w1 = terms_a[c1]
-        f2, w2 = terms_b[c2]
+    for i, j, pi in pairs:
+        c1, f1, w1 = S.terms[i]
+        c2, f2, w2 = T.terms[j]
         idx = stable_weight(c1.span, w1, c2.span, w2)
         form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
         out.append((pi, form, idx))

@@ -27,9 +27,9 @@ inside a given row.  Polyhedra cache their generators, seeded from the
 canonicalization when the cone is pointed (with lines, the rays are not
 unique, and only canonical input rows keep them), and read off them the
 vertices (rays with t > 0), boundedness (no lines and no ray with t = 0), a
-relative-interior point (the sum of the rays), on which sides of a
-hyperplane they lie (crosses) and whether they lie inside another
-polyhedron (maximal_cells_of).
+relative-interior point (the sum of the rays) and on which sides of a
+hyperplane they lie (crosses).  A complex reads its maximal cells off its
+faces: they are the cells that are no cell's facet (Complex).
 
 Faces come from vertex-facet incidences (Kaibel & Pfetsch 2002): a row is
 a facet when its set of tight rays holds a point and is maximal by
@@ -702,7 +702,15 @@ class ComplexError(ValueError):
 
 
 class Complex:
-    """A finite set of cells closed under faces, pairwise intersecting in faces."""
+    """A finite set of cells closed under faces, pairwise intersecting in faces.
+
+    Its maximal cells are the cells that are no cell's facet.  In a set
+    closed under faces whose cells meet in common faces, a cell inside
+    another meets it in itself, so it is a face of that cell; and a proper
+    face is a facet of some face one dimension up, which is again a cell.
+    maximal_cells and the complex check both read this set, so the
+    validate=False callers must pass cells that form a complex.
+    """
 
     def __init__(self, cells, validate=True):
         closed = {f for c in cells if c is not None for f in c.faces()}
@@ -710,6 +718,8 @@ class Complex:
         if self.cells and any(c.n != self.cells[0].n for c in self.cells):
             raise ValueError("cells live in different ambient spaces")
         self.n = self.cells[0].n if self.cells else None
+        covered = {f for c in self.cells for f in c.facets()}
+        self._maximal = [c for c in self.cells if c not in covered]
         if validate:
             err = self.face_compatibility_failure()
             if err is not None:
@@ -719,13 +729,11 @@ class Complex:
         """None if every pairwise intersection is a face of both, else a report.
 
         The cells are closed under faces, so they form a complex exactly
-        when every two generating cells, those that are a face of no other
-        cell, meet in a common face.  Only when that fails are all pairs
-        scanned in order, for the first failing one.
+        when every two cells that are no cell's facet meet in a common
+        face.  Only when that fails are all pairs scanned in order, for the
+        first failing one.
         """
-        covered = {f for c in self.cells for f in c.facets()}
-        generating = [c for c in self.cells if c not in covered]
-        if not any(_misfit(a, b) for a, b in combinations(generating, 2)):
+        if not any(_misfit(a, b) for a, b in combinations(self._maximal, 2)):
             return None
         for (i, a), (j, b) in combinations(enumerate(self.cells), 2):
             cap = _misfit(a, b)
@@ -739,7 +747,8 @@ class Complex:
         return None
 
     def maximal_cells(self):
-        return maximal_cells_of(self.cells)
+        """The cells that are no cell's facet, in the order of cells."""
+        return list(self._maximal)
 
     def __eq__(self, other):
         return isinstance(other, Complex) and self.cells == other.cells
@@ -754,31 +763,6 @@ def _misfit(a, b):
     if cap is None or cap in a.faces() and cap in b.faces():
         return None
     return cap
-
-
-def _contained_in(c, o):
-    """c is a subset of o, read off c's generators (Fukuda & Prodon 1996).
-
-    Each ray (x, t) of c's cone must satisfy a.x - b t <= 0 on o's
-    inequalities and = 0 on its equalities, and each line = 0 on both.
-    """
-    if c.n != o.n:
-        raise ValueError("ambient dimensions differ")
-    rays, lines = c.generators()
-
-    def slacks(rows, gens):
-        # a.x - b t; zip stops int_dot at the n entries of a
-        return (int_dot(r[:-1], g) - r[-1] * g[-1] for r in rows for g in gens)
-
-    return (not any(slacks(o.eq_rows + o.ineq_rows, lines))
-            and not any(slacks(o.eq_rows, rays))
-            and all(v <= 0 for v in slacks(o.ineq_rows, rays)))
-
-
-def maximal_cells_of(cells):
-    """The cells contained in no other cell of the list, in list order."""
-    return [c for c in cells
-            if not any(o != c and _contained_in(c, o) for o in cells)]
 
 
 # ---------------------------------------------------------- lattice normals --

@@ -38,7 +38,8 @@ the balancing check) is the library's own, except invert, which left the
 library once no caller needed a rational inverse: it comes from
 linalg_oracle, whose invert has the same body.  So do solve_linear,
 kernel_rational and vec_sub, which left the library with the rational map
-layer.
+layer.  displacement_product reads the stable pairs as the library returns
+them, by term index.
 """
 
 from deltaforms.cones import int_dot
@@ -317,12 +318,10 @@ def displacement_product(S, T, v):
             {"vector": [qstr(x) for x in v],
              "left": cell_summary(failing[0]),
              "right": cell_summary(failing[1])})
-    terms_a = {c: (f, w) for c, f, w in A.terms}
-    terms_b = {c: (f, w) for c, f, w in B.terms}
     out = []
-    for c1, c2, pi in pairs:
-        f1, w1 = terms_a[c1]
-        f2, w2 = terms_b[c2]
+    for i, j, pi in pairs:
+        c1, f1, w1 = A.terms[i]
+        c2, f2, w2 = B.terms[j]
         idx = stable_weight(c1.span, w1, c2.span, w2)
         form = chart_to_ambient(f1, c1).restrict(pi.chart).wedge(
             chart_to_ambient(f2, c2).restrict(pi.chart))

@@ -5,6 +5,12 @@ pytest.  It holds the ordered field Q(eps) (EpsRational, eps an
 infinitesimal > 0), the simplex that runs over Q or over Q(eps) with Farkas
 certificates for infeasible systems, and the displacement checks that shift
 the second cell's right-hand side by eps (a.v) and solve over Q(eps).
+
+Its displacement checks pair only the maximal term cells of each factor
+(_maximal_cells_of), so it is a reference only on currents where every
+term cell is maximal.  Where a term cell lies inside another, the product
+is bilinear and sums over every pair of terms, so the oracle is a reference
+on each pair of single terms.
 """
 
 from fractions import Fraction

@@ -4,6 +4,8 @@ verbatim as reference oracles for the tests and not collected by pytest.
 - maximal_cells_of, from before containment was read off each cell's cached
   generators: a cell is contained in another exactly when their
   intersection, canonicalized through polyhedron(), is the cell itself.
+  The library now tests no containment: a complex's maximal cells are its
+  cells that are no cell's facet, which this route checks on complexes.
 - facets and faces, from before facets were read off vertex-facet
   incidences: one polyhedron() call, so one double description, per
   inequality row, walked down the face lattice.  The bodies are the old

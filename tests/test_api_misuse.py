@@ -12,8 +12,14 @@ from deltaforms.currents import (AffineMap, DeltaForm, fundamental_cycle,
 from deltaforms.intersection import (displacement_product, divisor_intersect,
                                      pl_max, pullback_general, transversal_product,
                                      value_form, wedge_diagonal)
-from deltaforms.polyhedra import box, ray_from, whole_space
-from deltaforms.superforms import SuperForm
+from deltaforms.polyhedra import Complex, WeightedCell, box, polyhedron, ray_from, whole_space
+from deltaforms.superforms import (PiecewiseForm, PLFunction, Poly, SuperForm,
+                                   boundary_integral, integrate_top)
+
+
+def half_planes():
+    """x <= 0 and x >= 0 in R^2, a complex with two maximal cells."""
+    return polyhedron(2, [([1, 0], 0)]), polyhedron(2, [([-1, 0], 0)])
 
 
 def tropical_line():
@@ -81,6 +87,61 @@ MISUSE = [
     ("contract of the zero form in an unknown slot",
      lambda: SuperForm.zero(2).contract([1, 0], "bogus"),
      ValueError, "slot must be 'prime' or 'second'"),
+    ("Poly in 2 variables with an exponent tuple of length 1",
+     lambda: Poly(2, {(1,): 1}),
+     ValueError, "bad exponent tuple"),
+    ("constant_value of the polynomial x",
+     lambda: Poly.variable(1, 0).constant_value(),
+     ValueError, "not a constant polynomial"),
+    ("sum of polynomials in 2 and 3 variables",
+     lambda: Poly.variable(2, 0) + Poly.variable(3, 0),
+     ValueError, "variable count mismatch"),
+    ("SuperForm on R^2 with a coefficient in 3 variables",
+     lambda: SuperForm(2, {((), ()): Poly.const(3, 1)}),
+     ValueError, "coefficient variable count mismatch"),
+    ("SuperForm on R^2 with the generator d'x2",
+     lambda: SuperForm(2, {((2,), ()): 1}),
+     ValueError, "generator index out of range"),
+    ("bidegree of a form of bidegrees (0, 0) and (1, 0)",
+     lambda: (SuperForm.scalar(2, 1) + SuperForm.d_prime_x(2, 0)).bidegree(),
+     ValueError, "form has mixed bidegree"),
+    ("sum of forms on R^2 and R^3",
+     lambda: SuperForm.zero(2) + SuperForm.zero(3),
+     ValueError, "ambient dimension mismatch"),
+    ("contract of a form on R^2 with a vector of R^1",
+     lambda: SuperForm.d_prime_x(2, 0).contract([1], "prime"),
+     ValueError, "vector dimension mismatch"),
+    ("pullback_affine of a form on R^2 along a map into R^1",
+     lambda: SuperForm.scalar(2, 1).pullback_affine([[1]], [0]),
+     ValueError, "affine map shape mismatch"),
+    ("restrict of a form on R^3 to a chart of R^2",
+     lambda: SuperForm.scalar(3, 1).restrict(whole_space(2).chart),
+     ValueError, "ambient dimension mismatch"),
+    ("integrate_top of a form on R^3 over a cell of R^2",
+     lambda: integrate_top(SuperForm.zero(3), WeightedCell(box([0, 0], [1, 1]), 1)),
+     ValueError, "ambient dimension mismatch"),
+    ("boundary_integral over an unbounded cell",
+     lambda: boundary_integral(SuperForm.zero(2), WeightedCell(whole_space(2), 1), "first"),
+     ValueError, "cannot integrate over an unbounded cell"),
+    ("boundary_integral of the first kind of a (0, 0) form over a square",
+     lambda: boundary_integral(SuperForm.scalar(2, 1),
+                               WeightedCell(box([0, 0], [1, 1]), 1), "first"),
+     ValueError, "form bidegree (0, 0) does not match (1, 2)"),
+    ("PLFunction on R^2 with a linear part of length 1",
+     lambda: PLFunction(Complex([whole_space(2)]), {whole_space(2): ([1], 0)}),
+     ValueError, "linear part has wrong dimension"),
+    ("PiecewiseForm with no piece on the one maximal cell",
+     lambda: PiecewiseForm(Complex([whole_space(2)]), {}),
+     ValueError, "pieces must cover exactly the maximal cells"),
+    ("PiecewiseForm on R^2 with a form on R^3",
+     lambda: PiecewiseForm(Complex([whole_space(2)]),
+                           {whole_space(2): SuperForm.scalar(3, 1)}),
+     ValueError, "form ambient dimension mismatch"),
+    ("PiecewiseForm with pieces of bidegrees (0, 0) and (1, 0)",
+     lambda: PiecewiseForm(Complex(half_planes()),
+                           dict(zip(half_planes(), [SuperForm.scalar(2, 1),
+                                                    SuperForm.d_prime_x(2, 0)]))),
+     ValueError, "pieces have mixed bidegree"),
 ]
 
 

@@ -421,6 +421,22 @@ class TestWedge:
         assert parse_deltaform(doc["diagonal"]).equals(origin)
         assert parse_deltaform(doc["displacement"]).equals(origin)
 
+    def test_nested_term_cells_match(self, tmp_path, capsys):
+        # the tropical line's ray along x lies inside the x-axis, and both
+        # meet x = 1 at (1, 0)
+        axis = DeltaForm(2, [(polyhedron(2, [], eqs=[([0, 1], 0)]),
+                              SuperForm.scalar(1, 1), 1)])
+        wall = DeltaForm(2, [(polyhedron(2, [], eqs=[([1, 0], 1)]),
+                              SuperForm.scalar(1, 1), 1)])
+        left = write(tmp_path, "left.json", deltaform_json(axis + tropical_line()))
+        right = write(tmp_path, "right.json", deltaform_json(wall))
+        code, out = run(capsys, "wedge", left, right)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "match"
+        point = DeltaForm(2, [(single_point([1, 0]), SuperForm.scalar(0, 2), 1)])
+        assert parse_deltaform(doc["displacement"]).equals(point)
+
     def test_default_method_is_both(self, tmp_path, capsys):
         path = write(tmp_path, "line.json", deltaform_json(tropical_line()))
         code, out = run(capsys, "wedge", path, path)

@@ -338,6 +338,45 @@ class TestDisplacement:
         assert wedge_diagonal(L, P).equals(prod)
 
 
+class TestNestedTerms:
+    """Term cells inside other term cells, and terms of mixed dimension.
+
+    The product is bilinear, so every route sums over every pair of terms,
+    also where one term cell lies inside another.
+    """
+
+    xaxis = polyhedron(2, [], eqs=[([0, 1], 0)])
+
+    def unit_current(self, cells):
+        return DeltaForm(2, [(c, SuperForm.scalar(c.dim, 1), 1) for c in cells])
+
+    def test_a_ray_inside_a_line_meets_a_wall_twice(self):
+        # the tropical line's ray along x lies inside the x-axis, and both
+        # meet x = 1 at (1, 0)
+        S = self.unit_current([self.xaxis]) + tropical_line()
+        T = self.unit_current([polyhedron(2, [], eqs=[([1, 0], 1)])])
+        ray = ray_from((0, 0), (1, 0))
+        assert polyhedra.intersect(ray, self.xaxis) == ray
+        assert ray in [c for c, _, _ in S.terms]
+        want = DeltaForm(2, [(single_point([1, 0]), SuperForm.scalar(0, 2), 1)])
+        v = generic_vector(S, T)
+        for got in (wedge_diagonal(S, T), transversal_product(S, T),
+                    displacement_product(S, T, v)):
+            assert got.equals(want)
+
+    def test_a_point_on_a_line_survives_the_unit(self):
+        # [x-axis] + [origin] times [R^2] is itself; the transversal route
+        # takes one dimension at a time, as it requires pure factors
+        S = self.unit_current([self.xaxis, single_point([0, 0])])
+        F = fundamental_cycle(2)
+        transversal = DeltaForm(2)
+        for c, _, _ in S.terms:
+            transversal = transversal + transversal_product(self.unit_current([c]), F)
+        for got in (wedge_diagonal(S, F), transversal,
+                    displacement_product(S, F, generic_vector(S, F))):
+            assert got.equals(S)
+
+
 class TestPullbackGeneral:
     def test_agrees_with_surjective_route_for_dilation(self):
         f = AffineMap([[2, 0], [0, 2]], [0, 0])

@@ -6,6 +6,8 @@ import pytest
 import polyhedra_oracle
 from linalg_oracle import det
 from superform_oracle import triangulate
+from deltaforms.currents import DeltaForm, as_piecewise_form
+from deltaforms.intersection import pl_max
 from deltaforms.io import dumps_canonical
 from deltaforms.linalg import Lattice, complement_lattice, integer_kernel
 from deltaforms.polyhedra import (
@@ -14,7 +16,6 @@ from deltaforms.polyhedra import (
     WeightedCell,
     box,
     intersect,
-    maximal_cells_of,
     polyhedron,
     primitive_normal,
     product_polyhedron,
@@ -336,21 +337,58 @@ def random_cells(rng, seen):
     return n, cells
 
 
-def test_maximal_cells_match_the_intersection_route():
-    """Containment read off generators keeps the intersect(c, o) == c verdicts.
+def complex_of(cells):
+    """The complex of the cells, in list order, that keep the face closure
+    a complex by the oracle's check of every pair."""
+    kept = []
+    for c in cells:
+        if polyhedra_oracle.face_compatibility_failure(
+                Complex(kept + [c], validate=False)) is None:
+            kept.append(c)
+    return Complex(kept)
 
-    The random lists of random_cells hold cells with lineality, their faces,
-    repeats and nested cells that are not faces.
+
+def test_maximal_cells_match_the_intersection_route():
+    """The cells that are no cell's facet are the cells that the
+    intersection route finds contained in no other cell of the face closure.
+
+    The complexes are the cells of each random_cells list that keep a
+    complex, greedily in list order (few whole lists form one, as they
+    hold nested cells), the regions of random pl_max functions and the
+    tiles of as_piecewise_form.
     """
     rng = random.Random(4111)
-    seen = dict.fromkeys(("lineality", "lower", "repeat", "nested"), 0)
+    seen = dict.fromkeys(("lineality", "lower", "nested", "several",
+                          "pl_max", "tiles"), 0)
+    complexes = []
     for _ in range(300):
         n, cells = random_cells(rng, seen)
-        assert maximal_cells_of(cells) == polyhedra_oracle.maximal_cells_of(cells)
-        seen["lineality"] += any(c.lineality.rank > 0 for c in cells)
-        seen["lower"] += any(c.dim < n for c in cells)
-        seen["repeat"] += len(set(cells)) < len(cells)
-    assert all(seen.values()), seen
+        complexes.append((n, complex_of(cells)))
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        affines = [([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+                   for _ in range(rng.randint(1, 4))]
+        complexes.append((n, pl_max(n, affines).complex))
+        seen["pl_max"] += 1
+        # cells through the origin, as every right-hand side is >= 0
+        cells = [polyhedron(n, [([Q(rng.randint(-2, 2)) for _ in range(n)],
+                                 Q(rng.randint(0, 2)))
+                                for _ in range(rng.randint(1, 3))])
+                 for _ in range(2)]
+        # a top-degree form restricts to zero on every facet, so the
+        # pieces agree on shared faces
+        top = SuperForm.scalar(n, 1)
+        for i in range(n):
+            top = top.wedge(SuperForm.d_prime_x(n, i)).wedge(SuperForm.d_second_x(n, i))
+        T = DeltaForm(n, [(c, top, 1) for c in cells if c.dim == n])
+        complexes.append((n, as_piecewise_form(T).complex))
+        seen["tiles"] += 1
+    for n, cx in complexes:
+        assert cx.maximal_cells() == polyhedra_oracle.maximal_cells_of(list(cx.cells))
+        seen["lineality"] += any(c.lineality.rank > 0 for c in cx.cells)
+        seen["lower"] += any(c.dim < n for c in cx.maximal_cells())
+        seen["several"] += len(cx.maximal_cells()) > 1
+    assert seen["several"] >= 80 and all(seen.values()), seen
 
 
 def test_face_compatibility_matches_the_full_scan():

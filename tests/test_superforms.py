@@ -380,6 +380,14 @@ def test_pl_function_accepts_continuous():
     assert f.gradient(right) == [F(1)]
 
 
+def test_pl_function_outside_its_support():
+    right = polyhedron(1, ineqs=[([-1], 0)])
+    f = PLFunction(Complex([right]), {right: ([1], 0)})
+    assert f.value([0]) == 0
+    with pytest.raises(ValueError, match="^point outside the support of the function$"):
+        f.value([-1])
+
+
 def test_pl_function_rejects_jump():
     left = polyhedron(1, ineqs=[([1], 0)])
     right = polyhedron(1, ineqs=[([-1], 0)])
@@ -413,6 +421,17 @@ def test_piecewise_form_compatibility():
             a: SuperForm.from_poly(x2).wedge(dP(2, 1)),
             b: SuperForm.from_poly(2 * x2).wedge(dP(2, 1)),
         })
+
+
+def test_zero_values_and_coerced_operands():
+    """The zero polynomial and form, and sums with a polynomial or a number."""
+    x = Poly.variable(2, 0)
+    assert Poly(2).constant_value() == 0 and repr(Poly(2)) == "Poly(0)"
+    assert SuperForm.zero(2).bidegree() is None
+    assert SuperForm.scalar(2, 1) + x == SuperForm.from_poly(x + 1)
+    assert SuperForm.scalar(2, 1) + 3 == SuperForm.scalar(2, 4)
+    with pytest.raises(TypeError):
+        [1] * SuperForm.scalar(2, 1)
 
 
 def test_poly_compose_affine_roundtrip():

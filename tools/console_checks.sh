@@ -73,6 +73,26 @@ for left in "$work"/flagship/p*-left.json; do
 done
 test "$pairs" = 10
 
+# Nested term cells: the tropical line's ray along x lies inside the
+# x-axis, and both meet the wall x = 1 at (1, 0).  The product is
+# bilinear, so both routes must sum over every pair of terms and count
+# the point twice.
+python -c '
+import json, sys
+from deltaforms import DeltaForm, SuperForm, deltaform_json, polyhedron, ray_from
+def unit(cells):
+    return DeltaForm(2, [(c, SuperForm.scalar(1, 1), 1) for c in cells])
+left = unit([polyhedron(2, [], eqs=[([0, 1], 0)])]
+            + [ray_from((0, 0), d) for d in [(1, 0), (0, 1), (-1, -1)]])
+right = unit([polyhedron(2, [], eqs=[([1, 0], 1)])])
+for side, doc in (("left", left), ("right", right)):
+    with open("%s/nested-%s.json" % (sys.argv[1], side), "w") as fh:
+        json.dump(deltaform_json(doc), fh)
+' "$work"
+out=$(timeout 60 deltaforms wedge "$work/nested-left.json" "$work/nested-right.json")
+echo "$out" | grep -o '"verdict":"[a-z]*"'
+echo "$out" | grep -q '"verdict":"match"'
+
 # The walk at scale against the displacement route: the corner loci of
 # two tropical polynomials in x, y with every monomial of degree at
 # most 5 and seeded coefficients (17 x 37 cells).
