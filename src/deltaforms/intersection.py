@@ -16,7 +16,6 @@ from .currents import (
     _check_balanced_refined,
     _covering_cell,
     _facet_stars,
-    _product_form,
     _sliced_terms,
     cell_summary,
     exterior_product,
@@ -26,8 +25,14 @@ from .currents import (
     pushforward,
     transport_form,
 )
-from .cones import int_dot
-from .linalg import clear_denominators, rank, vec_dot
+from .cones import cut, int_dot
+from .linalg import (
+    _ivec_primitive as _primitive,
+    clear_denominators,
+    integer_kernel,
+    rank,
+    vec_dot,
+)
 from .polyhedra import (
     _CACHE,
     Complex,
@@ -36,7 +41,6 @@ from .polyhedra import (
     intersect,
     polyhedron,
     primitive_normal,
-    product_polyhedron,
     stable_weight,
 )
 from .scalars import Q, QONE, qof, qstr
@@ -225,25 +229,130 @@ def corner_locus_identity_check(phi, T):
 
 # ------------------------------------------------------------ diagonal wedge --
 
-def _wall_slice(sigma, a, b):
-    """(sigma & H, c) for the cell sigma and the wall max(x_a, x_b), or None.
+def _factor_cone(cell):
+    """A wedge factor's cell as the walk to the diagonal reads it.
 
-    h = x_a - x_b, H = {h = 0} and c = gcd_k h(b_k) over sigma's lattice
-    basis.  None when c = 0, when h <= 0 on sigma, or when sigma & H is not
-    a facet of sigma or of its half h >= 0.  If h >= 0 on sigma, sigma & H
-    is the face of the rays with h = 0, empty unless one is a point (t > 0).
+    (cell, rays, lines, masks, first), once per cell: the generators (x, t)
+    of the cone over the cell, per ray the bit mask of the inequality rows
+    a.x <= b tight on it (a.x = b t), and what the first wall reads of the
+    last coordinate x_n: whether a line moves it, its least and greatest
+    value and the set of its values at the points x / t, and its signs on
+    the recession rays (t = 0).  R^0 has no wall, and first is None.
     """
-    c = gcd(*(r[a] - r[b] for r in sigma.span.rows))
-    if not c:
-        return None
-    rays, lines = sigma.generators()
-    if all(ln[a] == ln[b] for ln in lines) and (
-            all(r[a] <= r[b] for r in rays)
-            or all(r[a] > r[b] or not r[-1] and r[a] == r[b] for r in rays)):
-        return None
-    tau = intersect(sigma, polyhedron(sigma.n, [], eqs=[(
-        [(j == a) - (j == b) for j in range(sigma.n)], 0)]))
-    return (tau, c) if tau is not None and tau.dim == sigma.dim - 1 else None
+    rays, lines = cell.generators()
+    masks = [sum(1 << k for k, row in enumerate(cell.ineq_rows)
+                 if int_dot(row[:-1], r) == row[-1] * r[-1]) for r in rays]
+    first = None
+    if cell.n:
+        points = {Q(r[-2], r[-1]) for r in rays if r[-1]}
+        first = (any(ln[-2] for ln in lines), min(points), max(points), points,
+                 {(r[-2] > 0) - (r[-2] < 0) for r in rays if not r[-1]})
+    return cell, rays, lines, masks, first
+
+
+def _meets_first_wall(F1, F2):
+    """Whether the first wall x_n = y_n keeps c1 x c2, read off the factors.
+
+    The signs of h = x_n - y_n on the generators of the cone over c1 x c2:
+    v1 t2 - v2 t1 on two points, v1 on a recession ray of c1, -v2 on one of
+    c2, and v1 or -v2 on a line.  The walk's sign tests drop the pair when
+    no generator has h > 0, or when none has h < 0 and no point has h = 0.
+    """
+    if F1[-1] is None:
+        return True
+    moves1, lo1, hi1, points1, signs1 = F1[-1]
+    moves2, lo2, hi2, points2, signs2 = F2[-1]
+    if moves1 or moves2:
+        return True
+    if not (hi1 > lo2 or 1 in signs1 or -1 in signs2):
+        return False
+    return lo1 < hi2 or -1 in signs1 or 1 in signs2 or not points1.isdisjoint(points2)
+
+
+def _product_cone(F1, F2):
+    """The cone over c1 x c2 in R^(2n+1), with masks over its rows.
+
+    Its lines are the factors' lines, padded, and its rays the two points
+    joined, (x1 t2, x2 t1, t1 t2), and each factor's recession rays, padded.
+    Bit 0 is the row t >= 0, then come c1's inequality rows and c2's.
+    Returns (lines, rays, zeros, bit), bit the first bit above every row.
+    """
+    c1, rays1, lines1, masks1, _ = F1
+    c2, rays2, lines2, masks2, _ = F2
+    pad = (0,) * c2.n
+    shift = 1 + len(c1.ineq_rows)
+    top = 1 << (shift + len(c2.ineq_rows))
+    lines = [ln[:-1] + pad + ln[-1:] for ln in lines1] + [pad + ln for ln in lines2]
+    rays, zeros = [], []
+    for r1, m1 in zip(rays1, masks1):
+        t1 = r1[-1]
+        if not t1:
+            rays.append(r1[:-1] + pad + (0,))
+            zeros.append(m1 << 1 | (top - (1 << shift)) | 1)
+            continue
+        for r2, m2 in zip(rays2, masks2):
+            t2 = r2[-1]
+            if t2:
+                rays.append(_primitive([x * t2 for x in r1[:-1]]
+                                       + [x * t1 for x in r2[:-1]] + [t1 * t2]))
+                zeros.append(m1 << 1 | m2 << shift)
+    for r2, m2 in zip(rays2, masks2):
+        if not r2[-1]:
+            rays.append(pad + r2)
+            zeros.append((1 << shift) - 2 | m2 << shift | 1)
+    return lines, rays, zeros, top
+
+
+def _reaches_diagonal(F1, F2, n):
+    """Whether the walk carries c1 x c2 over every wall to the diagonal.
+
+    For i = n, ..., 1 the cone's generators meet the wall h = x_i - y_i,
+    as in wedge_diagonal.  A wall that crosses the cell cuts the cone with
+    one step of the double description method (cones.cut); a wall that
+    only supports it keeps the rays with h = 0, if they span a facet.  The
+    masks count the inequality rows and the walls, not the factors'
+    equalities, so the step's space is the linear hull of the cone over
+    c1 x c2, of dimension dim; d is the dimension of the cone so far.
+    """
+    lines, rays, zeros, bit = _product_cone(F1, F2)
+    dim = d = F1[0].dim + F2[0].dim + 1
+    for i in range(n, 0, -1):
+        a, b = i - 1, n + i - 1
+        crossing = any(ln[a] != ln[b] for ln in lines)
+        if not crossing:
+            if (all(r[a] <= r[b] for r in rays)
+                    or all(r[a] > r[b] or not r[-1] and r[a] == r[b] for r in rays)):
+                return False
+            crossing = any(r[a] < r[b] for r in rays)
+        h = [0] * (2 * n + 1)
+        h[a], h[b] = 1, -1
+        lines, rays, zeros = cut([h], bit, lines, rays, zeros, dim)
+        on = [k for k, z in enumerate(zeros) if z & bit]
+        rays, zeros = [rays[k] for k in on], [zeros[k] for k in on]
+        if not crossing and rank(lines + rays) != d - 1:
+            return False
+        d -= 1
+        bit <<= 1
+    return True
+
+
+def _wall_gcds(c1, c2, n):
+    """The product of the walls' gcds on the walk from c1 x c2 to the diagonal.
+
+    The lattice of c1 x c2 is Lambda_1 (+) Lambda_2, and each wall's slice
+    has the lattice of the slice before it met with ker h, h = x_i - y_i,
+    for i = n, ..., 1.  h maps each lattice onto cZ, c the gcd of h over a
+    basis; an integer kernel of those values gives a basis of the next.  h
+    reads only x - y, so each basis vector is kept as its image x - y.
+    """
+    rows = [list(r) for r in c1.span.rows] + [[-x for x in r] for r in c2.span.rows]
+    weight = 1
+    for i in range(n - 1, -1, -1):
+        values = [r[i] for r in rows]
+        weight *= gcd(*values)
+        rows = [[int_dot(z, col) for col in zip(*rows)]
+                for z in integer_kernel([values], len(values))]
+    return weight
 
 
 def wedge_diagonal(S, T):
@@ -254,34 +363,55 @@ def wedge_diagonal(S, T):
     with h = x_i - y_i; the linear y_i cuts a balanced current to zero (each
     star's sum is a combination of the balancing residues, as in
     _divisor_core), and max(h, 0) bends only on h = 0, so each cell is cut
-    on its own (_wall_slice) and every cut stays balanced.  c is h on the
-    inward primitive normal of the slice, as h maps the cell's lattice onto
-    cZ with kernel the slice's.  So each pair of terms (c1, f1), (c2, f2)
-    is walked alone: sigma = c1 x c2 is cut by the walls i = n, ..., 1,
-    each slice is sigma met with the walls so far, and a chain that does
-    not stop ends on sigma & Delta.  Only there is f1 x f2 built, moved
-    once into that cell's chart (_product_form; charts are exact on nested
-    affine hulls), with the product of the c as its weight.  Summing terms
-    on one cell is linear, so summing once at the end changes nothing.
+    on its own and every cut stays balanced.  A cell sigma keeps sigma & H,
+    H = {h = 0}, when H crosses it or H supports it in a facet on the side
+    h >= 0, with weight c, h on the inward primitive normal of the slice, as
+    h maps the cell's lattice onto cZ with kernel the slice's.  So each pair
+    of terms (c1, f1), (c2, f2) is walked alone: c1 x c2 is cut by the
+    walls i = n, ..., 1, and a chain that does not stop ends on the
+    diagonal copy of c1 & c2.
+
+    The walk keeps only the generators of the cone over the cell so far
+    (_reaches_diagonal), which the factors' generators give, and builds
+    no polyhedron in R^2n.  This is exact:
+    - Every sign test asks something of every generator ("every ray has
+      h <= 0", "a line has h != 0"), so any generating set gives the same
+      verdict as the cell's own.  The first wall's tests are read off the
+      factors' generators (_meets_first_wall), before any product ray.
+    - c = 0, h constant on the cell's hull, needs no test of its own: h is
+      then 0 on every line and on every recession ray, and of one sign on
+      the points, so a sign test drops the cell.
+    - A wall with h != 0 on a line, or with both strict signs on the rays,
+      meets the relative interior: the slice is not empty and one dimension
+      lower.  Its generators are one step of the double description
+      method (cones.cut).  A wall with h >= 0 on the cell supports it in
+      the face of the generators with h = 0, a facet when they span a
+      space one dimension lower.
+    - The span of each slice is the span before it met with ker h, which
+      stays saturated, so the walls' gcds follow a chain of lattices alone
+      (_wall_gcds), computed for the pairs that reach the diagonal.
+    The diagonal copy of c1 & c2 projects onto c1 & c2, and the projection
+    maps its lattice onto that of c1 & c2 with index 1.  So the pair's term
+    is written on c1 & c2 directly: f1 x f2 pulled back along x -> (x, x)
+    is f1 and f2, each moved into the chart of c1 & c2, wedged, and the
+    weight is the product of the walls' gcds.  Summing terms on one cell is
+    linear, so summing once at the end changes nothing.
     """
     if S.n != T.n:
         raise ValueError("wedge factors live in different spaces")
     n = S.n
-    A = _balanced_presentation(S, factor="left")
-    B = _balanced_presentation(T, factor="right")
+    A = [(c, f, _factor_cone(c)) for c, f, _ in
+         _balanced_presentation(S, factor="left").terms]
+    B = [(c, f, _factor_cone(c)) for c, f, _ in
+         _balanced_presentation(T, factor="right").terms]
     out = []
-    for c1, f1, _ in A.terms:
-        for c2, f2, _ in B.terms:
-            tau, weight = product_polyhedron(c1, c2), 1
-            for i in range(n, 0, -1):
-                cut = _wall_slice(tau, i - 1, n + i - 1)
-                if cut is None:
-                    break
-                tau, weight = cut[0], weight * cut[1]
-            else:
-                out.append((tau, _product_form(c1, f1, c2, f2, tau), weight))
-    p1 = AffineMap.projection(2 * n, range(n))
-    return pushforward(p1, DeltaForm(2 * n, out))
+    for c1, f1, F1 in A:
+        for c2, f2, F2 in B:
+            if _meets_first_wall(F1, F2) and _reaches_diagonal(F1, F2, n):
+                pi = intersect(c1, c2)
+                form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
+                out.append((pi, form, _wall_gcds(c1, c2, n)))
+    return DeltaForm(n, out)
 
 
 # ------------------------------------------------- transversal intersection --

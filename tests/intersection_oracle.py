@@ -20,6 +20,14 @@ not collected by pytest.
   _exterior_product, which moves a product with lines into its chart in a
   branch of its own), then one cut of the whole current per wall, by
   _cell_wall_cut or by the cut a test passes in.
+- _wall_slice is the per-cell step that replaced _cell_wall_cut, kept
+  verbatim: the wall's sign tests on the cell's generators, then the cell
+  met with the wall as a polyhedron.
+- wedge_diagonal_by_polyhedra is wedge_diagonal before it walked on cone
+  generators: each pair of factor cells c1 x c2 is built as a polyhedron
+  in R^2n (product_polyhedron), cut by _wall_slice wall by wall
+  (walk_by_polyhedra), and every chain that reaches the diagonal gets
+  f1 x f2 in its chart (_product_form) and is projected back (pushforward).
 
 Everything else (transports, normals, the balancing check) is the
 library's own.
@@ -33,6 +41,7 @@ from deltaforms.currents import (
     AffineMap,
     DeltaForm,
     PreconditionError,
+    _product_form,
     _sliced_terms,
     cell_summary,
     hyperplane_pool,
@@ -191,6 +200,58 @@ def wedge_diagonal_by_walls(S, T, cut=None):
             return DeltaForm(n)
     p1 = AffineMap.projection(2 * n, range(n))
     return pushforward(p1, X)
+
+
+def _wall_slice(sigma, a, b):
+    """(sigma & H, c) for the cell sigma and the wall max(x_a, x_b), or None.
+
+    h = x_a - x_b, H = {h = 0} and c = gcd_k h(b_k) over sigma's lattice
+    basis.  None when c = 0, when h <= 0 on sigma, or when sigma & H is not
+    a facet of sigma or of its half h >= 0.  If h >= 0 on sigma, sigma & H
+    is the face of the rays with h = 0, empty unless one is a point (t > 0).
+    """
+    c = gcd(*(r[a] - r[b] for r in sigma.span.rows))
+    if not c:
+        return None
+    rays, lines = sigma.generators()
+    if all(ln[a] == ln[b] for ln in lines) and (
+            all(r[a] <= r[b] for r in rays)
+            or all(r[a] > r[b] or not r[-1] and r[a] == r[b] for r in rays)):
+        return None
+    tau = intersect(sigma, polyhedron(sigma.n, [], eqs=[(
+        [(j == a) - (j == b) for j in range(sigma.n)], 0)]))
+    return (tau, c) if tau is not None and tau.dim == sigma.dim - 1 else None
+
+
+def walk_by_polyhedra(c1, c2, n):
+    """(sigma & Delta, weight) for sigma = c1 x c2 cut by the walls i = n,
+    ..., 1 with _wall_slice, or None where the chain stops."""
+    tau, weight = product_polyhedron(c1, c2), 1
+    for i in range(n, 0, -1):
+        cut = _wall_slice(tau, i - 1, n + i - 1)
+        if cut is None:
+            return None
+        tau, weight = cut[0], weight * cut[1]
+    return tau, weight
+
+
+def wedge_diagonal_by_polyhedra(S, T):
+    """wedge_diagonal with each pair of cells walked as polyhedra in R^2n,
+    f1 x f2 moved into the last cell's chart and projected back."""
+    if S.n != T.n:
+        raise ValueError("wedge factors live in different spaces")
+    n = S.n
+    A = intersection._balanced_presentation(S, factor="left")
+    B = intersection._balanced_presentation(T, factor="right")
+    out = []
+    for c1, f1, _ in A.terms:
+        for c2, f2, _ in B.terms:
+            walked = walk_by_polyhedra(c1, c2, n)
+            if walked is not None:
+                tau, weight = walked
+                out.append((tau, _product_form(c1, f1, c2, f2, tau), weight))
+    p1 = AffineMap.projection(2 * n, range(n))
+    return pushforward(p1, DeltaForm(2 * n, out))
 
 
 def count_calls(m, module, name, fn=None):

@@ -1,9 +1,10 @@
 """The diagonal wedge's wall cut against the sliced cut it replaced.
 
-wedge_diagonal cuts each cell by each wall max(x_i, y_i) on its own
-(intersection._wall_slice): a cell on the side x_i >= y_i that reaches the
-wall in a facet keeps that facet, with the gcd of x_i - y_i over its
-lattice basis as its weight.  intersection_oracle._wall_cut keeps the
+wedge_diagonal cuts each cell by each wall max(x_i, y_i) on its own: a
+cell on the side x_i >= y_i that reaches the wall in a facet keeps that
+facet, with the gcd of x_i - y_i over its lattice basis as its weight.
+intersection_oracle._wall_slice keeps that per-cell step as the walk ran
+it on polyhedra, before it walked on cone generators.  intersection_oracle._wall_cut keeps the
 sliced step: the wall as a two-piece PL function, every term sliced along
 it, then _divisor_core, run on the whole exterior product wall by wall
 (intersection_oracle.wedge_diagonal_by_walls).  Both must give the same
@@ -51,10 +52,10 @@ def on_both_cuts(monkeypatch, run):
 
 
 def cut_by_cells(X, a, b):
-    """X cut by max(x_a, x_b), each term by the library's per-cell step."""
+    """X cut by max(x_a, x_b), each term by the per-cell step."""
     out = []
     for sigma, form, _ in X.terms:
-        cut = intersection._wall_slice(sigma, a, b)
+        cut = intersection_oracle._wall_slice(sigma, a, b)
         if cut is not None:
             out.append((cut[0], transport_form(form, sigma, cut[0]), cut[1]))
     return DeltaForm(X.n, out).canonicalize()
@@ -98,7 +99,7 @@ def test_the_cut_weighs_a_crossing_cell_by_the_gcd():
                        SuperForm.scalar(1, 1), 1)])
     origin = DeltaForm(2, [(single_point([0, 0]), SuperForm.scalar(0, 2), 1)])
     (sigma, _, _), = X.terms
-    tau, c = intersection._wall_slice(sigma, 0, 1)
+    tau, c = intersection_oracle._wall_slice(sigma, 0, 1)
     assert (tau, c) == (single_point([0, 0]), 2)
     assert cut_by_cells(X, 0, 1).equals(origin)
     assert intersection_oracle._wall_cut(X, 0, 1).equals(origin)
@@ -119,9 +120,9 @@ def test_the_cut_rests_on_balance():
     def mass(m):
         return DeltaForm(2, [(single_point([0, 0]), SuperForm.scalar(0, m), 1)])
 
-    assert intersection._wall_slice(ray_from((0, 0), (1, 0)), 0, 1) == (
+    assert intersection_oracle._wall_slice(ray_from((0, 0), (1, 0)), 0, 1) == (
         single_point([0, 0]), 1)
-    assert intersection._wall_slice(ray_from((0, 0), (0, 1)), 0, 1) is None
+    assert intersection_oracle._wall_slice(ray_from((0, 0), (0, 1)), 0, 1) is None
     lone = rays((1, 0), (0, 1))
     assert not lone.is_balanced()[0]
     assert cut_by_cells(lone, 0, 1).equals(mass(1))
@@ -135,7 +136,7 @@ def test_the_cut_rests_on_balance():
 def test_a_cell_off_the_wall_is_dropped_from_its_generators(monkeypatch):
     """x - y is >= 0 on the ray from (1, 0) along (1, 1) and vanishes only
     on its direction, so its slice by x = y is empty: no intersection runs."""
-    monkeypatch.setattr(intersection, "intersect",
+    monkeypatch.setattr(intersection_oracle, "intersect",
                         lambda *args: pytest.fail("intersect was called"))
-    assert intersection._wall_slice(ray_from((1, 0), (1, 1)), 0, 1) is None
-    assert intersection._wall_slice(ray_from((1, 0), (1, 0)), 0, 1) is None
+    assert intersection_oracle._wall_slice(ray_from((1, 0), (1, 1)), 0, 1) is None
+    assert intersection_oracle._wall_slice(ray_from((1, 0), (1, 0)), 0, 1) is None

@@ -26,6 +26,8 @@ FUNCTIONS = {
     "intersect": ("polyhedra.py", "intersect"),
     "product_polyhedron": ("polyhedra.py", "product_polyhedron"),
     "double_description": ("cones.py", "double_description"),
+    "cut": ("cones.py", "cut"),
+    "_reaches_diagonal": ("intersection.py", "_reaches_diagonal"),
     "_int_rref": ("linalg.py", "_int_rref"),
     "hnf": ("linalg.py", "hnf"),
     "_ivec_primitive": ("linalg.py", "_ivec_primitive"),
