@@ -10,11 +10,12 @@ coefficients, so every stored weight is 1 and no operation multiplies by it.
 A coefficient moves from one cell to another by one pull-back along
 Chart.transition_to (transport_form), for the identity or for an affine
 map cleared to integers, and is passed on unchanged when the transition is
-the identity map.  The map layer is in integers: pushforward decides
-injectivity and properness on each cell from one integer elimination,
-whose right block holds the affine left inverse that the image is pulled
-back along, and pullback_surjective takes its right inverse from one
-integer elimination.  _product_form wedges two factors' coefficients in the
+the identity map; a constant (0,0) coefficient is rewritten in the new
+cell's number of variables without a transition.  The map layer is in
+integers: pushforward decides injectivity and properness on each cell from
+one integer elimination, whose right block holds the affine left inverse
+that the image is pulled back along, and pullback_surjective takes its
+right inverse from one integer elimination.  _product_form wedges two factors' coefficients in the
 joined factor chart and pulls the wedge back once into a cell inside the
 product.  Only the contraction boundary route, pairings with ambient test
 forms, and the ambient lift of as_piecewise_form go through ambient
@@ -138,9 +139,20 @@ def transport_form(form, src_cell, dst_cell, f=None):
     of x; f is None for the identity.  f must carry the affine hull of
     dst_cell into that of src_cell.  When the transition is the identity
     map, pullback_affine returns the form itself.
+
+    A constant (0,0) form c has no generator to take a Jacobian factor and
+    composes with any map to c, so it needs no transition: it is c in
+    dst_cell.dim variables, and the form itself when the dimension stays.
     """
+    k = dst_cell.dim
+    if len(form.terms) == 1:
+        (gens, p), = form.terms.items()
+        if gens == ((), ()) and len(p.terms) == 1:
+            (e, c), = p.terms.items()
+            if not any(e):
+                return form if k == form.n else SuperForm.scalar(k, c)
     m_rows, off = dst_cell.chart.transition_to(src_cell.chart, f)
-    return form.pullback_affine(m_rows, off, k=dst_cell.dim)
+    return form.pullback_affine(m_rows, off, k=k)
 
 
 def chart_to_ambient(form, cell):

@@ -6,7 +6,7 @@ factor by a generic vector and keeping the stable intersections.  Both are
 exposed so results can be cross-checked exactly.
 """
 
-from math import gcd, lcm
+from math import lcm
 
 from .currents import (
     AffineMap,
@@ -29,7 +29,7 @@ from .cones import cut, int_dot
 from .linalg import (
     _ivec_primitive as _primitive,
     clear_denominators,
-    integer_kernel,
+    lattice_index,
     rank,
     vec_dot,
 )
@@ -106,14 +106,31 @@ def gradient_second_form(phi):
 
 # ------------------------------------------------------ divisor intersection --
 
-def _complex_presentation(T, pool=()):
-    """T sliced along the pool and, if its cells form no complex, refined."""
-    C = DeltaForm(T.n, _sliced_terms(T.terms, pool))
+def _forms_complex(T):
+    """Whether T's term cells form a polyhedral complex."""
     try:
-        Complex([c for c, _, _ in C.terms])
-        return C
+        Complex([c for c, _, _ in T.terms])
     except ComplexError:
-        return C.refine(extra_hyperplanes=pool)
+        return False
+    return True
+
+
+def _complex_presentation(T, pool=()):
+    """T sliced along the pool and, if its cells form no complex, refined.
+
+    Cells that meet in common faces still do once each is sliced by one set
+    of hyperplanes: two pieces meet in the common face of their cells met
+    with the hyperplanes that part them, a face of both (the common
+    refinement of a complex and an arrangement; Ziegler 1995).  So when T's
+    own cells, which are few, form a complex, the sliced current is
+    returned unchecked, and with an empty pool that is T itself.  Otherwise
+    the sliced cells are checked, unless they are T's again, and refined if
+    they fail.
+    """
+    C = DeltaForm(T.n, _sliced_terms(T.terms, pool)) if pool else T
+    if _forms_complex(T) or pool and _forms_complex(C):
+        return C
+    return C.refine(extra_hyperplanes=pool)
 
 
 def _balanced_presentation(T, pool=(), factor=None):
@@ -336,23 +353,21 @@ def _reaches_diagonal(F1, F2, n):
     return True
 
 
-def _wall_gcds(c1, c2, n):
-    """The product of the walls' gcds on the walk from c1 x c2 to the diagonal.
+def _walk_factor(T, side):
+    """T's presented terms as the walk reads them: (cell, form, cone).
 
-    The lattice of c1 x c2 is Lambda_1 (+) Lambda_2, and each wall's slice
-    has the lattice of the slice before it met with ker h, h = x_i - y_i,
-    for i = n, ..., 1.  h maps each lattice onto cZ, c the gcd of h over a
-    basis; an integer kernel of those values gives a basis of the next.  h
-    reads only x - y, so each basis vector is kept as its image x - y.
+    _balanced_presentation(T) with each cell's _factor_cone, kept in
+    polyhedra._CACHE under ("factor", T): the key is T's value, so equal
+    factors parsed apart are presented once.  An unbalanced factor raises
+    before anything is kept, on every call, with its side's message.
     """
-    rows = [list(r) for r in c1.span.rows] + [[-x for x in r] for r in c2.span.rows]
-    weight = 1
-    for i in range(n - 1, -1, -1):
-        values = [r[i] for r in rows]
-        weight *= gcd(*values)
-        rows = [[int_dot(z, col) for col in zip(*rows)]
-                for z in integer_kernel([values], len(values))]
-    return weight
+    key = ("factor", T)
+    terms = _CACHE.get(key)
+    if terms is None:
+        terms = _CACHE[key] = tuple(
+            (c, f, _factor_cone(c))
+            for c, f, _ in _balanced_presentation(T, factor=side).terms)
+    return terms
 
 
 def wedge_diagonal(S, T):
@@ -388,29 +403,34 @@ def wedge_diagonal(S, T):
       the face of the generators with h = 0, a facet when they span a
       space one dimension lower.
     - The span of each slice is the span before it met with ker h, which
-      stays saturated, so the walls' gcds follow a chain of lattices alone
-      (_wall_gcds), computed for the pairs that reach the diagonal.
+      stays saturated.  h reads only x - y, so the walls' gcds are those of
+      the chain Lambda_1 + Lambda_2 in Z^n met with x_n = 0, then with
+      x_(n-1) = 0, and so on: the diagonal of the Hermite normal form of
+      Lambda_1 + Lambda_2 in the coordinate order n, ..., 1.  A pair that
+      reaches the diagonal has c != 0 at every wall, so that lattice has
+      full rank and the product of the gcds is its index [Z^n : Lambda_1 +
+      Lambda_2], which the product of the pivots of one HNF gives in any
+      coordinate order (lattice_index).
     The diagonal copy of c1 & c2 projects onto c1 & c2, and the projection
     maps its lattice onto that of c1 & c2 with index 1.  So the pair's term
     is written on c1 & c2 directly: f1 x f2 pulled back along x -> (x, x)
     is f1 and f2, each moved into the chart of c1 & c2, wedged, and the
-    weight is the product of the walls' gcds.  Summing terms on one cell is
-    linear, so summing once at the end changes nothing.
+    weight is that index.  Summing terms on one cell is linear, so summing
+    once at the end changes nothing.  Each factor is presented and read
+    once per value (_walk_factor).
     """
     if S.n != T.n:
         raise ValueError("wedge factors live in different spaces")
     n = S.n
-    A = [(c, f, _factor_cone(c)) for c, f, _ in
-         _balanced_presentation(S, factor="left").terms]
-    B = [(c, f, _factor_cone(c)) for c, f, _ in
-         _balanced_presentation(T, factor="right").terms]
+    A = _walk_factor(S, "left")
+    B = _walk_factor(T, "right")
     out = []
     for c1, f1, F1 in A:
         for c2, f2, F2 in B:
             if _meets_first_wall(F1, F2) and _reaches_diagonal(F1, F2, n):
                 pi = intersect(c1, c2)
                 form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
-                out.append((pi, form, _wall_gcds(c1, c2, n)))
+                out.append((pi, form, lattice_index(c1.span.rows + c2.span.rows, n)))
     return DeltaForm(n, out)
 
 

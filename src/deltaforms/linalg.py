@@ -12,6 +12,7 @@ it is not the full Smith form, since no caller needs the divisibility chain
 or rowT.  saturate reads the product of the nonzero diagonal entries (the
 index) and the first rows of colTinv (the saturation); complement_lattice,
 on a saturated lattice, reads the remaining rows as a complement.
+lattice_index reads the index of a full-rank lattice off its HNF.
 """
 
 from __future__ import annotations
@@ -358,6 +359,17 @@ def saturate(vectors, n):
     s, cti = smith_normal_form(vecs)
     diag = [s[i][i] for i in range(min(len(s), n)) if s[i][i]]
     return Lattice(n, cti[:len(diag)]), prod(diag)
+
+
+def lattice_index(rows, n):
+    """[Z^n : the lattice the integer rows generate], 0 if they span less.
+
+    Its HNF is a basis with strictly increasing pivot columns, so at full
+    rank the basis is upper triangular and the index is the product of the
+    pivots on its diagonal.
+    """
+    m = hnf(rows)
+    return prod(m[i][i] for i in range(n)) if len(m) == n else 0
 
 
 def integer_kernel(rows, ncols):

@@ -10,9 +10,14 @@ kept the same way.  Two more tagged entry kinds hold what depends only on
 a direction space: the span lattice, keyed by the primitive linear parts of
 the canonical equalities, and the frame of each lattice (its complement
 and the dual rows of a chart), so a new cell's chart costs only its base
-point.  Interning saves work only: compare polyhedra with ==, never with
-`is`, because a cleared intern table makes equal copies, and one clear
-empties the input keys, the span and frame entries and the canonical ones.
+point.  Two more kinds are keyed by values of other modules: the pairs of
+cells that meet after a generic displacement (intersection._stable_pairs),
+and each balanced wedge factor's presented cells, forms and walk state,
+keyed by the current and kept only once it is found balanced
+(intersection._walk_factor).  Interning saves work only: compare polyhedra
+with ==, never with `is`, because a cleared intern table makes equal
+copies, and one clear empties the input keys, the span, frame, stable and
+factor entries and the canonical ones.
 
 There is no linear programming: emptiness, implicit equalities and facets
 are read off the lineality, vertices and extreme rays of the homogenized cone
@@ -49,7 +54,6 @@ from math import lcm
 
 from .linalg import (
     Lattice,
-    _hnf_lattice,
     _identity_lattice,
     _int_rref,
     _ivec_primitive as _primitive,
@@ -61,7 +65,7 @@ from .linalg import (
     complement_lattice,
     hnf,
     integer_kernel,
-    saturate,
+    lattice_index,
     vec_dot,
 )
 from .cones import double_description, int_dot
@@ -70,8 +74,11 @@ from .scalars import Q, QONE, QZERO, qof, qstr
 # The intern table maps canonical keys to polyhedra, the memo keys of
 # _cleared to what polyhedron() or implicit_rows returned for that input
 # (None for an empty set), ("span", n, rows) to a span lattice,
-# ("frame", n, rows) to a lattice's frame and ("stable", left, right, w)
-# to intersection._stable_pairs's answer, so one clear empties all five.
+# ("frame", n, rows) to a lattice's frame, ("stable", left, right, w)
+# to intersection._stable_pairs's answer and ("factor", T) to the walk-ready
+# terms of a balanced wedge factor T (intersection._walk_factor), so one
+# clear empties all six.  A span, frame, stable or factor entry is only
+# ever recomputed from its key, so any of them is safe to evict.
 _CACHE: dict = {}
 _MISS = object()
 
@@ -890,8 +897,7 @@ def stable_weight(l1: Lattice, lam1, l2: Lattice, lam2):
     Requires span(l1) + span(l2) = R^n; the multiplier is
     lam1 * lam2 * [Z^n : l1 + l2].
     """
-    gens = [list(r) for r in l1.rows] + [list(r) for r in l2.rows]
-    summed, index = saturate(gens, l1.n) if gens else (_hnf_lattice(l1.n, []), 1)
-    if summed.rank != l1.n:
+    index = lattice_index(l1.rows + l2.rows, l1.n)
+    if not index:
         raise ValueError("spans are not transversal")
     return qof(lam1) * qof(lam2) * index

@@ -28,6 +28,12 @@ not collected by pytest.
   in R^2n (product_polyhedron), cut by _wall_slice wall by wall
   (walk_by_polyhedra), and every chain that reaches the diagonal gets
   f1 x f2 in its chart (_product_form) and is projected back (pushforward).
+- _wall_gcds is how the walk weighed a pair that reaches the diagonal
+  before it read the weight off one HNF (linalg.lattice_index): the gcd of
+  each wall over a chain of lattices, one integer kernel per wall.
+- _complex_presentation is the presentation before it checked the factor's
+  own cells first: it slices along the pool, rebuilding the current also
+  when the pool is empty, and checks the sliced cells.
 
 Everything else (transports, normals, the balancing check) is the
 library's own.
@@ -48,8 +54,10 @@ from deltaforms.currents import (
     pushforward,
     transport_form,
 )
-from deltaforms.linalg import vec_dot
+from deltaforms.linalg import integer_kernel, vec_dot
 from deltaforms.polyhedra import (
+    Complex,
+    ComplexError,
     _dual_coords,
     intersect,
     polyhedron,
@@ -254,15 +262,45 @@ def wedge_diagonal_by_polyhedra(S, T):
     return pushforward(p1, DeltaForm(2 * n, out))
 
 
+def _wall_gcds(c1, c2, n):
+    """The product of the walls' gcds on the walk from c1 x c2 to the diagonal.
+
+    The lattice of c1 x c2 is Lambda_1 (+) Lambda_2, and each wall's slice
+    has the lattice of the slice before it met with ker h, h = x_i - y_i,
+    for i = n, ..., 1.  h maps each lattice onto cZ, c the gcd of h over a
+    basis; an integer kernel of those values gives a basis of the next.  h
+    reads only x - y, so each basis vector is kept as its image x - y.
+    """
+    rows = [list(r) for r in c1.span.rows] + [[-x for x in r] for r in c2.span.rows]
+    weight = 1
+    for i in range(n - 1, -1, -1):
+        values = [r[i] for r in rows]
+        weight *= gcd(*values)
+        rows = [[int_dot(z, col) for col in zip(*rows)]
+                for z in integer_kernel([values], len(values))]
+    return weight
+
+
+def _complex_presentation(T, pool=()):
+    """T sliced along the pool and, if its cells form no complex, refined."""
+    C = DeltaForm(T.n, _sliced_terms(T.terms, pool))
+    try:
+        Complex([c for c, _, _ in C.terms])
+        return C
+    except ComplexError:
+        return C.refine(extra_hyperplanes=pool)
+
+
 def count_calls(m, module, name, fn=None):
     """Set module.name to fn (default: itself) through the monkeypatch
-    context m, counting its calls; returns the list each call appends to."""
+    context m, counting its calls; returns the list to which each call
+    appends its positional arguments."""
     fn = getattr(module, name) if fn is None else fn
     calls = []
 
-    def counted(*args):
-        calls.append(None)
-        return fn(*args)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
     m.setattr(module, name, counted)
     return calls

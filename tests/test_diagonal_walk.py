@@ -9,11 +9,15 @@ wall, each coefficient transported once per wall; it must give the same
 bytes, or the same error and certificate, in both orders, each side from an
 emptied intern table.  walk_by_polyhedra walks one pair as polyhedra in
 R^2n (_wall_slice); every pair of presented cells must get its verdict and
-weight, and land on the projection of its last cell.
+weight, and land on the projection of its last cell.  The weight is read off
+one HNF (lattice_index); it must equal the chain of the walls' gcds that it
+replaced (intersection_oracle._wall_gcds), on those pairs and on seeded
+pairs of lattices.
 """
 
 import random
 import sys
+from types import SimpleNamespace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -23,7 +27,7 @@ import intersection_oracle
 from deltaforms import deltaform_json, dumps_canonical, intersection, polyhedra
 from deltaforms.currents import AffineMap, DeltaForm, pushforward
 from deltaforms.intersection import corner_locus, pl_max, wedge_diagonal
-from deltaforms.linalg import rank
+from deltaforms.linalg import Lattice, hnf, lattice_index, rank, saturate
 from deltaforms.polyhedra import intersect, polyhedron, product_polyhedron, whole_space
 from deltaforms.superforms import Poly, SuperForm
 from test_theorem_corpus import generated_pairs, tropical_hypersurface
@@ -194,7 +198,8 @@ def walk_pair_by_pair(S, T):
                 continue
             assert walked is not None
             tau, weight = walked
-            assert intersection._wall_gcds(c1, c2, n) == weight
+            assert (intersection_oracle._wall_gcds(c1, c2, n) == weight
+                    == lattice_index(c1.span.rows + c2.span.rows, n))
             cell, form = projected(tau, n)
             assert intersect(c1, c2) == cell
             assert form == SuperForm.scalar(cell.dim, 1)  # index 1
@@ -233,3 +238,31 @@ def test_every_pair_of_cells_walks_as_the_polyhedra_do(monkeypatch):
         reached = sum(walk_pair_by_pair(S, T) for S, T in pairs)
     assert reached >= 100
     assert all(counts.values()), counts
+
+
+def random_span(rng, n):
+    """A saturated lattice in Z^n, as a cell's span is, from k random
+    vectors: mostly 0 < k < n, sometimes k = 0 or k = n."""
+    k = rng.randint(1, n - 1) if rng.random() < 0.8 else rng.choice((0, n))
+    vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+    vectors = [v for v in vectors if any(v)]
+    return saturate(vectors, n)[0] if vectors else Lattice(n, [])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_walls_gcds_are_the_index_of_the_summed_spans(n):
+    """On seeded pairs of saturated lattices, the chain of the walls' gcds
+    is nonzero exactly when the two spans fill R^n, and then it equals the
+    index that lattice_index reads off the pivots of one HNF; some indices
+    need a pivot other than the last."""
+    rng = random.Random(2800 + n)
+    full = split = 0
+    for _ in range(300):
+        l1, l2 = random_span(rng, n), random_span(rng, n)
+        chain = intersection_oracle._wall_gcds(
+            SimpleNamespace(span=l1), SimpleNamespace(span=l2), n)
+        assert lattice_index(l1.rows + l2.rows, n) == chain
+        if chain:
+            full += 1
+            split += chain != hnf(l1.rows + l2.rows)[-1][-1]
+    assert full >= 100 and split >= 10, (full, split)

@@ -8,7 +8,9 @@ transition in integers.  On cells with rational base points, on document
 charts with rational bases, through every caller that passes an affine map,
 and through both boundary routes, each must give exactly the oracle's
 result.  The benchmark corpora have integral offsets only, so
-these tests are where the rational offsets are checked.
+these tests are where the rational offsets are checked.  A constant (0,0)
+form moves without a transition; it must give the bytes of transition_to
+followed by pullback_affine.
 """
 
 import random
@@ -28,7 +30,7 @@ from deltaforms.currents import (AffineMap, DeltaForm, _split_coordinates,
                                  chart_to_ambient, pullback_surjective,
                                  pushforward, translate_delta, transport_form)
 from deltaforms.intersection import transversal_product, wedge_diagonal
-from deltaforms.io import deltaform_json, parse_deltaform
+from deltaforms.io import deltaform_json, dumps_canonical, parse_deltaform
 from deltaforms.polyhedra import Chart, intersect, polyhedron, ray_from, translate
 from deltaforms.superforms import Poly, SuperForm
 from test_currents import (MAPS, SURJECTIVE, corpus, outcome, random_balanced,
@@ -87,8 +89,15 @@ def is_identity(m_rows, off, k):
                     for j, x in enumerate(row)))
 
 
+def is_constant(form):
+    """Whether the form's only term is a constant (0,0) coefficient."""
+    return (list(form.terms) == [((), ())]
+            and list(form.terms[((), ())].terms) == [(0,) * form.n])
+
+
 def check_transport(form, src, dst, f):
-    """Equal to the oracle; the form itself exactly on the identity map.
+    """Equal to the oracle; the form itself exactly on the identity map,
+    or for a constant (0,0) form that keeps its number of variables.
 
     Returns the oracle offset's largest denominator.
     """
@@ -99,7 +108,8 @@ def check_transport(form, src, dst, f):
     want = oracle.transport_form(form, src, dst, f)
     assert got.n == want.n == dst.dim
     assert list(got.terms.items()) == list(want.terms.items())
-    assert (got is form) == is_identity(want_m, want_off, dst.dim)
+    assert (got is form) == (is_identity(want_m, want_off, dst.dim)
+                             or is_constant(form) and dst.dim == form.n)
     return max((x.denominator for x in want_off), default=1)
 
 
@@ -120,6 +130,31 @@ def test_seeded_transports_have_rational_offsets_and_identities():
         identities += transport_form(form, src, dst, f) is form
     assert max(dens) > 1 and dens.count(1) > 0
     assert 0 < identities < len(dens)
+
+
+def test_constant_coefficients_move_without_a_transition():
+    """The seeded transports with constant forms c, 1 among them: each
+    moves with no transition_to to the bytes that transition_to and
+    pullback_affine give, through a translation and onto points too."""
+    rng = random.Random(17)
+    seen = dict.fromkeys(("map", "point", "lower", "not 1"), 0)
+    for i in range(150):
+        _, src, dst, f = random_transport(rng.randint)
+        c = (Q(-3, 2), Q(1), Q(4))[i % 3]
+        form = SuperForm.scalar(src.dim, c)
+        m_rows, off = dst.chart.transition_to(src.chart, f)
+        want = form.pullback_affine(m_rows, off, k=dst.dim)
+        with mock.patch.object(Chart, "transition_to", side_effect=AssertionError):
+            got = transport_form(form, src, dst, f)
+        assert got.n == dst.dim
+        assert (dumps_canonical(deltaform_json(DeltaForm(dst.n, [(dst, got, 1)])))
+                == dumps_canonical(deltaform_json(DeltaForm(dst.n, [(dst, want, 1)]))))
+        assert (got is form) == (dst.dim == src.dim)
+        seen["map"] += f is not None
+        seen["point"] += dst.dim == 0
+        seen["lower"] += dst.dim < src.dim
+        seen["not 1"] += c != 1
+    assert all(seen.values()), seen
 
 
 # A chart in a document may sit anywhere on the cell, with any basis of the

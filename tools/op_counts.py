@@ -28,6 +28,12 @@ FUNCTIONS = {
     "double_description": ("cones.py", "double_description"),
     "cut": ("cones.py", "cut"),
     "_reaches_diagonal": ("intersection.py", "_reaches_diagonal"),
+    "_wall_gcds": ("intersection.py", "_wall_gcds"),
+    "lattice_index": ("linalg.py", "lattice_index"),
+    "_balanced_presentation": ("intersection.py", "_balanced_presentation"),
+    "_misfit": ("polyhedra.py", "_misfit"),
+    "transport_form": ("currents.py", "transport_form"),
+    "integer_kernel": ("linalg.py", "integer_kernel"),
     "_int_rref": ("linalg.py", "_int_rref"),
     "hnf": ("linalg.py", "hnf"),
     "_ivec_primitive": ("linalg.py", "_ivec_primitive"),
