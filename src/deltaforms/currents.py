@@ -31,8 +31,8 @@ from .linalg import (
     _int_rref,
     _over_denominator,
     _ratio,
-    _rref_kernel,
     clear_denominators,
+    integer_kernel,
     mat_mul_vec,
     vec_dot,
 )
@@ -559,7 +559,7 @@ def _split_coordinates(sigma, tau):
         # the change M[i][j] = duals[i] . b_j inverted: its columns' integer
         # duals are scale M^-1
         cols = [[int_dot(u, b) for u in duals] for b in sch.basis]
-        inv, scale, _, _ = _int_duals(cols, len(cols))
+        inv, scale = _int_duals(cols, len(cols))
         inv = [[_ratio(x, scale) for x in r] for r in inv]
         entry[2] = inv, [-int_dot(r, off) for r in inv], int_dot(w, nvec)
     return entry[2]
@@ -760,7 +760,7 @@ def pushforward(f, T):
         if inverse is None:
             _not_injective(f, cell)
         # p_k = D q_k / lam; the image rows are the rational ones times lam delta
-        q, lam, red, pivots = inverse
+        q, lam = inverse
         qt = [[qk[j] for qk in q] for j in range(m)]
         B, delta = _over_denominator(sch.base)
         cB = [int_dot(row, B) + x * delta for row, x in zip(L, s)]  # D delta c0
@@ -770,7 +770,7 @@ def pushforward(f, T):
             ineqs.append(([D * delta * x for x in a],
                           lam * (r[-1] * delta - int_dot(r, B)) + int_dot(a, cB)))
         eqs = [([D * delta * x for x in k], int_dot(k, cB))
-               for k in _rref_kernel(red, pivots, m).rows]
+               for k in integer_kernel(icols, m).rows]
         nu = polyhedron(m, ineqs, eqs=eqs)
         if nu is None:
             raise AssertionError("image of a nonempty cell is empty")
@@ -800,9 +800,9 @@ def pullback_surjective(f, S):
     inverse = _int_duals(L, n)
     if inverse is None:
         raise ValueError("map is not surjective; use the general pull-back")
-    v, lam, red, pivots = inverse
+    v, lam = inverse
     vt = list(zip(*v))
-    kb = _rref_kernel(red, pivots, n).basis()
+    kb = integer_kernel(L, n).basis()
     dv = abs(_bareiss(v + kb)[1])
     out = []
     for cell, form, _ in S.terms:

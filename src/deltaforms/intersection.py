@@ -41,7 +41,6 @@ from .polyhedra import (
     intersect,
     polyhedron,
     primitive_normal,
-    stable_weight,
 )
 from .scalars import Q, QONE, qof, qstr
 from .superforms import PiecewiseForm, Poly, SuperForm, _plfunction
@@ -445,7 +444,11 @@ def transversal_product(S, T):
 
     All cells of each factor must have one dimension, every intersection
     must have the expected dimension and avoid both boundaries, and the
-    weight picks up the index of the sum of the two direction lattices.
+    weight is the index [Z^n : Lambda_1 + Lambda_2] of the sum of the two
+    direction lattices (lattice_index).  A relative-interior point of the
+    intersection that is strictly inside both cells, with the intersection
+    of dimension d1 + d2 - n, makes the two affine hulls meet in that
+    dimension near it, so the spans sum to R^n and the index is never 0.
     """
     if S.n != T.n:
         raise ValueError("product factors live in different spaces")
@@ -461,8 +464,8 @@ def transversal_product(S, T):
     r1 = n - dims_a.pop()
     r2 = n - dims_b.pop()
     out = []
-    for c1, f1, w1 in S.terms:
-        for c2, f2, w2 in T.terms:
+    for c1, f1, _ in S.terms:
+        for c2, f2, _ in T.terms:
             pi = intersect(c1, c2)
             if pi is None:
                 continue
@@ -474,13 +477,8 @@ def transversal_product(S, T):
             if _touches_own_boundary(c1, rp) or _touches_own_boundary(c2, rp):
                 raise TransversalityError(
                     "cells meet along their boundaries", cert)
-            try:
-                idx = stable_weight(c1.span, w1, c2.span, w2)
-            except ValueError:
-                raise TransversalityError(
-                    "direction spaces are not transversal", cert)
             form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
-            out.append((pi, form, idx))
+            out.append((pi, form, lattice_index(c1.span.rows + c2.span.rows, n)))
     return DeltaForm(n, out)
 
 
@@ -526,13 +524,16 @@ def _stable_pairs(A, B, v):
     """The pairs of terms that meet after displacing B by eps v.
 
     Every pair of terms is scanned, as the product is bilinear.  Returns
-    (pairs, None), pairs a list of (i, j, A's cell i & B's cell j) in the
-    order of A's and B's terms, or (None, (c1, c2)) for the first pair that
-    meets for small eps without a strict interior point or with affine
-    hulls that are not transversal.  Terms are sorted by cell, so the
-    indices hold for any current on the same cells, and the answer is kept
-    in polyhedra._CACHE under the two tuples of cells: displacement_product
-    does not check again the vector that generic_vector accepted.
+    (pairs, None), pairs a list of (i, j, A's cell i & B's cell j, index) in
+    the order of A's and B's terms, or (None, (c1, c2)) for the first pair
+    that meets for small eps without a strict interior point or with affine
+    hulls that are not transversal.  index is [Z^n : Lambda_1 + Lambda_2]
+    for the cells' direction lattices (lattice_index), which is 0 exactly
+    when the spans do not sum to R^n, so one HNF both tests the pair and
+    gives its weight.  Terms are sorted by cell, so the indices hold for any
+    current on the same cells, and the answer is kept in polyhedra._CACHE
+    under the two tuples of cells: displacement_product does not check
+    again the vector that generic_vector accepted.
     """
     w = tuple(clear_denominators(v))
     left = tuple(c for c, _, _ in A.terms)
@@ -555,14 +556,14 @@ def _stable_scan(n, left, right, w):
             rows, rhs, eqs = _lifted_system(c1, c2, w)
             implicit = implicit_rows(n + 1, rows, rhs, eqs)
             if not implicit:
-                eq_lin = [r[:-1] for r in c1.eq_rows + c2.eq_rows]
-                if rank(eq_lin) != (n - c1.dim) + (n - c2.dim):
+                idx = lattice_index(c1.span.rows + c2.span.rows, n)
+                if not idx:
                     return None, (c1, c2)
                 # a pair whose closed cells meet below the expected dimension
                 # meets after the shift in cells that shrink onto that face,
                 # so its limit is zero
                 if pi.dim == c1.dim + c2.dim - n:
-                    pairs.append((i, j, pi))
+                    pairs.append((i, j, pi, idx))
             elif len(rows) - 1 not in implicit:
                 # no strict point, but the pair still meets at some s > 0
                 return None, (c1, c2)
@@ -584,8 +585,9 @@ def displacement_product(S, T, v):
     """Wedge product by displacing T with a generic vector.
 
     Every pair of terms that still meets after an infinitesimal shift by v
-    contributes its intersection with the stable lattice index; the vector
-    must be generic or a NonGenericError names the failing pair.
+    contributes its intersection, weighted by the index of the sum of the
+    two direction lattices that _stable_pairs found; the vector must be
+    generic or a NonGenericError names the failing pair.
     """
     if S.n != T.n:
         raise ValueError("product factors live in different spaces")
@@ -598,10 +600,9 @@ def displacement_product(S, T, v):
              "left": cell_summary(failing[0]),
              "right": cell_summary(failing[1])})
     out = []
-    for i, j, pi in pairs:
-        c1, f1, w1 = S.terms[i]
-        c2, f2, w2 = T.terms[j]
-        idx = stable_weight(c1.span, w1, c2.span, w2)
+    for i, j, pi, idx in pairs:
+        c1, f1, _ = S.terms[i]
+        c2, f2, _ = T.terms[j]
         form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
         out.append((pi, form, idx))
     return DeltaForm(S.n, out)

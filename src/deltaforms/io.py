@@ -10,7 +10,7 @@ import re
 from fractions import Fraction as Q
 
 from .currents import AffineMap, DeltaForm
-from .linalg import Lattice, complement_lattice
+from .linalg import Lattice
 from .polyhedra import Chart, Complex, Polyhedron, polyhedron
 from .scalars import qof, qstr
 from .superforms import PLFunction, Poly, SuperForm
@@ -210,7 +210,13 @@ def chart_json(chart):
 
 
 def parse_chart(doc, cell):
-    """Validate a user-supplied chart of the cell and build it."""
+    """Validate a user-supplied chart of the cell and build it.
+
+    A base point in the cell lies on its affine hull, so containment is the
+    one test it needs.  The chart shares the cell's own complement: the
+    transition into it reads its dual rows only on span vectors, whose
+    coordinates in the basis do not depend on the complement.
+    """
     _require_keys(doc, ["base", "basis"], what="chart")
     base = parse_q_vector(doc["base"], cell.n)
     basis_doc = doc["basis"]
@@ -225,10 +231,9 @@ def parse_chart(doc, cell):
     lat = Lattice(cell.n, basis)
     if lat != cell.span:
         raise DocumentError("chart basis does not generate the cell lattice")
-    rel = [x - y for x, y in zip(base, cell.base_point)]
-    if cell.span.coords(rel) is None or not cell.contains(base):
+    if not cell.contains(base):
         raise DocumentError("chart base point does not lie on the cell")
-    return Chart(cell.n, base, basis, complement_lattice(lat).rows)
+    return Chart(cell.n, base, basis, cell.chart.comp)
 
 
 # --------------------------------------------------------------- delta-forms

@@ -6,13 +6,15 @@ denominators and runs Bareiss.
 
 Lattices are full sublattices of their rational span intersected with Z^n;
 bases are kept in a canonical row echelon form (Hermite normal form) so that
-equal lattices have identical bases.  smith_normal_form brings generators to
-a diagonal form s = rowT * a * colT and returns s with the inverse of colT;
-it is not the full Smith form, since no caller needs the divisibility chain
-or rowT.  saturate reads the product of the nonzero diagonal entries (the
-index) and the first rows of colTinv (the saturation); complement_lattice,
-on a saturated lattice, reads the remaining rows as a complement.
-lattice_index reads the index of a full-rank lattice off its HNF.
+equal lattices have identical bases.  Every lattice answer that is unique is
+read off one HNF (Cohen 1993, section 2.4): integer_kernel takes the rows
+(A x, x) and keeps those whose first block is zero, and lattice_index
+multiplies the pivots of a full-rank lattice (polyhedra.primitive_normal
+reads a facet's normal off the first row of one).  smith_normal_form brings
+generators to a diagonal form s = rowT * a * colT and returns s with the
+inverse of colT, from which complement_lattice reads a complement of a
+saturated lattice: the complement is a choice, not a unique answer, and
+charts and balancing certificates are written over it.
 """
 
 from __future__ import annotations
@@ -119,13 +121,13 @@ def _bareiss(rows):
 
 
 def _int_duals(rows, width):
-    """(duals, scale, red, pivots) of independent integer rows, or None.
+    """(duals, scale) of independent integer rows, or None.
 
-    One integer RREF of [rows | I] is [E rows | E], with red its left block;
-    a pivot in the identity block means the rows are dependent.  On the
-    pivot columns E rows is diagonal, so duals[k], zero off them and
-    scale E[i][k] / red[i][p_i] on pivot column p_i, satisfy
-    duals[k] . rows[j] = scale [k = j], scale the lcm of the pivots.
+    One integer RREF of [rows | I] is [E rows | E]; a pivot in the identity
+    block means the rows are dependent.  On the pivot columns E rows is
+    diagonal, so duals[k], zero off them and scale E[i][k] / red[i][p_i] on
+    pivot column p_i, satisfy duals[k] . rows[j] = scale [k = j], scale the
+    lcm of the pivots.
     """
     d = len(rows)
     red, pivots = _int_rref([row + [int(i == j) for j in range(d)]
@@ -137,7 +139,7 @@ def _int_duals(rows, width):
     for r, p in zip(red, pivots):
         for k, dual in enumerate(duals):
             dual[p] = r[width + k] * (scale // r[p])
-    return duals, scale, [r[:width] for r in red], pivots
+    return duals, scale
 
 
 def _unimodular_inverse(rows):
@@ -246,7 +248,9 @@ def smith_normal_form(a):
     s = rowT * a * colT for unimodular rowT and colT; s is diagonal, with
     nonnegative entries and the nonzero ones first, and colTinv, the inverse
     of colT, is tracked directly.  rowT is not tracked and there is no
-    divisibility sweep, so the entries need not divide each other.
+    divisibility sweep, so the entries need not divide each other.  Its one
+    caller is complement_lattice, which reads the last rows of colTinv: a
+    complement is not unique, and this one fixes every chart's w_rows.
     """
     m = [list(r) for r in a]
     k = len(m)
@@ -306,24 +310,6 @@ class Lattice:
     def basis(self):
         return [list(r) for r in self.rows]
 
-    def coords(self, v):
-        """Rational coordinates of v in the basis, or None if off-span.
-
-        The HNF pivot columns increase, so each coordinate is read off its
-        pivot column once the rows before it are subtracted.  An integer v
-        in the lattice is reduced in integers.
-        """
-        rest = list(v)
-        out = []
-        for row in self.rows:
-            p = next(j for j, x in enumerate(row) if x)
-            c = Q(rest[p], row[p])
-            if c:
-                f = c.numerator if c.denominator == 1 else c
-                rest = [x - f * y for x, y in zip(rest, row)]
-            out.append(c)
-        return None if any(rest) else out
-
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.n == other.n and self.rows == other.rows
 
@@ -347,20 +333,6 @@ def _identity_lattice(n):
     return _hnf_lattice(n, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
-def saturate(vectors, n):
-    """Saturation of the lattice generated by integer vectors in Z^n.
-
-    Returns (Lattice, index) where index = [saturation : generated lattice],
-    the product of the nonunit elementary divisors.
-    """
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        raise ValueError("saturate needs at least one nonzero vector")
-    s, cti = smith_normal_form(vecs)
-    diag = [s[i][i] for i in range(min(len(s), n)) if s[i][i]]
-    return Lattice(n, cti[:len(diag)]), prod(diag)
-
-
 def lattice_index(rows, n):
     """[Z^n : the lattice the integer rows generate], 0 if they span less.
 
@@ -373,29 +345,17 @@ def lattice_index(rows, n):
 
 
 def integer_kernel(rows, ncols):
-    """Canonical basis of {x in Z^n : A x = 0} for a rational matrix A."""
-    red, pivots = _int_rref([clear_denominators(r) for r in rows])
-    return _rref_kernel(red, pivots, ncols).basis()
+    """The saturated Lattice {x in Z^ncols : A x = 0} of integer rows A.
 
-
-def _rref_kernel(red, pivots, ncols):
-    """The saturated Lattice {x in Z^n : A x = 0} of integer rows A already
-    in reduced row echelon form.
-
-    red[i] has a nonzero entry in column pivots[i], and every other row is
-    zero there; the rows need not be primitive.
+    The rows (A x, x) for the unit vectors x generate the lattice of all
+    (A x, x), x in Z^ncols.  Its HNF rows whose first block is zero are
+    (0, x) for the x with A x = 0, and being a tail of an HNF, they are the
+    kernel's own HNF basis.
     """
-    if len(pivots) == ncols:
-        return _hnf_lattice(ncols, [])
-    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
-    ker = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [0] * ncols
-        v[f] = scale
-        for row, p in zip(red, pivots):
-            v[p] = -row[f] * scale // row[p]
-        ker.append(_ivec_primitive(v))
-    return saturate(ker, ncols)[0]
+    k = len(rows)
+    h = hnf([[r[j] for r in rows] + [int(i == j) for i in range(ncols)]
+             for j in range(ncols)])
+    return _hnf_lattice(ncols, [r[k:] for r in h if not any(r[:k])])
 
 
 def complement_lattice(lat: Lattice) -> Lattice:

@@ -54,18 +54,15 @@ from math import lcm
 
 from .linalg import (
     Lattice,
-    _identity_lattice,
     _int_rref,
     _ivec_primitive as _primitive,
     _over_denominator,
     _ratio,
-    _rref_kernel,
     _unimodular_inverse,
     clear_denominators,
     complement_lattice,
     hnf,
     integer_kernel,
-    lattice_index,
     vec_dot,
 )
 from .cones import double_description, int_dot
@@ -383,19 +380,13 @@ class Polyhedron:
             key = ("span", self.n, rows)
             span = _CACHE.get(key)
             if span is None:
-                pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-                span = _CACHE[key] = (_rref_kernel(rows, pivots, self.n) if rows
-                                      else _identity_lattice(self.n))
+                span = _CACHE[key] = integer_kernel(rows, self.n)
             self._span = span
         return self._span
 
     @property
     def lineality(self) -> Lattice:
-        rows = [list(r[:-1]) for r in self.eq_rows] + [list(r[:-1]) for r in self.ineq_rows]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return _identity_lattice(self.n)
-        return _rref_kernel(*_int_rref(rows), self.n)
+        return integer_kernel([r[:-1] for r in self.eq_rows + self.ineq_rows], self.n)
 
     @property
     def base_point(self):
@@ -679,7 +670,7 @@ def box(lo, hi):
 
 def _line_eqs(point, f):
     """Equalities k.x = k.point cutting out the line point + R f (f integer)."""
-    return [(k, vec_dot(k, point)) for k in integer_kernel([f], len(f))]
+    return [(k, vec_dot(k, point)) for k in integer_kernel([f], len(f)).rows]
 
 
 def ray_from(apex, direction):
@@ -774,43 +765,6 @@ def _misfit(a, b):
 
 # ---------------------------------------------------------- lattice normals --
 
-def _xgcd_vector(f):
-    """Integer u with f.u = gcd(f) for a nonzero integer vector f."""
-    u = [0] * len(f)
-    g = 0
-    for i, x in enumerate(f):
-        if x == 0:
-            continue
-        if g == 0:
-            g = abs(x)
-            u = [0] * len(f)
-            u[i] = 1 if x > 0 else -1
-            continue
-        # extended gcd of g and x
-        a, b = g, abs(x)
-        s0, s1 = 1, 0
-        t0, t1 = 0, 1
-        while b:
-            qq, a, b = a // b, b, a % b
-            s0, s1 = s1, s0 - qq * s1
-            t0, t1 = t1, t0 - qq * t1
-        # s0*g + t0*|x| = gcd
-        u = [s0 * c for c in u]
-        u[i] += t0 * (1 if x > 0 else -1)
-        g = a
-    return u, g
-
-
-def _reduce_mod_rows(u, h_rows):
-    u = list(u)
-    for row in h_rows:
-        p = next(j for j, x in enumerate(row) if x != 0)
-        q = u[p] // row[p]
-        if q:
-            u = [a - q * b for a, b in zip(u, row)]
-    return u
-
-
 def _facet_entry(sigma: Polyhedron, tau: Polyhedron):
     """sigma's per-facet entry [row, normal, split frame] for its facet tau.
 
@@ -827,8 +781,8 @@ def _facet_entry(sigma: Polyhedron, tau: Polyhedron):
 def _int_coords(rows, v):
     """Coordinates of v in integer HNF rows, for v in the lattice they generate.
 
-    Each coordinate is read off its row's pivot column, as in Lattice.coords,
-    and is an exact integer quotient.
+    Each coordinate is read off its row's pivot column, once the rows
+    before it are subtracted, and is an exact integer quotient.
     """
     rest = list(v)
     out = []
@@ -848,20 +802,21 @@ def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
     The facet row a of sigma that is tight on tau maps span(sigma) onto gZ,
     with kernel span(tau).  So with b_k the HNF basis of span(sigma), every
     u with sum_k u_k (-a.b_k) = g gives a normal sum_k u_k b_k that points
-    inwards, and these u form one coset of tau's coordinates in the b_k; the
-    HNF of those coordinates reduces it to one canonical u.  a is the row
-    that facets() keeps for tau, the coordinates are integers because
-    span(sigma) is saturated, and the normal is kept in sigma's per-facet
-    slot, so it is computed once per pair.  Raises ValueError when tau is
-    not a facet of sigma.
+    inwards, and these u form one coset of tau's coordinates in the b_k.
+    The rows (-a.b_k, e_k) generate every (sum_k u_k (-a.b_k), u), and
+    their HNF gives both: its first row is (g, u), and u is reduced modulo
+    its other rows, which are (0, x) for tau's coordinates x, so u is the
+    canonical one.
+    a is the row that facets() keeps for tau, and the normal is kept in
+    sigma's per-facet slot, so it is computed once per pair.  Raises
+    ValueError when tau is not a facet of sigma.
     """
     entry = _facet_entry(sigma, tau)
     if entry[1] is None:
         a = entry[0][:-1]
         bs = sigma.span.rows
-        coords = [_int_coords(bs, t) for t in tau.span.rows]
-        u, _ = _xgcd_vector([-int_dot(a, b) for b in bs])
-        u = _reduce_mod_rows(u, hnf(coords) if coords else [])
+        u = hnf([[-int_dot(a, b)] + [int(i == k) for i in range(len(bs))]
+                 for k, b in enumerate(bs)])[0][1:]
         entry[1] = tuple(sum(c * b[i] for c, b in zip(u, bs)) for i in range(sigma.n))
     return list(entry[1])
 
@@ -889,15 +844,3 @@ class WeightedCell:
 
     def __repr__(self):
         return f"WeightedCell({self.cell!r}, weight={self.weight})"
-
-
-def stable_weight(l1: Lattice, lam1, l2: Lattice, lam2):
-    """Multiplier on span(l1) ∩ span(l2) for transversal stable intersection.
-
-    Requires span(l1) + span(l2) = R^n; the multiplier is
-    lam1 * lam2 * [Z^n : l1 + l2].
-    """
-    index = lattice_index(l1.rows + l2.rows, l1.n)
-    if not index:
-        raise ValueError("spans are not transversal")
-    return qof(lam1) * qof(lam2) * index

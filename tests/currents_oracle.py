@@ -32,14 +32,19 @@ pytest.
 - RawDeltaForm is DeltaForm from when its constructor kept the terms as
   given (weights coerced, sorted by sort_key) and canonicalize() folded the
   weights, merged the cells and dropped zero coefficients.
+- stable_weight is the former polyhedra.stable_weight, from before the
+  displacement and transversal products took the index that
+  linalg.lattice_index reads and dropped the term weights, which are
+  always 1.
 
 Everything else (cells, transports for the identity map, the stable pairs,
 the balancing check) is the library's own, except invert, which left the
 library once no caller needed a rational inverse: it comes from
 linalg_oracle, whose invert has the same body.  So do solve_linear,
 kernel_rational and vec_sub, which left the library with the rational map
-layer.  displacement_product reads the stable pairs as the library returns
-them, by term index.
+layer, and integer_kernel and coords, the library's former RREF kernel and
+Lattice.coords.  displacement_product reads the stable pairs as the
+library returns them, by term index, and weighs each with stable_weight.
 """
 
 from deltaforms.cones import int_dot
@@ -62,7 +67,7 @@ from deltaforms.intersection import (
     _stable_pairs,
     _touches_own_boundary,
 )
-from deltaforms.linalg import integer_kernel, mat_mul_vec, rank, vec_dot
+from deltaforms.linalg import lattice_index, mat_mul_vec, rank, vec_dot
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,
@@ -71,13 +76,32 @@ from deltaforms.polyhedra import (
     polyhedron,
     recession_cone,
     single_point,
-    stable_weight,
     translate,
 )
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
 from deltaforms.superforms import SuperForm
-from linalg_oracle import det, invert, kernel_rational, solve_linear, vec_sub
+from linalg_oracle import coords as lattice_coords
+from linalg_oracle import (
+    det,
+    integer_kernel,
+    invert,
+    kernel_rational,
+    solve_linear,
+    vec_sub,
+)
 from polyhedra_oracle import product_polyhedron
+
+
+def stable_weight(l1, lam1, l2, lam2):
+    """Multiplier on span(l1) ∩ span(l2) for transversal stable intersection.
+
+    Requires span(l1) + span(l2) = R^n; the multiplier is
+    lam1 * lam2 * [Z^n : l1 + l2].
+    """
+    index = lattice_index(l1.rows + l2.rows, l1.n)
+    if not index:
+        raise ValueError("spans are not transversal")
+    return qof(lam1) * qof(lam2) * index
 
 
 class RawDeltaForm:
@@ -207,7 +231,7 @@ def pushforward(f, T):
         nu = polyhedron(m, ineqs, eqs=eqs)
         if nu is None:
             raise AssertionError("image of a nonempty cell is empty")
-        idx = abs(det([nu.span.coords(col) for col in mcols]))
+        idx = abs(det([lattice_coords(nu.span, col) for col in mcols]))
         nch = nu.chart
         a_rows = [[int_dot(u, col) for col in mcols] for u in nch.u_rows]
         a_off = [vec_dot(nch.u_rows[j], vec_sub(c0, list(nch.base)))
@@ -240,7 +264,7 @@ def pullback_surjective(f, S):
             raise AssertionError("preimage of a nonempty cell is empty")
         wcols = [solve_linear([list(r) for r in f.lin], [Q(x) for x in bs])
                  for bs in cell.chart.basis]
-        coords = [pre.span.coords(v) for v in wcols + [list(b) for b in kb]]
+        coords = [lattice_coords(pre.span, v) for v in wcols + [list(b) for b in kb]]
         if any(c is None for c in coords):
             raise AssertionError("preimage directions escape the preimage span")
         lam = w * abs(det(coords)) / dv
@@ -319,7 +343,7 @@ def displacement_product(S, T, v):
              "left": cell_summary(failing[0]),
              "right": cell_summary(failing[1])})
     out = []
-    for i, j, pi in pairs:
+    for i, j, pi, _ in pairs:
         c1, f1, w1 = A.terms[i]
         c2, f2, w2 = B.terms[j]
         idx = stable_weight(c1.span, w1, c2.span, w2)
@@ -441,7 +465,7 @@ def rational_pushforward(f, T):
             eqs=[(k, vec_dot(k, c0)) for k in integer_kernel(mcols, m)])
         if nu is None:
             raise AssertionError("image of a nonempty cell is empty")
-        idx = abs(det([nu.span.coords(col) for col in mcols]))
+        idx = abs(det([lattice_coords(nu.span, col) for col in mcols]))
         out.append((nu, transport_form(form, cell, nu, g), w * idx))
     return DeltaForm(m, out).canonicalize()
 
@@ -468,7 +492,7 @@ def rational_pullback_surjective(f, S):
             raise AssertionError("preimage of a nonempty cell is empty")
         wcols = [solve_linear([list(r) for r in f.lin], [Q(x) for x in bs])
                  for bs in cell.chart.basis]
-        coords = [pre.span.coords(v) for v in wcols + [list(b) for b in kb]]
+        coords = [lattice_coords(pre.span, v) for v in wcols + [list(b) for b in kb]]
         if any(c is None for c in coords):
             raise AssertionError("preimage directions escape the preimage span")
         lam = w * abs(det(coords)) / dv

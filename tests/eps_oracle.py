@@ -18,8 +18,9 @@ from fractions import Fraction
 from deltaforms.currents import DeltaForm, cell_summary, chart_to_ambient
 from deltaforms.intersection import NonGenericError
 from deltaforms.linalg import vec_dot
-from deltaforms.polyhedra import intersect, stable_weight
+from deltaforms.polyhedra import intersect
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
+from currents_oracle import stable_weight
 from linalg_oracle import rank
 
 

@@ -5,7 +5,10 @@ pytest.
 - primitive_normal is the former body: it checks the dimensions, takes
   tau's span in rational coordinates of sigma's span, and finds the facet
   row by scanning every inequality row of sigma against tau's span and
-  rational base point.  Nothing is remembered between calls.
+  rational base point.  Nothing is remembered between calls.  It solves
+  sum_k u_k (-a.b_k) = g by an extended gcd (_xgcd_vector) and reduces u
+  modulo the HNF of tau's coordinates (_reduce_mod_rows), the two helpers
+  that the library kept until it read (g, u) off the first row of one HNF.
 - _split_coordinates is the former body, without the memo; it calls the
   primitive_normal of this module.
 - _boundary(T, kind) is the former body: one pass per kind, each pulling
@@ -19,13 +22,46 @@ the normal parts) is the library's own.
 from deltaforms.cones import int_dot
 from deltaforms.currents import DeltaForm, _extract_normal_parts, require_balanced
 from deltaforms.linalg import _int_rref, hnf
-from deltaforms.polyhedra import (
-    Polyhedron,
-    _dual_coords,
-    _reduce_mod_rows,
-    _xgcd_vector,
-)
+from deltaforms.polyhedra import Polyhedron, _dual_coords
 from deltaforms.scalars import Q, QONE
+from linalg_oracle import coords as lattice_coords
+
+
+def _xgcd_vector(f):
+    """Integer u with f.u = gcd(f) for a nonzero integer vector f."""
+    u = [0] * len(f)
+    g = 0
+    for i, x in enumerate(f):
+        if x == 0:
+            continue
+        if g == 0:
+            g = abs(x)
+            u = [0] * len(f)
+            u[i] = 1 if x > 0 else -1
+            continue
+        # extended gcd of g and x
+        a, b = g, abs(x)
+        s0, s1 = 1, 0
+        t0, t1 = 0, 1
+        while b:
+            qq, a, b = a // b, b, a % b
+            s0, s1 = s1, s0 - qq * s1
+            t0, t1 = t1, t0 - qq * t1
+        # s0*g + t0*|x| = gcd
+        u = [s0 * c for c in u]
+        u[i] += t0 * (1 if x > 0 else -1)
+        g = a
+    return u, g
+
+
+def _reduce_mod_rows(u, h_rows):
+    u = list(u)
+    for row in h_rows:
+        p = next(j for j, x in enumerate(row) if x != 0)
+        q = u[p] // row[p]
+        if q:
+            u = [a - q * b for a, b in zip(u, row)]
+    return u
 
 
 def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
@@ -42,7 +78,7 @@ def primitive_normal(sigma: Polyhedron, tau: Polyhedron):
         raise ValueError("tau must be a facet of sigma")
     coords = []
     for t in tau.span.rows:
-        c = sigma.span.coords(t)
+        c = lattice_coords(sigma.span, t)
         if c is None or any(x.denominator != 1 for x in c):
             raise ValueError("tau is not a subcell of sigma")
         coords.append([x.numerator for x in c])

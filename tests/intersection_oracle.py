@@ -30,7 +30,8 @@ not collected by pytest.
   f1 x f2 in its chart (_product_form) and is projected back (pushforward).
 - _wall_gcds is how the walk weighed a pair that reaches the diagonal
   before it read the weight off one HNF (linalg.lattice_index): the gcd of
-  each wall over a chain of lattices, one integer kernel per wall.
+  each wall over a chain of lattices, one integer kernel per wall, on the
+  RREF kernel of linalg_oracle that the library used then.
 - _complex_presentation is the presentation before it checked the factor's
   own cells first: it slices along the pool, rebuilding the current also
   when the pool is empty, and checks the sliced cells.
@@ -54,7 +55,7 @@ from deltaforms.currents import (
     pushforward,
     transport_form,
 )
-from deltaforms.linalg import integer_kernel, vec_dot
+from deltaforms.linalg import vec_dot
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,
@@ -66,6 +67,7 @@ from deltaforms.polyhedra import (
 )
 from deltaforms.scalars import QONE, QZERO
 from deltaforms.superforms import SuperForm, _shifted
+from linalg_oracle import integer_kernel
 
 
 def _covering_cell(maximal, cell, what):

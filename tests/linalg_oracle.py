@@ -21,10 +21,22 @@ The rational solver left the library with the rational map layer
 (pushforward and pullback_surjective now run on integer eliminations):
 the library's solve_linear and kernel_rational had the bodies of the two
 here, over the library's rref, and vec_sub is kept here as it was.
+
+The saturating kernel from before every kernel was read off one Hermite
+normal form: integer_kernel cleared a rational matrix, took its integer
+RREF and passed it to _rref_kernel, which wrote one kernel vector per free
+column and saturated them with saturate, on the library's diagonal form
+(smith_normal_form).  coords is the former Lattice.coords.  These three
+keep the library's Lattice, _hnf_lattice and diagonal form, so they are a
+reference for the kernel route and the saturation, not for the diagonal
+form: the tests check that against the full Smith form here.
 """
 
-from math import gcd
+from fractions import Fraction as Q
+from math import gcd, lcm, prod
 
+from deltaforms.linalg import Lattice, _hnf_lattice
+from deltaforms.linalg import smith_normal_form as _diagonal_form
 from deltaforms.scalars import QONE, QZERO, qof
 
 
@@ -354,3 +366,62 @@ def hnf(rows):
             if q:
                 out[k] = [a - q * b for a, b in zip(out[k], out[i])]
     return [list(r) for r in out]
+
+
+def saturate(vectors, n):
+    """Saturation of the lattice generated by integer vectors in Z^n.
+
+    Returns (Lattice, index) where index = [saturation : generated lattice],
+    the product of the nonunit elementary divisors.
+    """
+    vecs = [v for v in vectors if any(v)]
+    if not vecs:
+        raise ValueError("saturate needs at least one nonzero vector")
+    s, cti = _diagonal_form(vecs)
+    diag = [s[i][i] for i in range(min(len(s), n)) if s[i][i]]
+    return Lattice(n, cti[:len(diag)]), prod(diag)
+
+
+def _rref_kernel(red, pivots, ncols):
+    """The saturated Lattice {x in Z^n : A x = 0} of integer rows A already
+    in reduced row echelon form.
+
+    red[i] has a nonzero entry in column pivots[i], and every other row is
+    zero there; the rows need not be primitive.
+    """
+    if len(pivots) == ncols:
+        return _hnf_lattice(ncols, [])
+    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
+    ker = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * scale // row[p]
+        ker.append(_ivec_primitive(v))
+    return saturate(ker, ncols)[0]
+
+
+def integer_kernel(rows, ncols):
+    """Canonical basis of {x in Z^n : A x = 0} for a rational matrix A."""
+    red, pivots = _int_rref([clear_denominators(r) for r in rows])
+    return _rref_kernel(red, pivots, ncols).basis()
+
+
+def coords(lat, v):
+    """Rational coordinates of v in the lattice's basis, or None if off-span.
+
+    The HNF pivot columns increase, so each coordinate is read off its
+    pivot column once the rows before it are subtracted.  An integer v
+    in the lattice is reduced in integers.
+    """
+    rest = list(v)
+    out = []
+    for row in lat.rows:
+        p = next(j for j, x in enumerate(row) if x)
+        c = Q(rest[p], row[p])
+        if c:
+            f = c.numerator if c.denominator == 1 else c
+            rest = [x - f * y for x, y in zip(rest, row)]
+        out.append(c)
+    return None if any(rest) else out

@@ -19,7 +19,8 @@ verbatim as reference oracles for the tests and not collected by pytest.
   complement and the chart's dual rows) were kept once per direction space:
   every cell builds its own span, complement and unimodular inverse.  These
   are the old Polyhedron property bodies, with their per-instance caches, so
-  property(span) and friends put the old route back on the class.
+  property(span) and friends put the old route back on the class.  span
+  runs the RREF kernel of linalg_oracle, as the library did then.
 - product_polyhedron, from before the product's canonical rows were
   assembled from the factors': the padded rows go through polyhedron(),
   which runs a double description on the product.
@@ -32,13 +33,13 @@ from deltaforms.linalg import (
     Lattice,
     _identity_lattice,
     _int_rref,
-    _rref_kernel,
     _unimodular_inverse,
     complement_lattice,
 )
 from deltaforms.polyhedra import Chart, Complex, _pairs, intersect, polyhedron
 from deltaforms.scalars import Q, qof, qstr
 from deltaforms.superforms import PLFunction
+from linalg_oracle import _rref_kernel
 
 
 def maximal_cells_of(cells):

@@ -20,17 +20,18 @@ from hypothesis import strategies as st
 
 from eps_oracle import (_eqs_rational, _ineqs_rational, lp_extremum,
                         lp_feasible, strict_interior)
-from linalg_oracle import invert, solve_linear
+import facet_oracle
+from facet_oracle import _reduce_mod_rows, _xgcd_vector
+from linalg_oracle import integer_kernel, invert, solve_linear
 from lp_canonicalize import lp_canonicalize
 import polyhedra_oracle
 from deltaforms.currents import hyperplane_pool, normalize_hyperplane, slice_cell
 from deltaforms.io import dumps_canonical, polyhedron_json, q_json, vector_json
 from deltaforms.linalg import (Lattice, clear_denominators, complement_lattice,
-                               hnf, integer_kernel, vec_dot)
+                               hnf, vec_dot)
 from deltaforms import polyhedra
 from deltaforms.polyhedra import (_canonicalize, _cone_generators,
-                                  _homogenized_cone, _reduce_mod_rows,
-                                  _xgcd_vector, affine_preimage, box,
+                                  _homogenized_cone, affine_preimage, box,
                                   implicit_rows, polyhedron, primitive_normal,
                                   recession_cone, translate)
 from deltaforms.scalars import qof
@@ -484,6 +485,36 @@ def test_primitive_normals_match_the_rational_route(system):
     for sigma in _fresh_faces(system):
         for tau in sigma.facets():
             assert primitive_normal(sigma, tau) == primitive_normal_oracle(sigma, tau)
+
+
+def test_primitive_normals_match_the_rational_route_on_seeded_cells():
+    """Seeded cells in R^2 to R^5 and every facet of each of their faces:
+    the normal read off one HNF is the rational route's and the extended-gcd
+    route's.  The corpus holds facets whose row pairs with sigma's lattice
+    in a gcd above 1, and facets whose extended-gcd solution needs reducing
+    modulo tau's coordinates, which the HNF does in the same step."""
+    rng = random.Random(2901)
+    pairs = big_gcd = reduced = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        ineqs = [([Q(rng.randint(-3, 3)) for _ in range(n)], Q(rng.randint(0, 4)))
+                 for _ in range(rng.randint(n, n + 3))]
+        eqs = [([Q(rng.randint(-2, 2)) for _ in range(n)], Q(rng.randint(-2, 2)))
+               for _ in range(rng.random() < 0.3)]
+        for sigma in _fresh_faces((n, ineqs, eqs)):
+            bs = sigma.span.rows
+            for tau in sigma.facets():
+                normal = primitive_normal(sigma, tau)
+                assert normal == primitive_normal_oracle(sigma, tau)
+                assert normal == facet_oracle.primitive_normal(sigma, tau)
+                a = polyhedra._facet_entry(sigma, tau)[0][:-1]
+                u, g = _xgcd_vector([-int(vec_dot(a, b)) for b in bs])
+                coords = [[int(c) for c in coords_oracle(sigma.span, t)]
+                          for t in tau.span.rows]
+                pairs += 1
+                big_gcd += g > 1
+                reduced += _reduce_mod_rows(u, hnf(coords) if coords else []) != u
+    assert pairs >= 1000 and big_gcd >= 100 and reduced >= 100, (pairs, big_gcd, reduced)
 
 
 @settings(max_examples=200, deadline=None)

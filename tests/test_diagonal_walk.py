@@ -27,9 +27,10 @@ import intersection_oracle
 from deltaforms import deltaform_json, dumps_canonical, intersection, polyhedra
 from deltaforms.currents import AffineMap, DeltaForm, pushforward
 from deltaforms.intersection import corner_locus, pl_max, wedge_diagonal
-from deltaforms.linalg import Lattice, hnf, lattice_index, rank, saturate
+from deltaforms.linalg import Lattice, hnf, lattice_index, rank
 from deltaforms.polyhedra import intersect, polyhedron, product_polyhedron, whole_space
 from deltaforms.superforms import Poly, SuperForm
+from linalg_oracle import saturate
 from test_theorem_corpus import generated_pairs, tropical_hypersurface
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))

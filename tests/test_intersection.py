@@ -252,6 +252,16 @@ class TestWedgeDiagonal:
         assert point_mass(wedge_diagonal(line, conic)) == 2
         assert point_mass(wedge_diagonal(conic, conic)) == 4
 
+    def test_scalars_in_r0_multiply_on_every_route(self):
+        # R^0 has no wall to walk, one point, and the index of Z^0 is 1
+        S = DeltaForm(0, [(whole_space(0), SuperForm.scalar(0, 3), 1)])
+        T = DeltaForm(0, [(whole_space(0), SuperForm.scalar(0, 2), 1)])
+        six = DeltaForm(0, [(whole_space(0), SuperForm.scalar(0, 6), 1)])
+        assert generic_vector(S, T) == []
+        for product in (wedge_diagonal(S, T), transversal_product(S, T),
+                        displacement_product(S, T, [])):
+            assert product == six
+
 
 class TestTransversal:
     def test_crossing_lines_pick_up_the_lattice_index(self):
@@ -275,6 +285,11 @@ class TestTransversal:
         A = single_ray_current((0, 0), (1, 0))
         B = single_ray_current((0, 5), (1, 0))
         assert transversal_product(A, B).is_zero()
+
+    def test_an_empty_factor_gives_zero(self):
+        A = single_ray_current((0, 0), (1, 0))
+        for S, T in ((DeltaForm(2), A), (A, DeltaForm(2))):
+            assert transversal_product(S, T) == DeltaForm(2)
 
     def test_overlapping_cells_rejected(self):
         A = single_ray_current((0, 0), (1, 1))
@@ -311,6 +326,12 @@ class TestDisplacement:
         v = generic_vector(L, L)
         ok, _ = is_generic(v, L, L)
         assert ok
+
+    def test_an_empty_search_range_has_no_certificate(self):
+        L = tropical_line()
+        with pytest.raises(NonGenericError) as e:
+            generic_vector(L, tropical_line(apex=(3, 1)), limit=0)
+        assert e.value.certificate is None
 
     def test_rejects_non_generic_vector(self):
         L = tropical_line()

@@ -12,18 +12,16 @@ from deltaforms.linalg import (
     _bareiss,
     _identity_lattice,
     _int_rref,
-    _rref_kernel,
     _unimodular_inverse,
     clear_denominators,
     complement_lattice,
     hnf,
     integer_kernel,
     rank,
-    saturate,
     smith_normal_form,
 )
 from deltaforms.scalars import qof
-from linalg_oracle import kernel_rational, solve_linear
+from linalg_oracle import coords, kernel_rational, saturate, solve_linear
 
 Q = Fraction
 
@@ -73,7 +71,7 @@ def lattice_contains(lat, v):
     v = [Q(x) for x in v]
     if any(x.denominator != 1 for x in v):
         return False
-    c = lat.coords(v)
+    c = coords(lat, v)
     return c is not None and all(x.denominator == 1 for x in c)
 
 
@@ -295,7 +293,7 @@ def test_lattice_contains_and_coords():
     lat = Lattice(2, [[1, 0], [0, 2]])
     assert lattice_contains(lat, [3, 4])
     assert not lattice_contains(lat, [0, 1])
-    assert lat.coords([3, 4]) == [Q(3), Q(2)]
+    assert coords(lat, [3, 4]) == [Q(3), Q(2)]
 
 
 def test_saturate_rejects_degenerate_input():
@@ -318,7 +316,7 @@ def test_saturate_idempotent():
 
 
 def test_integer_kernel_primitive():
-    ker = integer_kernel([[1, 1, 2]], 3)
+    ker = integer_kernel([[1, 1, 2]], 3).basis()
     assert len(ker) == 2
     for v in ker:
         assert v[0] + v[1] + 2 * v[2] == 0
@@ -386,7 +384,33 @@ def _integer_kernel_oracle(rows, ncols):
 @example([[Q(0), Q(0), Q(0)]])                           # only zero rows
 def test_integer_kernel_matches_the_rational_route(rows):
     ncols = len(rows[0]) if rows else 3
-    assert integer_kernel(rows, ncols) == _integer_kernel_oracle(rows, ncols)
+    ker = integer_kernel([clear_denominators(r) for r in rows], ncols)
+    assert ker.n == ncols
+    assert ker.basis() == _integer_kernel_oracle(rows, ncols)
+    assert ker.basis() == oracle.integer_kernel(rows, ncols)
+
+
+def test_integer_kernel_matches_the_rational_route_on_seeded_matrices():
+    """Seeded integer matrices with n = 2..6 columns: the kernel read off one
+    HNF is the RREF kernel saturated and the rational route's.  Many RREF
+    kernels' vectors, one per free column, span a proper sublattice of the
+    kernel, which only the saturation fills."""
+    rng = random.Random(2902)
+    proper = 0
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(n)]
+                for _ in range(rng.randint(0, n))]
+        if rows and rng.random() < 0.2:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        ker = integer_kernel(rows, n)
+        assert ker.n == n and ker.rows == tuple(map(tuple, hnf(ker.rows)))
+        assert ker.basis() == oracle.integer_kernel(rows, n)
+        assert ker.basis() == _integer_kernel_oracle(rows, n)
+        vectors = [clear_denominators(v) for v in kernel_rational(rows, n)]
+        assert len(vectors) == ker.rank
+        proper += bool(vectors) and Lattice(n, vectors) != ker
+    assert proper >= 100, proper
 
 
 def test_complement_lattice():
@@ -413,9 +437,11 @@ def test_trusted_lattices_equal_the_hnf_of_their_rows():
         empty = Lattice(n, [])
         built = [_identity_lattice(n), complement_lattice(empty),
                  complement_lattice(_identity_lattice(n)),
-                 _rref_kernel(*_int_rref([[int(i == j) for j in range(n)]
-                                          for i in range(n)]), n)]
-        assert built[0].rows == built[1].rows and built[2] == built[3] == empty
+                 integer_kernel([[int(i == j) for j in range(n)]
+                                 for i in range(n)], n),
+                 integer_kernel([], n)]
+        assert built[0].rows == built[1].rows == built[4].rows
+        assert built[2] == built[3] == empty
         for lat in built:
             assert lat.n == n and lat.rows == tuple(map(tuple, hnf(lat.rows)))
             assert all(type(x) is int for r in lat.rows for x in r)
@@ -508,12 +534,12 @@ def lattices_and_vectors(draw):
 @example((Lattice(2, []), [0, 1]))
 def test_coords_matches_the_rational_solve(case):
     lat, v = case
-    c = lat.coords(v)
+    c = coords(lat, v)
     assert c == _coords_oracle(lat, v)
     assert c is None or all(type(x) is Fraction for x in c)
     ints = [int(x) for x in v] if all(Q(x).denominator == 1 for x in v) else None
     if ints is not None:
-        assert lat.coords(ints) == c
+        assert coords(lat, ints) == c
 
 
 # ------------------------------------------------ one integer core for Q --

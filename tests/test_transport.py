@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import currents_oracle
 import transport_oracle as oracle
-from deltaforms import currents, intersection
+from deltaforms import currents, intersection, io
 from deltaforms.currents import (AffineMap, DeltaForm, _split_coordinates,
                                  boundary_prime_via_contraction,
                                  boundary_second_via_contraction,
@@ -31,8 +31,10 @@ from deltaforms.currents import (AffineMap, DeltaForm, _split_coordinates,
                                  pushforward, translate_delta, transport_form)
 from deltaforms.intersection import transversal_product, wedge_diagonal
 from deltaforms.io import deltaform_json, dumps_canonical, parse_deltaform
+from deltaforms.linalg import Lattice, complement_lattice
 from deltaforms.polyhedra import Chart, intersect, polyhedron, ray_from, translate
 from deltaforms.superforms import Poly, SuperForm
+from linalg_oracle import coords
 from test_currents import (MAPS, SURJECTIVE, corpus, outcome, random_balanced,
                            random_form)
 
@@ -232,6 +234,59 @@ def test_document_charts_match_the_oracle():
         for term in doc["terms"]:
             dens += [Q(x).denominator for x in term["chart"]["base"]]
     assert max(dens) > 1
+
+
+_parse_chart = io.parse_chart
+
+
+def parse_chart_with_its_own_complement(doc, cell):
+    """io.parse_chart as it was when a document's chart got a complement of
+    its own, and its base point a span test next to the containment test."""
+    chart = _parse_chart(doc, cell)
+    lat = Lattice(cell.n, chart.basis)
+    rel = [x - y for x, y in zip(chart.base, cell.base_point)]
+    assert cell.contains(chart.base) and coords(cell.span, rel) is not None
+    return Chart(cell.n, chart.base, chart.basis, complement_lattice(lat).rows)
+
+
+def test_document_charts_load_to_the_bytes_of_their_own_complement():
+    """A document chart shares its cell's complement: every chart, with a
+    basis other than the HNF one and a base point other than the cell's,
+    loads to the bytes it loaded to with a complement of its own."""
+    rng = random.Random(29)
+    moved = other_basis = 0
+    for doc in rational_chart_documents(rng, 60):
+        got = dumps_canonical(deltaform_json(parse_deltaform(doc)))
+        with mock.patch.object(io, "parse_chart", parse_chart_with_its_own_complement):
+            want = dumps_canonical(deltaform_json(parse_deltaform(doc)))
+        assert got == want
+        for term in doc["terms"]:
+            cell = io.parse_polyhedron(term["cell"])
+            chart = io.parse_chart(term["chart"], cell)
+            moved += chart.base != cell.base_point
+            other_basis += chart.basis != cell.span.rows
+            assert chart.comp == cell.chart.comp
+    assert moved >= 50 and other_basis >= 50, (moved, other_basis)
+
+
+def test_a_document_in_another_chart_loads_to_the_same_bytes():
+    """The segment from (0, 0, 1) to (2, 4, 1), written in its canonical
+    chart and in the chart at (1, 2, 1) with basis -(1, 2, 0)."""
+    cell = polyhedron(3, [([1, 0, 0], 2), ([-1, 0, 0], 0)],
+                      eqs=[([2, -1, 0], 0), ([0, 0, 1], 1)])
+    form = SuperForm.from_poly(Poly.affine([3], 1))
+    canonical = deltaform_json(DeltaForm(3, [(cell, form, 1)]))
+    assert canonical["terms"][0]["chart"] == {
+        "base": ["0/1", "0/1", "1/1"], "basis": [[1, 2, 0]]}
+    # u = 1 - u' between the charts, so 3 u + 1 becomes 4 - 3 u'
+    moved = {"n": 3, "terms": [dict(
+        canonical["terms"][0],
+        form={"terms": [{"poly": [{"exps": [1], "c": "-3/1"},
+                                  {"exps": [0], "c": "4/1"}],
+                         "dp": [], "ds": []}]},
+        chart={"base": ["1/1", "2/1", "1/1"], "basis": [[-1, -2, 0]]})]}
+    assert (dumps_canonical(deltaform_json(parse_deltaform(moved)))
+            == dumps_canonical(canonical))
 
 
 def with_oracle_transport(fn, *args):

@@ -28,7 +28,6 @@ FUNCTIONS = {
     "double_description": ("cones.py", "double_description"),
     "cut": ("cones.py", "cut"),
     "_reaches_diagonal": ("intersection.py", "_reaches_diagonal"),
-    "_wall_gcds": ("intersection.py", "_wall_gcds"),
     "lattice_index": ("linalg.py", "lattice_index"),
     "_balanced_presentation": ("intersection.py", "_balanced_presentation"),
     "_misfit": ("polyhedra.py", "_misfit"),
@@ -36,6 +35,8 @@ FUNCTIONS = {
     "integer_kernel": ("linalg.py", "integer_kernel"),
     "_int_rref": ("linalg.py", "_int_rref"),
     "hnf": ("linalg.py", "hnf"),
+    "smith_normal_form": ("linalg.py", "smith_normal_form"),
+    "primitive_normal": ("polyhedra.py", "primitive_normal"),
     "_ivec_primitive": ("linalg.py", "_ivec_primitive"),
     "int_dot": ("cones.py", "int_dot"),
     "pullback_affine": ("superforms.py", "pullback_affine"),
