@@ -329,20 +329,14 @@ class DeltaForm:
         return DeltaForm(self.n, _sliced_terms(self.terms, sorted(pool)))
 
     def equals(self, other):
-        """Exact equality as currents, over a common refinement per stratum."""
+        """Exact equality as currents: each tridegree stratum of self - other
+        refines to no terms, as its refined cells, of one dimension, are
+        equal or meet in lower dimension.  Identical terms cancel in the
+        difference, so equal presentations slice nothing."""
         if not isinstance(other, DeltaForm) or other.n != self.n:
             return False
-        ca = self.tridegree_components()
-        cb = other.tridegree_components()
-        for key in set(ca) | set(cb):
-            ta = ca[key].terms if key in ca else ()
-            tb = cb[key].terms if key in cb else ()
-            pool = hyperplane_pool([c for c, _, _ in ta]
-                                   + [c for c, _, _ in tb])
-            if (DeltaForm(self.n, _sliced_terms(ta, pool)).terms
-                    != DeltaForm(self.n, _sliced_terms(tb, pool)).terms):
-                return False
-        return True
+        return all(part.refine().is_zero()
+                   for part in (self - other).tridegree_components().values())
 
     # -- balancing -------------------------------------------------------------
 
@@ -823,25 +817,22 @@ def as_piecewise_form(T):
     """Present a codimension-zero current as a piecewise smooth form.
 
     The ambient space is tiled along every constraint hyperplane of the
-    terms; regions outside the support carry the zero form.  Incompatible
-    boundary values surface as a ContinuityError with a witness.
+    terms, the cells of T.refine() are the regions inside the support, and
+    the chart of a full-dimensional cell is an affine isomorphism, so each
+    refined form lifts to the sum of its terms' ambient forms; regions
+    outside the support carry the zero form.  Incompatible boundary values
+    surface as a ContinuityError with a witness.
     """
     tri = T.tridegrees()
     if any(r != 0 for _, _, r in tri):
         raise ValueError("only codimension-zero currents restrict to forms")
     if len({(p, q) for p, q, _ in tri}) > 1:
         raise ValueError("coefficients have mixed bidegree")
-    cells = [c for c, _, _ in T.terms]
-    pool = hyperplane_pool(cells)
+    pool = hyperplane_pool([c for c, _, _ in T.terms])
     regions = slice_cell(whole_space(T.n), pool)
-    pieces = {}
-    for reg in regions:
-        rp = reg.relint_point()
-        total = SuperForm.zero(T.n)
-        for cell, form, _ in T.terms:
-            if cell.contains(rp):
-                total = total + chart_to_ambient(form, cell)
-        pieces[reg] = total
+    refined = {cell: form for cell, form, _ in T.refine().terms}
+    pieces = {reg: chart_to_ambient(refined[reg], reg) if reg in refined
+              else SuperForm.zero(T.n) for reg in regions}
     cx = Complex(regions, validate=False)
     return PiecewiseForm(cx, pieces)
 

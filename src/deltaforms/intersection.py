@@ -36,7 +36,7 @@ from .linalg import (
 from .polyhedra import (
     _CACHE,
     Complex,
-    ComplexError,
+    _first_misfit,
     implicit_rows,
     intersect,
     polyhedron,
@@ -77,7 +77,7 @@ def pl_max(n, affines):
     # are the full-dimensional ones, and neighbouring pieces agree where
     # they meet: both hold by construction and are not checked again
     cx = Complex(list(cells), validate=False)
-    return _plfunction(cx, [c for c in cx.cells if c.dim == n], cells)
+    return _plfunction(cx, cx.maximal_cells(), cells)
 
 
 def value_form(phi):
@@ -106,12 +106,10 @@ def gradient_second_form(phi):
 # ------------------------------------------------------ divisor intersection --
 
 def _forms_complex(T):
-    """Whether T's term cells form a polyhedral complex."""
-    try:
-        Complex([c for c, _, _ in T.terms])
-    except ComplexError:
-        return False
-    return True
+    """Whether T's term cells generate a polyhedral complex: whether every
+    two meet in a common face, as the closure's maximal cells are term
+    cells (Complex.face_compatibility_failure)."""
+    return _first_misfit([c for c, _, _ in T.terms]) is None
 
 
 def _complex_presentation(T, pool=()):
@@ -124,12 +122,12 @@ def _complex_presentation(T, pool=()):
     own cells, which are few, form a complex, the sliced current is
     returned unchecked, and with an empty pool that is T itself.  Otherwise
     the sliced cells are checked, unless they are T's again, and refined if
-    they fail.
+    they fail, along C's own hyperplanes: no pool hyperplane crosses C.
     """
     C = DeltaForm(T.n, _sliced_terms(T.terms, pool)) if pool else T
     if _forms_complex(T) or pool and _forms_complex(C):
         return C
-    return C.refine(extra_hyperplanes=pool)
+    return C.refine()
 
 
 def _balanced_presentation(T, pool=(), factor=None):

@@ -5,19 +5,18 @@ equalities in integer RREF, inequalities primitive, deduplicated, irredundant
 and sorted) and interned, so equal polyhedra share one object and its cached
 charts and face lattices.  The intern table is also keyed by each input
 system, its rows cleared to integers, so a repeated input returns the same
-object (or None) without canonicalizing again; implicit_rows answers are
-kept the same way.  Two more tagged entry kinds hold what depends only on
-a direction space: the span lattice, keyed by the primitive linear parts of
-the canonical equalities, and the frame of each lattice (its complement
-and the dual rows of a chart), so a new cell's chart costs only its base
-point.  Two more kinds are keyed by values of other modules: the pairs of
-cells that meet after a generic displacement (intersection._stable_pairs),
-and each balanced wedge factor's presented cells, forms and walk state,
-keyed by the current and kept only once it is found balanced
-(intersection._walk_factor).  Interning saves work only: compare polyhedra
-with ==, never with `is`, because a cleared intern table makes equal
-copies, and one clear empties the input keys, the span, frame, stable and
-factor entries and the canonical ones.
+object (or None) without canonicalizing again.  Two more tagged entry
+kinds hold what depends only on a direction space: the span lattice, keyed
+by the primitive linear parts of the canonical equalities, and the frame of
+each lattice (its complement and the dual rows of a chart), so a new cell's
+chart costs only its base point.  Two more kinds are keyed by values of
+other modules: the pairs of cells that meet after a generic displacement
+(intersection._stable_pairs), and each balanced wedge factor's presented
+cells, forms and walk state, keyed by the current and kept only once it is
+found balanced (intersection._walk_factor).  Interning saves work only:
+compare polyhedra with ==, never with `is`, because a cleared intern table
+makes equal copies, and one clear empties the input keys, the span, frame,
+stable and factor entries and the canonical ones.
 
 There is no linear programming: emptiness, implicit equalities and facets
 are read off the lineality, vertices and extreme rays of the homogenized cone
@@ -69,13 +68,13 @@ from .cones import double_description, int_dot
 from .scalars import Q, QONE, QZERO, qof, qstr
 
 # The intern table maps canonical keys to polyhedra, the memo keys of
-# _cleared to what polyhedron() or implicit_rows returned for that input
-# (None for an empty set), ("span", n, rows) to a span lattice,
-# ("frame", n, rows) to a lattice's frame, ("stable", left, right, w)
-# to intersection._stable_pairs's answer and ("factor", T) to the walk-ready
-# terms of a balanced wedge factor T (intersection._walk_factor), so one
-# clear empties all six.  A span, frame, stable or factor entry is only
-# ever recomputed from its key, so any of them is safe to evict.
+# _cleared to what polyhedron() returned for that input (None for an empty
+# set), ("span", n, rows) to a span lattice, ("frame", n, rows) to a
+# lattice's frame, ("stable", left, right, w) to intersection._stable_pairs's
+# answer and ("factor", T) to the walk-ready terms of a balanced wedge
+# factor T (intersection._walk_factor), so one clear empties all six.  A
+# span, frame, stable or factor entry is only ever recomputed from its key,
+# so any of them is safe to evict.
 _CACHE: dict = {}
 _MISS = object()
 
@@ -150,16 +149,11 @@ def implicit_rows(n, rows, rhs, eqs):
     rows and rhs are rationals and eqs a list of (e, f) for e.x = f.  Returns
     None when the set is empty.  The set has a point strictly inside every
     inequality row exactly when the list is empty, and a point strictly
-    inside row i exactly when i is not in it.  Like polyhedron(), it
-    remembers the answer under the cleared rows.
+    inside row i exactly when i is not in it.
     """
-    key = _cleared("implicit_rows", n, zip(rows, rhs), eqs)
-    tight = _CACHE.get(key, _MISS)
-    if tight is _MISS:
-        cone = _homogenized_cone(n, key[2], key[3])
-        tight = None if cone is None else tuple(_tight_rows(len(key[2]), cone[5]))
-        _CACHE[key] = tight
-    return None if tight is None else list(tight)
+    _, _, ineqs, eqs = _cleared(n, zip(rows, rhs), eqs)
+    cone = _homogenized_cone(n, ineqs, eqs)
+    return None if cone is None else _tight_rows(len(ineqs), cone[5])
 
 
 def _bits(flags):
@@ -523,7 +517,7 @@ def polyhedron(n, ineqs=(), eqs=()):
     canonicalization found.  The answer is remembered under the cleared
     rows, so a repeated input is not canonicalized again.
     """
-    memo = _cleared("polyhedron", n, ineqs, eqs)
+    memo = _cleared(n, ineqs, eqs)
     inst = _CACHE.get(memo, _MISS)
     if inst is not _MISS:
         return inst
@@ -544,13 +538,14 @@ def _intern(n, eq_rows, ineq_rows, generators):
     return inst
 
 
-def _cleared(tag, n, ineqs, eqs):
-    """The memo key of a system: tag, n and its rows cleared to integers.
+def _cleared(n, ineqs, eqs):
+    """polyhedron()'s memo key of a system: n and its rows cleared to integers.
 
     Canonical keys are (n, eq_rows, ineq_rows), so a tagged 4-tuple cannot
-    collide with one, and the tag keeps polyhedron() and implicit_rows apart.
+    collide with one.
     """
-    return (tag, n, tuple(tuple(clear_denominators([*a, b])) for a, b in ineqs),
+    return ("polyhedron", n,
+            tuple(tuple(clear_denominators([*a, b])) for a, b in ineqs),
             tuple(tuple(clear_denominators([*e, f])) for e, f in eqs))
 
 
@@ -707,7 +702,8 @@ class Complex:
     another meets it in itself, so it is a face of that cell; and a proper
     face is a facet of some face one dimension up, which is again a cell.
     maximal_cells and the complex check both read this set, so the
-    validate=False callers must pass cells that form a complex.
+    validate=False callers must pass cells that form a complex, which the
+    check decides on pairs of maximal cells (face_compatibility_failure).
     """
 
     def __init__(self, cells, validate=True):
@@ -726,23 +722,26 @@ class Complex:
     def face_compatibility_failure(self):
         """None if every pairwise intersection is a face of both, else a report.
 
-        The cells are closed under faces, so they form a complex exactly
-        when every two cells that are no cell's facet meet in a common
-        face.  Only when that fails are all pairs scanned in order, for the
-        first failing one.
+        The report names the first two cells, in the order of cells, that
+        do not meet in a common face, and one pass over the maximal cells
+        finds them.  A cell x that is not maximal is a proper face of a
+        maximal cell M, and sorts after M, as cells are sorted by falling
+        dimension.  If x fails against a cell y, then y is not M, and M
+        fails against y too: were M & y a face of both, x & y = x & (M & y)
+        would be a face of both x and y.  The pair of M and y comes first,
+        so the first failing pair of all cells is a pair of maximal cells,
+        and the first failing one among them.
         """
-        if not any(_misfit(a, b) for a, b in combinations(self._maximal, 2)):
+        found = _first_misfit(self._maximal)
+        if found is None:
             return None
-        for (i, a), (j, b) in combinations(enumerate(self.cells), 2):
-            cap = _misfit(a, b)
-            if cap is not None:
-                return {
-                    "cell_a": i,
-                    "cell_b": j,
-                    "intersection_dim": cap.dim,
-                    "witness_point": [qstr(x) for x in cap.relint_point()],
-                }
-        return None
+        a, b, cap = found
+        return {
+            "cell_a": self.cells.index(a),
+            "cell_b": self.cells.index(b),
+            "intersection_dim": cap.dim,
+            "witness_point": [qstr(x) for x in cap.relint_point()],
+        }
 
     def maximal_cells(self):
         """The cells that are no cell's facet, in the order of cells."""
@@ -755,12 +754,14 @@ class Complex:
         return hash(self.cells)
 
 
-def _misfit(a, b):
-    """The intersection of a and b when it is not a face of both, else None."""
-    cap = intersect(a, b)
-    if cap is None or cap in a.faces() and cap in b.faces():
-        return None
-    return cap
+def _first_misfit(cells):
+    """(a, b, a & b) for the first two cells, in list order, that do not
+    meet in a common face; None when every two do."""
+    for a, b in combinations(cells, 2):
+        cap = intersect(a, b)
+        if cap is not None and (cap not in a.faces() or cap not in b.faces()):
+            return a, b, cap
+    return None
 
 
 # ---------------------------------------------------------- lattice normals --

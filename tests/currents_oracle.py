@@ -32,6 +32,9 @@ pytest.
 - RawDeltaForm is DeltaForm from when its constructor kept the terms as
   given (weights coerced, sorted by sort_key) and canonicalize() folded the
   weights, merged the cells and dropped zero coefficients.
+- as_piecewise_form is the body from before it read T.refine(): every
+  region of the arrangement is tested at its relint_point against every
+  term, and each covering term's form is lifted to ambient coordinates.
 - stable_weight is the former polyhedra.stable_weight, from before the
   displacement and transversal products took the index that
   linalg.lattice_index reads and dropped the term weights, which are
@@ -77,9 +80,10 @@ from deltaforms.polyhedra import (
     recession_cone,
     single_point,
     translate,
+    whole_space,
 )
 from deltaforms.scalars import Q, QONE, QZERO, qof, qstr
-from deltaforms.superforms import SuperForm
+from deltaforms.superforms import PiecewiseForm, SuperForm
 from linalg_oracle import coords as lattice_coords
 from linalg_oracle import (
     det,
@@ -498,3 +502,30 @@ def rational_pullback_surjective(f, S):
         lam = w * abs(det(coords)) / dv
         out.append((pre, transport_form(form, cell, pre, f), lam))
     return DeltaForm(n, out).canonicalize()
+
+
+def as_piecewise_form(T):
+    """Present a codimension-zero current as a piecewise smooth form.
+
+    The ambient space is tiled along every constraint hyperplane of the
+    terms; regions outside the support carry the zero form.  Incompatible
+    boundary values surface as a ContinuityError with a witness.
+    """
+    tri = T.tridegrees()
+    if any(r != 0 for _, _, r in tri):
+        raise ValueError("only codimension-zero currents restrict to forms")
+    if len({(p, q) for p, q, _ in tri}) > 1:
+        raise ValueError("coefficients have mixed bidegree")
+    cells = [c for c, _, _ in T.terms]
+    pool = hyperplane_pool(cells)
+    regions = slice_cell(whole_space(T.n), pool)
+    pieces = {}
+    for reg in regions:
+        rp = reg.relint_point()
+        total = SuperForm.zero(T.n)
+        for cell, form, _ in T.terms:
+            if cell.contains(rp):
+                total = total + chart_to_ambient(form, cell)
+        pieces[reg] = total
+    cx = Complex(regions, validate=False)
+    return PiecewiseForm(cx, pieces)

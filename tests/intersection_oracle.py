@@ -35,6 +35,10 @@ not collected by pytest.
 - _complex_presentation is the presentation before it checked the factor's
   own cells first: it slices along the pool, rebuilding the current also
   when the pool is empty, and checks the sliced cells.
+- _forms_complex is the verdict on a current's cells before it was one pass
+  over the pairs of term cells (polyhedra._first_misfit): it builds the
+  Complex of the cells, with their face closure, and catches the
+  ComplexError, certificate and all.
 
 Everything else (transports, normals, the balancing check) is the
 library's own.
@@ -291,6 +295,15 @@ def _complex_presentation(T, pool=()):
         return C
     except ComplexError:
         return C.refine(extra_hyperplanes=pool)
+
+
+def _forms_complex(T):
+    """Whether T's term cells form a polyhedral complex."""
+    try:
+        Complex([c for c, _, _ in T.terms])
+    except ComplexError:
+        return False
+    return True
 
 
 def count_calls(m, module, name, fn=None):

@@ -13,6 +13,10 @@ verbatim as reference oracles for the tests and not collected by pytest.
   the cells' cached faces alone.
 - face_compatibility_failure, from before only generating cells were
   paired: every ordered pair of cells is intersected.
+- two_pass_face_compatibility_failure, the Complex method from before it
+  read its certificate off one pass over the maximal cells: a verdict from
+  the pairs of maximal cells (_misfit), then, on failure, the first
+  failing pair of all cells, scanned again from the start.
 - pl_max, from before it built its complex and PLFunction trusted: both go
   through the checked constructors.
 - span, base_point and chart, from before a span lattice and its frame (the
@@ -36,6 +40,8 @@ from deltaforms.linalg import (
     _unimodular_inverse,
     complement_lattice,
 )
+from itertools import combinations
+
 from deltaforms.polyhedra import Chart, Complex, _pairs, intersect, polyhedron
 from deltaforms.scalars import Q, qof, qstr
 from deltaforms.superforms import PLFunction
@@ -92,6 +98,36 @@ def face_compatibility_failure(self):
                     "witness_point": [qstr(x) for x in cap.relint_point()],
                 }
     return None
+
+
+def two_pass_face_compatibility_failure(self):
+    """None if every pairwise intersection is a face of both, else a report.
+
+    The cells are closed under faces, so they form a complex exactly
+    when every two cells that are no cell's facet meet in a common
+    face.  Only when that fails are all pairs scanned in order, for the
+    first failing one.
+    """
+    if not any(_misfit(a, b) for a, b in combinations(self._maximal, 2)):
+        return None
+    for (i, a), (j, b) in combinations(enumerate(self.cells), 2):
+        cap = _misfit(a, b)
+        if cap is not None:
+            return {
+                "cell_a": i,
+                "cell_b": j,
+                "intersection_dim": cap.dim,
+                "witness_point": [qstr(x) for x in cap.relint_point()],
+            }
+    return None
+
+
+def _misfit(a, b):
+    """The intersection of a and b when it is not a face of both, else None."""
+    cap = intersect(a, b)
+    if cap is None or cap in a.faces() and cap in b.faces():
+        return None
+    return cap
 
 
 def pl_max(n, affines):

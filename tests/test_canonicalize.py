@@ -153,7 +153,7 @@ def test_the_memo_returns_the_memo_free_canonical_form(system, rnd, factors):
 
 
 def test_a_repeated_input_runs_no_double_description(monkeypatch):
-    """A memo hit, empty sets and implicit_rows included, does no exact work."""
+    """A memo hit, empty sets included, does no exact work."""
     from deltaforms import polyhedra
     runs = []
     original = polyhedra._homogenized_cone
@@ -162,8 +162,7 @@ def test_a_repeated_input_runs_no_double_description(monkeypatch):
     square = _rows((1, 0, 7), (-1, 0, 0), (0, 1, 7), (0, -1, 0))
     rows, rhs = [a for a, _ in square], [b for _, b in square]
     for ask in (lambda: polyhedron(2, square),
-                lambda: polyhedron(2, _rows((1, 0, 0), (-1, 0, -7))),
-                lambda: implicit_rows(2, rows, rhs, [])):
+                lambda: polyhedron(2, _rows((1, 0, 0), (-1, 0, -7)))):
         first = ask()
         del runs[:]
         again = ask()

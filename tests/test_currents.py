@@ -1,6 +1,7 @@
 """Tests for delta-forms: balancing, differentials, products, pairings."""
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import gcd
 from unittest import mock
@@ -39,7 +40,7 @@ from deltaforms.intersection import (
     pl_max,
     transversal_product,
 )
-from deltaforms.io import dumps_canonical
+from deltaforms.io import deltaform_json, dumps_canonical
 from deltaforms.linalg import clear_denominators
 from deltaforms.polyhedra import (
     Complex,
@@ -852,6 +853,105 @@ def test_equals_matches_the_oracle(n):
             assert verdict == currents_oracle.equals(a, b)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def test_equals_on_identical_presentations_slices_nothing(monkeypatch):
+    """Identical terms cancel in the difference, so equals() cuts no cell;
+    a presentation that differs reaches slice_cell."""
+    def refuse(*args):
+        raise AssertionError("slice_cell called")
+
+    pairs = [(tropical_line(), tropical_line()), (DeltaForm(2), DeltaForm(2))]
+    for n in (1, 2, 3):
+        _, currents_ = corpus(61 + n, 6, n)
+        for T in currents_:
+            pairs += [(T, T), (T, DeltaForm(n, T.terms)),
+                      (T.scale(2), T + T), (T + T.scale(-1), DeltaForm(n))]
+    monkeypatch.setattr(currents, "slice_cell", refuse)
+    for a, b in pairs:
+        assert a.equals(b) and b.equals(a)
+    with pytest.raises(AssertionError, match="slice_cell called"):
+        tropical_line().equals(tropical_line(weights=(2, 2, 2)))
+
+
+def halves_of(T, a, b):
+    """T's terms cut along a.x = b, each piece carrying its cell's form."""
+    return DeltaForm(T.n, currents._sliced_terms(T.terms, [normalize_hyperplane(a, b)]))
+
+
+def test_equals_verdicts_match_the_oracle_across_strata():
+    """A segment against its two halves, differences in one or several
+    tridegree strata, and scaled copies, in R^1 to R^3: the verdict of the
+    refined difference is that of slicing both sides by their union pool."""
+    seg = segment([0, 0], [2, 2])
+    f = SuperForm.from_poly(Poly.affine([1], 1))
+    whole = DeltaForm(2, [(seg, f, 1)])
+    halves = halves_of(whole, [1, 0], 1)
+    assert len(halves.terms) == 2
+    cases = [(whole, halves, True), (halves, whole, True),
+             (whole, halves.scale(2), False), (whole.scale(2), halves + halves, True)]
+    rng = random.Random(71)
+    for n in (1, 2, 3):
+        for _ in range(12):
+            T = random_current(rng, n, size=3)
+            a = [rng.randint(-2, 2) or 1 for _ in range(n)]
+            R = halves_of(T, a, Q(rng.randint(-1, 1), 2))
+            S = random_current(rng, n, size=2)
+            q = Q(rng.randint(1, 5), rng.randint(1, 3))
+            cases += [(T, R, None), (T.scale(q), R.scale(q), None),
+                      (T + S, R + S, None), (T, R + S, None),
+                      (T + S.scale(q), R + S, None), (T.scale(q), R, None)]
+    seen = Counter()
+    for a, b, want in cases:
+        verdict = a.equals(b)
+        assert verdict == currents_oracle.equals(a, b)
+        assert want is None or verdict == want
+        several = len((a - b).tridegree_components()) > 1
+        seen["equal" if verdict else "not equal"] += 1
+        seen["equal over several strata" if verdict else "not equal over several strata"] += several
+    assert min(seen.values()) >= 20, seen
+
+
+def piecewise_outcome(fn, T):
+    """The complex, pieces and piecewise_to_delta bytes of fn(T), or the
+    ContinuityError it raised, with its certificate."""
+    try:
+        alpha = fn(T)
+    except ContinuityError as e:
+        return "error", str(e), e.certificate
+    return (alpha.complex.cells, alpha.pieces,
+            dumps_canonical(deltaform_json(piecewise_to_delta(alpha))))
+
+
+def test_piecewise_forms_match_the_region_scan():
+    """Seeded codimension-zero currents in R^1 to R^3, of overlapping cells,
+    some pieces of them cancelled: as_piecewise_form, read off refine(),
+    gives the complex, pieces, round-trip bytes and ContinuityError
+    certificates of the scan of every region against every term that it
+    replaced (currents_oracle.as_piecewise_form)."""
+    rng = random.Random(73)
+    seen = Counter()
+    for n in (1, 2, 3):
+        top = SuperForm.scalar(n, 1)
+        for i in range(n):
+            top = top.wedge(SuperForm.d_prime_x(n, i)).wedge(SuperForm.d_second_x(n, i))
+        for _ in range(15):
+            cells = [random_cell(rng, n, codim=0) for _ in range(rng.randint(1, 3))]
+            kind = rng.choice(["scalar", "poly", "top"])
+            forms = [SuperForm.scalar(n, rng.randint(-2, 2)) if kind == "scalar"
+                     else SuperForm.from_poly(random_poly(rng, n)) if kind == "poly"
+                     else top.scale(Q(rng.randint(1, 3))) for _ in cells]
+            T = DeltaForm(n, [(c, f.restrict(c.chart), 1) for c, f in zip(cells, forms)])
+            pieces = T.refine().terms
+            gone = [t for t in pieces if rng.random() < 0.3]
+            T = T - DeltaForm(n, gone)
+            got = piecewise_outcome(as_piecewise_form, T)
+            assert got == piecewise_outcome(currents_oracle.as_piecewise_form, T)
+            seen["error" if got[0] == "error" else "form"] += 1
+            seen["cancelled"] += bool(gone) and len(T.terms) > 0
+            seen["overlapping"] += len(pieces) > len(cells)
+    assert seen["error"] >= 10 and seen["form"] >= 10, seen
+    assert seen["cancelled"] >= 10 and seen["overlapping"] >= 10, seen
 
 
 @pytest.mark.parametrize("n", [2, 3])

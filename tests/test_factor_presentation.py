@@ -7,8 +7,9 @@ the entry, and an unbalanced factor raises on every call with its side's
 message and is_balanced()'s certificate.  _complex_presentation checks T's
 own cells first and returns the sliced current unchecked when they form a
 complex; otherwise it takes the route it replaced
-(intersection_oracle._complex_presentation): the same current, with the
-same ComplexError witnesses on the sliced cells.
+(intersection_oracle._complex_presentation): the same current, decided by
+one pass over pairs of cells (polyhedra._first_misfit) where the replaced
+route built a Complex and caught its ComplexError.
 """
 
 import random
@@ -18,7 +19,7 @@ import pytest
 
 import intersection_oracle
 from deltaforms import dumps_canonical, intersection, polyhedra
-from deltaforms.currents import BalancingError, DeltaForm, hyperplane_pool
+from deltaforms.currents import BalancingError, DeltaForm, _sliced_terms, hyperplane_pool
 from deltaforms.intersection import _complex_presentation, corner_locus, pl_max, wedge_diagonal
 from deltaforms.io import deltaform_json, parse_deltaform
 from deltaforms.polyhedra import Complex, ComplexError, ray_from
@@ -96,6 +97,19 @@ def record_witnesses(m, module):
     return seen
 
 
+def record_complexes(m, module):
+    """Set module.Complex through the monkeypatch context m to one that
+    records the cells of every call."""
+    built = []
+
+    def recording(cells, validate=True):
+        built.append(cells)
+        return Complex(cells, validate)
+
+    m.setattr(module, "Complex", recording)
+    return built
+
+
 def own_witness(T):
     try:
         Complex([c for c, _, _ in T.terms])
@@ -107,26 +121,45 @@ def own_witness(T):
 def test_cells_that_form_no_complex_take_the_old_route(monkeypatch):
     """Random sums, boxes and balanced currents in R^2 and R^3, each
     presented with no pool and with a function's walls: the current of
-    the replaced route, whose sliced cells raise only where T's own cells
-    raise, and then with the same witnesses."""
+    the replaced route, with no Complex built.  The replaced route's
+    sliced cells raise only where T's own cells raise, with T's witness
+    when there is no pool, and exactly where _forms_complex finds that the
+    sliced cells form no complex."""
     rng = random.Random(28)
     seen = Counter()
     for T in presentation_corpus(2, 12):
         own = own_witness(T)
         for pool in ((), hyperplane_pool(random_function(rng, T.n).maximal)):
             with monkeypatch.context() as m:
-                got_seen = record_witnesses(m, intersection)
+                built = record_complexes(m, intersection)
                 want_seen = record_witnesses(m, intersection_oracle)
                 got = _complex_presentation(T, pool)
                 want = intersection_oracle._complex_presentation(T, pool)
-            assert got.terms == want.terms
+            assert got.terms == want.terms and built == []
             if own is None:
-                assert got_seen == want_seen == []
+                assert want_seen == []
             elif pool:
-                assert got_seen == [own] + want_seen
+                C = DeltaForm(T.n, _sliced_terms(T.terms, pool))
+                assert len(want_seen) == (not intersection._forms_complex(C))
             else:
-                assert got_seen == want_seen == [own]
+                assert want_seen == [own]
             seen["complex" if own is None else "no complex"] += 1
             seen["refined"] += got.terms != T.terms and not pool
             seen["sliced cells form no complex"] += bool(pool and want_seen)
     assert min(seen.values()) >= 10, seen
+
+
+def test_one_pass_verdict_matches_the_complex_it_replaced():
+    """_forms_complex pairs the term cells once; the replaced route built
+    the Complex of their face closure and caught its ComplexError.  On the
+    presentation corpus and on its currents sliced by a function's walls,
+    the verdicts agree, and both verdicts occur."""
+    rng = random.Random(30)
+    seen = Counter()
+    for T in presentation_corpus(3, 12):
+        pool = hyperplane_pool(random_function(rng, T.n).maximal)
+        for X in (T, DeltaForm(T.n, _sliced_terms(T.terms, pool))):
+            verdict = intersection._forms_complex(X)
+            assert verdict == intersection_oracle._forms_complex(X)
+            seen[verdict] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen

@@ -418,6 +418,45 @@ def test_face_compatibility_matches_the_full_scan():
     assert all(seen.values()), seen
 
 
+def test_one_pass_certificates_match_the_two_pass_check():
+    """Reading the certificate off the first failing pair of maximal cells
+    gives the bytes of the check that then scanned every pair of the face
+    closure again (polyhedra_oracle.two_pass_face_compatibility_failure).
+
+    2,000 random_cells lists in R^1 to R^3; in a third of them the first
+    cell is cut in two by a hyperplane, and in half of those only its two
+    halves are kept.  Counted: lists
+    that form no complex, complexes, lists whose maximal cells differ in
+    dimension, and failures whose pair is not the first two maximal cells.
+    """
+    rng = random.Random(30)
+    seen = dict.fromkeys(("complex", "not complex", "mixed dimensions",
+                          "later pair", "nested"), 0)
+    for _ in range(2000):
+        n, cells = random_cells(rng, seen)
+        r = rng.random()
+        if cells and r < 0.35:
+            c = cells[0]
+            a = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+            b = sum(p * q for p, q in zip(a, c.relint_point()))
+            rows = [(r[:-1], r[-1]) for r in c.ineq_rows]
+            eqs = [(r[:-1], r[-1]) for r in c.eq_rows]
+            halves = [polyhedron(n, rows + [(a, b)], eqs=eqs),
+                      polyhedron(n, rows + [([-x for x in a], -b)], eqs=eqs)]
+            cells = halves if r < 0.17 else cells[1:] + halves
+        cx = Complex(cells, validate=False)
+        got = cx.face_compatibility_failure()
+        want = polyhedra_oracle.two_pass_face_compatibility_failure(cx)
+        assert dumps_canonical(got) == dumps_canonical(want)
+        maximal = cx.maximal_cells()
+        seen["complex" if got is None else "not complex"] += 1
+        seen["mixed dimensions"] += len({c.dim for c in maximal}) > 1
+        seen["later pair"] += got is not None and (
+            [cx.cells[got["cell_a"]], cx.cells[got["cell_b"]]] != maximal[:2])
+    assert seen["not complex"] >= 500 and seen["complex"] >= 100, seen
+    assert seen["mixed dimensions"] >= 20 and seen["later pair"] >= 10, seen
+
+
 def test_value_objects_compare_hash_and_print_by_value():
     seg, ray = segment([0, 0], [1, 1]), ray_from([0, 0], [1, 1])
     a, b = WeightedCell(seg, Q(3, 2)), WeightedCell(seg, Q(3, 2))

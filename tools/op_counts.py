@@ -30,7 +30,9 @@ FUNCTIONS = {
     "_reaches_diagonal": ("intersection.py", "_reaches_diagonal"),
     "lattice_index": ("linalg.py", "lattice_index"),
     "_balanced_presentation": ("intersection.py", "_balanced_presentation"),
-    "_misfit": ("polyhedra.py", "_misfit"),
+    "_first_misfit": ("polyhedra.py", "_first_misfit"),
+    "Polyhedron.faces": ("polyhedra.py", "faces"),
+    "slice_cell": ("currents.py", "slice_cell"),
     "transport_form": ("currents.py", "transport_form"),
     "integer_kernel": ("linalg.py", "integer_kernel"),
     "_int_rref": ("linalg.py", "_int_rref"),

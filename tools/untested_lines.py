@@ -2,11 +2,13 @@
 
     PYTHONPATH=src python tools/untested_lines.py [--report FILE] [pytest args]
 
-Runs pytest in this process while a sys.monitoring tool listens for LINE
-events; each callback returns DISABLE, so every line costs one event and the
-run stays close to plain pytest speed.  Afterwards it lists, per module of
-the package, the ast statements (docstrings, global and nonlocal excluded)
-of which no line ran.  The report is appended to FILE, or printed, as a fenced
+Reads and parses every module of the package first, then runs pytest in
+this process while a sys.monitoring tool listens for LINE events; each
+callback returns DISABLE, so every line costs one event and the run stays
+close to plain pytest speed.  Afterwards it lists, per module of the
+package, the ast statements (docstrings, global and nonlocal excluded) of
+which no line ran, as the files read before the run hold them, so a file
+edited during the run cannot shift the report's lines.  The report is appended to FILE, or printed, as a fenced
 Markdown block followed by one total line, "N of M statements never ran";
 the exit code is pytest's.
 
@@ -58,13 +60,18 @@ def ranges(lines):
     return ", ".join(str(a) if a == b else "%d-%d" % (a, b) for a, b in runs)
 
 
-def report(hits):
+def snapshot():
+    """{path: {line: span}} of the package's statements, read now."""
+    return {path: dict(statements(ast.parse(path.read_text(encoding="utf-8"))))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def report(hits, modules):
     """Per-module lines in a fenced block, then one line with the totals."""
     out = ["```text"]
     never = total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, stmts in modules.items():
         ran = hits.get(str(path), set())
-        stmts = dict(statements(ast.parse(path.read_text(encoding="utf-8"))))
         missed = sorted(line for line, span in stmts.items()
                         if ran.isdisjoint(span))
         rel = path.relative_to(PACKAGE.parent.parent)
@@ -81,6 +88,7 @@ def main(argv):
     target = None
     if argv[:1] == ["--report"]:
         target, argv = argv[1], argv[2:]
+    modules = snapshot()
     mon = sys.monitoring
     tool = mon.COVERAGE_ID
     hits = defaultdict(set)
@@ -102,7 +110,7 @@ def main(argv):
     for name, lines in hits.items():
         resolved[str(Path(name).resolve())] |= lines
     text = ("### Statements of src/deltaforms that the tests never run\n\n"
-            + report(resolved))
+            + report(resolved, modules))
     if target is None:
         sys.stdout.write(text)
     else:
