@@ -42,6 +42,7 @@ from .polyhedra import (
     _dual_coords,
     _facet_entry,
     _int_coords,
+    _meeting_pairs,
     _pairs,
     affine_preimage,
     intersect,
@@ -407,9 +408,9 @@ class DeltaForm:
                              "expected %r" % (eb, (self.n - s, self.n - t)))
         total = QZERO
         memo = {}  # one Lasserre memo for every piece
-        for cell, form, _ in self.terms:
-            piece = intersect(cell, window)
-            if piece is None or piece.dim < cell.dim:
+        for i, _, piece in _meeting_pairs([c for c, _, _ in self.terms], (window,)):
+            cell, form, _ = self.terms[i]
+            if piece.dim < cell.dim:
                 continue
             a = transport_form(form, cell, piece)
             g = chart_to_ambient(a, piece).wedge(eta)

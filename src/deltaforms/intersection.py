@@ -31,12 +31,12 @@ from .linalg import (
     clear_denominators,
     lattice_index,
     rank,
-    vec_dot,
 )
 from .polyhedra import (
     _CACHE,
     Complex,
     _first_misfit,
+    _meeting_pairs,
     implicit_rows,
     intersect,
     polyhedron,
@@ -433,20 +433,18 @@ def wedge_diagonal(S, T):
 
 # ------------------------------------------------- transversal intersection --
 
-def _touches_own_boundary(cell, pt):
-    return any(vec_dot(r[:-1], pt) == r[-1] for r in cell.ineq_rows)
-
-
 def transversal_product(S, T):
     """Wedge product of currents in general position, pair by pair.
 
-    All cells of each factor must have one dimension, every intersection
-    must have the expected dimension and avoid both boundaries, and the
-    weight is the index [Z^n : Lambda_1 + Lambda_2] of the sum of the two
-    direction lattices (lattice_index).  A relative-interior point of the
-    intersection that is strictly inside both cells, with the intersection
-    of dimension d1 + d2 - n, makes the two affine hulls meet in that
-    dimension near it, so the spans sum to R^n and the index is never 0.
+    All cells of each factor must have one dimension; the product is then
+    displacement_product at v = 0, which must be generic.  This is exact,
+    as L = (c1 & c2) x [0, oo) at w = 0 (_stable_pairs):
+    - the lifted row -s <= 0 is never implicit;
+    - a strict common point with index != 0 forces dim = d1 + d2 - n;
+    - a strict common point with index 0 forces a larger dimension;
+    - no strict point means some row is tight at c1 & c2's relint_point.
+    So the failing pair meets "in the wrong dimension" when the dimension
+    of c1 & c2 is not d1 + d2 - n, else "along their boundaries".
     """
     if S.n != T.n:
         raise ValueError("product factors live in different spaces")
@@ -459,25 +457,15 @@ def transversal_product(S, T):
         raise TransversalityError(
             "transversal product requires factors of pure dimension",
             {"dims": [sorted(dims_a), sorted(dims_b)]})
-    r1 = n - dims_a.pop()
-    r2 = n - dims_b.pop()
-    out = []
-    for c1, f1, _ in S.terms:
-        for c2, f2, _ in T.terms:
-            pi = intersect(c1, c2)
-            if pi is None:
-                continue
-            cert = {"left": cell_summary(c1), "right": cell_summary(c2)}
-            if pi.dim != n - r1 - r2:
-                raise TransversalityError(
-                    "cells meet in the wrong dimension", cert)
-            rp = pi.relint_point()
-            if _touches_own_boundary(c1, rp) or _touches_own_boundary(c2, rp):
-                raise TransversalityError(
-                    "cells meet along their boundaries", cert)
-            form = transport_form(f1, c1, pi).wedge(transport_form(f2, c2, pi))
-            out.append((pi, form, lattice_index(c1.span.rows + c2.span.rows, n)))
-    return DeltaForm(n, out)
+    pairs, failing = _stable_pairs(S, T, [0] * n)
+    if failing is not None:
+        c1, c2 = failing
+        wrong = intersect(c1, c2).dim != dims_a.pop() + dims_b.pop() - n
+        raise TransversalityError(
+            "cells meet in the wrong dimension" if wrong
+            else "cells meet along their boundaries",
+            {"left": cell_summary(c1), "right": cell_summary(c2)})
+    return _pair_products(S, T, pairs)
 
 
 # ------------------------------------------------------ stable displacement --
@@ -531,7 +519,8 @@ def _stable_pairs(A, B, v):
     gives its weight.  Terms are sorted by cell, so the indices hold for any
     current on the same cells, and the answer is kept in polyhedra._CACHE
     under the two tuples of cells: displacement_product does not check
-    again the vector that generic_vector accepted.
+    again the vector that generic_vector accepted.  The zero vector tests
+    the closed pairs for transversality (transversal_product).
     """
     w = tuple(clear_denominators(v))
     left = tuple(c for c, _, _ in A.terms)
@@ -546,25 +535,22 @@ def _stable_pairs(A, B, v):
 def _stable_scan(n, left, right, w):
     """_stable_pairs's answer for two tuples of cells and a primitive w."""
     pairs = []
-    for i, c1 in enumerate(left):
-        for j, c2 in enumerate(right):
-            pi = intersect(c1, c2)
-            if pi is None:
-                continue
-            rows, rhs, eqs = _lifted_system(c1, c2, w)
-            implicit = implicit_rows(n + 1, rows, rhs, eqs)
-            if not implicit:
-                idx = lattice_index(c1.span.rows + c2.span.rows, n)
-                if not idx:
-                    return None, (c1, c2)
-                # a pair whose closed cells meet below the expected dimension
-                # meets after the shift in cells that shrink onto that face,
-                # so its limit is zero
-                if pi.dim == c1.dim + c2.dim - n:
-                    pairs.append((i, j, pi, idx))
-            elif len(rows) - 1 not in implicit:
-                # no strict point, but the pair still meets at some s > 0
+    for i, j, pi in _meeting_pairs(left, right):
+        c1, c2 = left[i], right[j]
+        rows, rhs, eqs = _lifted_system(c1, c2, w)
+        implicit = implicit_rows(n + 1, rows, rhs, eqs)
+        if not implicit:
+            idx = lattice_index(c1.span.rows + c2.span.rows, n)
+            if not idx:
                 return None, (c1, c2)
+            # a pair whose closed cells meet below the expected dimension
+            # meets after the shift in cells that shrink onto that face,
+            # so its limit is zero
+            if pi.dim == c1.dim + c2.dim - n:
+                pairs.append((i, j, pi, idx))
+        elif len(rows) - 1 not in implicit:
+            # no strict point, but the pair still meets at some s > 0
+            return None, (c1, c2)
     return pairs, None
 
 
@@ -573,7 +559,8 @@ def is_generic(v, S, T):
 
     Checked on every pair of terms: a surviving intersection must have a
     strict interior point and transversal affine hulls.  Returns
-    (True, None) or (False, (left cell, right cell)).
+    (True, None) or (False, (left cell, right cell)); at v = 0, True exactly
+    when transversal_product accepts pure-dimensional factors.
     """
     _, pair = _stable_pairs(S, T, [qof(x) for x in v])
     return pair is None, pair
@@ -597,6 +584,11 @@ def displacement_product(S, T, v):
             {"vector": [qstr(x) for x in v],
              "left": cell_summary(failing[0]),
              "right": cell_summary(failing[1])})
+    return _pair_products(S, T, pairs)
+
+
+def _pair_products(S, T, pairs):
+    """The product of the pairs _stable_pairs kept, each weighted by its index."""
     out = []
     for i, j, pi, idx in pairs:
         c1, f1, _ = S.terms[i]

@@ -33,7 +33,9 @@ unique, and only canonical input rows keep them), and read off them the
 vertices (rays with t > 0), boundedness (no lines and no ray with t = 0), a
 relative-interior point (the sum of the rays) and on which sides of a
 hyperplane they lie (crosses).  A complex reads its maximal cells off its
-faces: they are the cells that are no cell's facet (Complex).
+faces: they are the cells that are no cell's facet (Complex).  Every loop
+over the pairs of cells that meet reads one scan (_meeting_pairs); the
+diagonal walk keeps its own, as it decides a pair before intersecting it.
 
 Faces come from vertex-facet incidences (Kaibel & Pfetsch 2002): a row is
 a facet when its set of tight rays holds a point and is maximal by
@@ -48,7 +50,7 @@ computed once per pair.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from .linalg import (
@@ -615,19 +617,11 @@ def affine_preimage(p: Polyhedron, lin_rows, shift, domain_n):
     """{x : lin.x + shift in p} as a polyhedron in R^domain_n.
 
     With lin and shift cleared to ints L, s over D, each row a.y <= b of p
-    pulls back to a.L x <= D b - a.s.  Under a zero-shift projection onto
-    leading or trailing coordinates, product_polyhedron assembles it.
+    pulls back to a.L x <= D b - a.s.
     """
     k = len(shift)
     flat, den = _over_denominator([x for row in lin_rows for x in row] + list(shift))
     s = flat[k * domain_n:]
-    if domain_n > k > 0 and den == 1 and not any(s):
-        for lead in (0, domain_n - k):
-            if flat[:k * domain_n] == [int(j == i + lead) for i in range(k)
-                                       for j in range(domain_n)]:
-                rest = whole_space(domain_n - k)
-                return (product_polyhedron(rest, p) if lead
-                        else product_polyhedron(p, rest))
     cols = [flat[j:k * domain_n:domain_n] for j in range(domain_n)]
 
     def pull(rows):
@@ -754,13 +748,25 @@ class Complex:
         return hash(self.cells)
 
 
+def _meeting_pairs(left, right=None):
+    """(i, j, left[i] & right[j]) for every two cells that meet, in (i, j)
+    order; without right, the pairs i < j of left, in combinations order."""
+    if right is None:
+        pairs, right = combinations(range(len(left)), 2), left
+    else:
+        pairs = product(range(len(left)), range(len(right)))
+    for i, j in pairs:
+        cap = intersect(left[i], right[j])
+        if cap is not None:
+            yield i, j, cap
+
+
 def _first_misfit(cells):
     """(a, b, a & b) for the first two cells, in list order, that do not
     meet in a common face; None when every two do."""
-    for a, b in combinations(cells, 2):
-        cap = intersect(a, b)
-        if cap is not None and (cap not in a.faces() or cap not in b.faces()):
-            return a, b, cap
+    for i, j, cap in _meeting_pairs(cells):
+        if cap not in cells[i].faces() or cap not in cells[j].faces():
+            return cells[i], cells[j], cap
     return None
 
 

@@ -18,8 +18,8 @@ from operator import add
 
 from .cones import int_dot
 from .linalg import _bareiss, vec_dot
-from .polyhedra import (Chart, Complex, WeightedCell, _facet_entry, intersect,
-                        primitive_normal)
+from .polyhedra import (Chart, Complex, WeightedCell, _facet_entry,
+                        _meeting_pairs, primitive_normal)
 from .scalars import Q, QONE, QZERO, qof
 
 
@@ -724,7 +724,8 @@ class PLFunction:
         self._check_continuity()
 
     def _check_continuity(self):
-        for a, b, face in _meeting_pairs(self.maximal):
+        for i, j, face in _meeting_pairs(self.maximal):
+            a, b = self.maximal[i], self.maximal[j]
             ch = face.chart
             for pt in [list(ch.base)] + [[x + y for x, y in zip(ch.base, bs)]
                                          for bs in ch.basis]:
@@ -760,14 +761,6 @@ def _plfunction(cx, maximal, pieces):
     return f
 
 
-def _meeting_pairs(cells):
-    """(a, b, a ∩ b) for each two cells, in list order, that meet."""
-    for a, b in combinations(cells, 2):
-        face = intersect(a, b)
-        if face is not None:
-            yield a, b, face
-
-
 class PiecewiseForm:
     """A superform given per maximal cell, compatible on shared faces."""
 
@@ -789,9 +782,9 @@ class PiecewiseForm:
         self._check_compatibility()
 
     def _check_compatibility(self):
-        for a, b, face in _meeting_pairs(self.maximal):
-            ra = self.pieces[a].restrict(face.chart)
-            rb = self.pieces[b].restrict(face.chart)
+        for i, j, face in _meeting_pairs(self.maximal):
+            ra = self.pieces[self.maximal[i]].restrict(face.chart)
+            rb = self.pieces[self.maximal[j]].restrict(face.chart)
             if ra != rb:
                 raise ContinuityError(
                     "forms disagree on a shared face",

@@ -68,7 +68,6 @@ from deltaforms.intersection import (
     NonGenericError,
     TransversalityError,
     _stable_pairs,
-    _touches_own_boundary,
 )
 from deltaforms.linalg import lattice_index, mat_mul_vec, rank, vec_dot
 from deltaforms.polyhedra import (
@@ -280,6 +279,10 @@ def pullback_surjective(f, S):
                for j in range(cell.dim)]
         out.append((pre, form.pullback_affine(lin, off, k=pre.dim), lam))
     return DeltaForm(n, out).canonicalize()
+
+
+def _touches_own_boundary(cell, pt):
+    return any(vec_dot(r[:-1], pt) == r[-1] for r in cell.ineq_rows)
 
 
 def transversal_product(S, T):

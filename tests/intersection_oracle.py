@@ -39,6 +39,10 @@ not collected by pytest.
   over the pairs of term cells (polyhedra._first_misfit): it builds the
   Complex of the cells, with their face closure, and catches the
   ComplexError, certificate and all.
+- _stable_scan is the stable scan from before it read
+  polyhedra._meeting_pairs: its own loop over every pair of cells of the
+  two lists, which skips the pairs that do not meet.  all_pairs is that
+  loop alone, as _stable_scan and transversal_product each wrote it.
 
 Everything else (transports, normals, the balancing check) is the
 library's own.
@@ -59,11 +63,13 @@ from deltaforms.currents import (
     pushforward,
     transport_form,
 )
-from deltaforms.linalg import vec_dot
+from deltaforms.intersection import _lifted_system
+from deltaforms.linalg import lattice_index, vec_dot
 from deltaforms.polyhedra import (
     Complex,
     ComplexError,
     _dual_coords,
+    implicit_rows,
     intersect,
     polyhedron,
     primitive_normal,
@@ -304,6 +310,41 @@ def _forms_complex(T):
     except ComplexError:
         return False
     return True
+
+
+def all_pairs(left, right):
+    """(i, j, left[i] & right[j]) for every pair that meets, in (i, j) order."""
+    for i, c1 in enumerate(left):
+        for j, c2 in enumerate(right):
+            pi = intersect(c1, c2)
+            if pi is None:
+                continue
+            yield i, j, pi
+
+
+def _stable_scan(n, left, right, w):
+    """_stable_pairs's answer for two tuples of cells and a primitive w."""
+    pairs = []
+    for i, c1 in enumerate(left):
+        for j, c2 in enumerate(right):
+            pi = intersect(c1, c2)
+            if pi is None:
+                continue
+            rows, rhs, eqs = _lifted_system(c1, c2, w)
+            implicit = implicit_rows(n + 1, rows, rhs, eqs)
+            if not implicit:
+                idx = lattice_index(c1.span.rows + c2.span.rows, n)
+                if not idx:
+                    return None, (c1, c2)
+                # a pair whose closed cells meet below the expected dimension
+                # meets after the shift in cells that shrink onto that face,
+                # so its limit is zero
+                if pi.dim == c1.dim + c2.dim - n:
+                    pairs.append((i, j, pi, idx))
+            elif len(rows) - 1 not in implicit:
+                # no strict point, but the pair still meets at some s > 0
+                return None, (c1, c2)
+    return pairs, None
 
 
 def count_calls(m, module, name, fn=None):

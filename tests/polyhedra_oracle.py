@@ -31,6 +31,9 @@ verbatim as reference oracles for the tests and not collected by pytest.
 - polyhedron_hash and sort_key, from before both were computed once when a
   cell is interned: the old __hash__ and sort_key bodies, which rebuilt
   their tuples on every call.
+- _meeting_pairs, superforms' all-pairs loop over one list of cells from
+  before every loop that intersects pairs read polyhedra._meeting_pairs:
+  every two cells in list order, yielded as cells, not indices.
 """
 
 from deltaforms.linalg import (
@@ -215,3 +218,11 @@ def polyhedron_hash(self):
 
 def sort_key(self):
     return (self.n, len(self.eq_rows), self.eq_rows, self.ineq_rows)
+
+
+def _meeting_pairs(cells):
+    """(a, b, a ∩ b) for each two cells, in list order, that meet."""
+    for a, b in combinations(cells, 2):
+        face = intersect(a, b)
+        if face is not None:
+            yield a, b, face

@@ -33,10 +33,12 @@ from deltaforms.currents import (
     transport_form,
 )
 from deltaforms.intersection import (
+    TransversalityError,
     _balanced_presentation,
     corner_locus,
     displacement_product,
     generic_vector,
+    is_generic,
     pl_max,
     transversal_product,
 )
@@ -329,6 +331,9 @@ class TestPairing:
                            form_poly(xvar(1, 0) * xvar(1, 0)), 1)])
         eta = SuperForm.d_prime_x(1, 0).wedge(SuperForm.d_second_x(1, 0))
         assert T.eval_pairing(eta, box([0], [1])) == Q(1, 3)
+        # a cell that meets the window only in a point pairs to zero
+        ray = DeltaForm(1, [(ray_from([0], [-1]), form_poly(xvar(1, 0)), 1)])
+        assert ray.eval_pairing(eta, box([0], [1])) == 0
 
     def test_point_mass(self):
         T = DeltaForm(2, [(single_point([1, 1]), SuperForm.scalar(0, 5), 1)])
@@ -824,20 +829,67 @@ def test_pullback_surjective_matches_the_oracle(name):
                 == outcome(currents_oracle.pullback_surjective, f, S))
 
 
+BOUNDARIES = "cells meet along their boundaries"
+WRONG_DIMENSION = "cells meet in the wrong dimension"
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pair_products_match_the_oracle(n):
+    """Both products against the oracle's on pure-dimensional pairs, where
+    the zero vector is generic exactly when the transversal product
+    succeeds.  In R^2 the transversal product reaches both of its
+    TransversalityError messages (7 and 1 of the 20 pairs); in R^3 every
+    pair meets transversally."""
     rng = random.Random(31 + n)
     made = 0
+    messages = set()
     for _ in range(20):
         S = random_current(rng, n, size=2, codim=1)
         T = random_current(rng, n, size=2, codim=1)
         got = outcome(transversal_product, S, T)
         assert got == outcome(currents_oracle.transversal_product, S, T)
+        assert is_generic([0] * n, S, T)[0] == (got[0] == "terms")
+        if got[0] == "error":
+            messages.add(got[1][:2])
         v = generic_vector(S, T)
         got = outcome(displacement_product, S, T, v)
         assert got == outcome(currents_oracle.displacement_product, S, T, v)
         made += got[0] == "terms" and bool(got[1])
     assert made >= 10
+    if n == 2:
+        assert messages == {(TransversalityError, BOUNDARIES),
+                            (TransversalityError, WRONG_DIMENSION)}
+
+
+def test_transversal_outcome_classes_match_the_oracle():
+    """Pinned pairs, each with the outcome of the oracle, which reads
+    relint_point and the cells' boundary rows.  Overlapping collinear
+    segments in R^2 have a strict common point with index 0, so they meet
+    in a larger dimension; two planar cones in R^3 that meet in one point
+    have no strict common point and too low a dimension; segments that
+    meet at an endpoint meet along their boundaries; crossing segments
+    have a product."""
+    def unit(n, cells):
+        return DeltaForm(n, [(c, SuperForm.scalar(c.dim, 1), 1) for c in cells])
+
+    quadrant = polyhedron(3, [([-1, 0, 0], 0), ([0, -1, 0], 0)], eqs=[([0, 0, 1], 0)])
+    wall = polyhedron(3, [([0, 1, 0], 0), ([0, 0, -1], 0)], eqs=[([1, 0, 0], 0)])
+    cases = [
+        ([segment([0, 0], [2, 2])], [segment([1, 1], [3, 3])], WRONG_DIMENSION),
+        ([quadrant], [wall], WRONG_DIMENSION),
+        ([segment([0, 0], [1, 0])], [segment([1, 0], [1, 1])], BOUNDARIES),
+        ([segment([0, 0], [2, 2])], [segment([0, 2], [2, 0])], None),
+    ]
+    for left, right, message in cases:
+        n = left[0].n
+        S, T = unit(n, left), unit(n, right)
+        got = outcome(transversal_product, S, T)
+        assert got == outcome(currents_oracle.transversal_product, S, T)
+        assert is_generic([0] * n, S, T)[0] == (message is None)
+        if message is None:
+            assert got[0] == "terms" and got[1]
+        else:
+            assert got[1][:2] == (TransversalityError, message)
 
 
 @pytest.mark.parametrize("n", [2, 3])

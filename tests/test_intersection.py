@@ -5,7 +5,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+import intersection_oracle
 import polyhedra_oracle
+from test_polyhedra import touching_cells
 from deltaforms.currents import (
     AffineMap,
     BalancingError,
@@ -20,6 +22,7 @@ from deltaforms.currents import (
 from deltaforms.intersection import (
     NonGenericError,
     TransversalityError,
+    _stable_scan,
     corner_locus,
     corner_locus_identity_check,
     displacement_product,
@@ -314,6 +317,25 @@ class TestTransversal:
 
 
 class TestDisplacement:
+    def test_stable_scan_matches_the_all_pairs_scan_on_touching_cells(self):
+        """The scan over polyhedra._meeting_pairs gives the answer of the
+        scan with its own all-pairs loop (intersection_oracle._stable_scan)
+        on cells that share only a vertex or whose boxes share only a
+        corner, at the zero vector and at displacements along and across
+        the shared corners."""
+        verdicts, kept = set(), 0
+        for cells in touching_cells():
+            n = cells[0].n
+            left, right = tuple(cells[::2]), tuple(cells[1::2])
+            for w in [(0,) * n, (1,) * n, (1, -1) + (0,) * (n - 2),
+                      (2, 1) + (1,) * (n - 2), (-1,) + (0,) * (n - 1)]:
+                for a, b in ((left, right), (right, left)):
+                    got = _stable_scan(n, a, b, w)
+                    assert got == intersection_oracle._stable_scan(n, a, b, w)
+                    verdicts.add(got[1] is None)
+                    kept += len(got[0] or ())
+        assert verdicts == {True, False} and kept >= 10
+
     def test_diagonal_displacement_is_not_generic(self):
         L = tropical_line()
         ok, cert = is_generic((1, 1), L, L)

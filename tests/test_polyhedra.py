@@ -5,6 +5,7 @@ import pytest
 
 import polyhedra_oracle
 from currents_oracle import stable_weight
+from intersection_oracle import all_pairs
 from linalg_oracle import coords as lattice_coords
 from linalg_oracle import det, saturate
 from superform_oracle import triangulate
@@ -16,6 +17,7 @@ from deltaforms.polyhedra import (
     Complex,
     ComplexError,
     WeightedCell,
+    _meeting_pairs,
     box,
     intersect,
     polyhedron,
@@ -455,6 +457,55 @@ def test_one_pass_certificates_match_the_two_pass_check():
             [cx.cells[got["cell_a"]], cx.cells[got["cell_b"]]] != maximal[:2])
     assert seen["not complex"] >= 500 and seen["complex"] >= 100, seen
     assert seen["mixed dimensions"] >= 20 and seen["later pair"] >= 10, seen
+
+
+def touching_cells():
+    """Cells in R^2 and R^3 that touch without overlapping, as lists.
+
+    Squares, cubes and segments that share only a vertex; triangles,
+    segments and a ray whose cells are disjoint but whose bounding boxes
+    share only a corner; two squares on a common edge; and a point.
+    """
+    def triangle(x, y, s):
+        # conv{(x, y), (x + s, y), (x, y + s)} for s = 1, the mirror for s = -1
+        return polyhedron(2, [([-s, 0], -s * x), ([0, -s], -s * y),
+                              ([s, s], s * (x + y) + 1)])
+
+    plane = [box([0, 0], [1, 1]), box([1, 1], [2, 2]), box([0, 1], [1, 2]),
+             triangle(0, 0, 1), triangle(2, 2, -1), triangle(1, 1, 1),
+             segment([0, 0], [1, 1]), segment([1, 1], [2, 0]),
+             segment([1, 2], [2, 1]), ray_from([2, 2], [1, 0]),
+             single_point([1, 1]), segment([3, 0], [3, 1])]
+    space = [box([0] * 3, [1] * 3), box([1] * 3, [2] * 3),
+             segment([0, 0, 2], [1, 1, 2]), segment([1, 1, 2], [2, 2, 3]),
+             segment([1, 2, 2], [2, 1, 1])]
+    return [plane, space]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_meeting_pairs_on_touching_cells(k):
+    """polyhedra._meeting_pairs yields the pairs of the all-pairs loops it
+    replaced, in their order: within one list, the pairs i < j that
+    superforms scanned (polyhedra_oracle._meeting_pairs), and across two
+    lists, those of the stable scan's loop (intersection_oracle.all_pairs).
+    Cells that share only a vertex meet there; cells whose boxes share only
+    a corner do not meet at all."""
+    cells = touching_cells()[k]
+    got = list(_meeting_pairs(cells))
+    assert got == [(cells.index(a), cells.index(b), face)
+                   for a, b, face in polyhedra_oracle._meeting_pairs(cells)]
+    assert any(face.dim == 0 for _, _, face in got)
+    left, right = cells[::2], cells[1::2]
+    for a, b in ((left, right), (right, left), (cells, cells)):
+        assert list(_meeting_pairs(a, b)) == list(all_pairs(a, b))
+    # the touching pairs are kept, the boxes that only touch are not
+    met = {(i, j) for i, j, _ in got}
+    if k == 0:
+        assert {(0, 1), (0, 2), (3, 6), (6, 7)} <= met
+        assert not {(3, 5), (6, 8), (3, 4)} & met
+        assert intersect(cells[3], cells[5]) is None
+    else:
+        assert (0, 1) in met and (2, 3) in met and (0, 4) not in met
 
 
 def test_value_objects_compare_hash_and_print_by_value():

@@ -93,6 +93,29 @@ out=$(timeout 60 deltaforms wedge "$work/nested-left.json" "$work/nested-right.j
 echo "$out" | grep -o '"verdict":"[a-z]*"'
 echo "$out" | grep -q '"verdict":"match"'
 
+# The transversal product is the displacement product at the zero
+# vector: on two crossing segments both print the same bytes, and two
+# segments that meet at an endpoint are a precondition error (exit 2).
+python -c '
+import json, sys
+from deltaforms import DeltaForm, SuperForm, deltaform_json, segment
+docs = {"cross-left": [((0, 0), (2, 2))], "cross-right": [((0, 2), (2, 0))],
+        "touch-left": [((0, 0), (1, 0))], "touch-right": [((1, 0), (1, 1))]}
+for name, ends in docs.items():
+    T = DeltaForm(2, [(segment(a, b), SuperForm.scalar(1, 1), 1) for a, b in ends])
+    with open("%s/%s.json" % (sys.argv[1], name), "w") as fh:
+        json.dump(deltaform_json(T), fh)
+' "$work"
+out=$(timeout 60 deltaforms transversal "$work/cross-left.json" "$work/cross-right.json")
+echo "$out"
+test "$out" = "$(timeout 60 deltaforms wedge --method displacement --vector 0,0 \
+  "$work/cross-left.json" "$work/cross-right.json")"
+status=0
+out=$(timeout 60 deltaforms transversal "$work/touch-left.json" "$work/touch-right.json") || status=$?
+echo "$out"
+test "$status" = 2
+echo "$out" | grep -q '"kind":"precondition"'
+
 # The walk at scale against the displacement route: the corner loci of
 # two tropical polynomials in x, y with every monomial of degree at
 # most 5 and seeded coefficients (17 x 37 cells).

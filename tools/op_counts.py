@@ -31,6 +31,8 @@ FUNCTIONS = {
     "lattice_index": ("linalg.py", "lattice_index"),
     "_balanced_presentation": ("intersection.py", "_balanced_presentation"),
     "_first_misfit": ("polyhedra.py", "_first_misfit"),
+    "_meeting_pairs": ("polyhedra.py", "_meeting_pairs"),
+    "implicit_rows": ("polyhedra.py", "implicit_rows"),
     "Polyhedron.faces": ("polyhedra.py", "faces"),
     "slice_cell": ("currents.py", "slice_cell"),
     "transport_form": ("currents.py", "transport_form"),
