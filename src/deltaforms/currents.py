@@ -42,11 +42,10 @@ from .polyhedra import (
     _dual_coords,
     _facet_entry,
     _int_coords,
+    _from_rows,
     _meeting_pairs,
-    _pairs,
     affine_preimage,
     intersect,
-    polyhedron,
     primitive_normal,
     product_polyhedron,
     recession_cone,
@@ -201,21 +200,21 @@ def slice_cell(cell, hyperplanes):
     Returns the full-dimensional closed pieces; they tile the cell and their
     new walls all lie on pool hyperplanes.  Pieces of different cells sliced
     by the same pool meet in common faces when the cells already do, or
-    when the pool holds every cell's own hyperplanes, as in refine().  The
-    integer normals of normalize_hyperplane keys go to polyhedron() as they
-    are.
+    when the pool holds every cell's own hyperplanes, as in refine().  Each
+    hyperplane is cleared to an integer row once, at the first piece it
+    crosses, which it cuts into its rows with the row and with -row.
     """
     pieces = [cell]
     for a, b in hyperplanes:
         nxt = []
+        row = None
         for p in pieces:
             if not p.crosses(a, b):
                 nxt.append(p)
                 continue
-            base_ineqs = _pairs(p.ineq_rows)
-            eqs = _pairs(p.eq_rows)
-            nxt.append(polyhedron(p.n, base_ineqs + [(a, b)], eqs=eqs))
-            nxt.append(polyhedron(p.n, base_ineqs + [([-x for x in a], -b)], eqs=eqs))
+            row = row or clear_denominators([*a, b])
+            nxt.append(_from_rows(p.n, p.ineq_rows + (row,), p.eq_rows))
+            nxt.append(_from_rows(p.n, p.ineq_rows + ([-x for x in row],), p.eq_rows))
         pieces = nxt
     return pieces
 
@@ -624,18 +623,12 @@ def _covering_cell(maximal, cell, what):
     """The first maximal cell, in sort order, containing the cell's relint point.
 
     The point is taken homogeneous, X = (x, t) the sum of the cell's cone
-    rays (relint_point is x / t), and tested in integers: a.x = b t on each
-    equality row of a maximal cell and a.x <= b t on each inequality row.
+    rays (relint_point is x / t), and tested in integers (Polyhedron._holds).
     """
     rays, _ = cell.generators()
     X = [sum(col) for col in zip(*rays)]
-
-    def slack(r):
-        # a.x - b t; zip stops int_dot at the n entries of a
-        return int_dot(r[:-1], X) - r[-1] * X[-1]
-
     for M in sorted(maximal, key=lambda c: c.sort_key):
-        if not any(map(slack, M.eq_rows)) and all(slack(r) <= 0 for r in M.ineq_rows):
+        if M._holds(X):
             return M
     raise PreconditionError("%s does not cover a cell of the current" % what,
                             {"cell": cell_summary(cell)})
@@ -711,14 +704,13 @@ def _not_injective(f, cell):
     with the first vector of the rational kernel of f on the hull."""
     rec = recession_cone(cell)
     if rec.dim > 0:
-        cap = intersect(rec, polyhedron(f.n, [], eqs=[(row, 0) for row in f.lin]))
+        cap = intersect(rec, _from_rows(f.n, (), [row + [0] for row in f.ints[0]]))
         if cap.dim > 0:
             raise PreconditionError(
                 "pushforward is not proper on a cell",
                 {"cell": cell_summary(cell),
                  "recession_direction": [qstr(x) for x in cap.span.basis()[0]]})
-    red, pivots = _int_rref([clear_denominators(r) for r in f.lin]
-                            + [list(w) for w in cell.chart.w_rows])
+    red, pivots = _int_rref(f.ints[0] + [list(w) for w in cell.chart.w_rows])
     free = next(c for c in range(f.n) if c not in pivots)
     direction = [int(c == free) for c in range(f.n)]
     for r, p in zip(red, pivots):
@@ -762,11 +754,11 @@ def pushforward(f, T):
         ineqs = []
         for r in cell.ineq_rows:
             a = [int_dot([int_dot(r, b) for b in sch.basis], col) for col in qt]
-            ineqs.append(([D * delta * x for x in a],
-                          lam * (r[-1] * delta - int_dot(r, B)) + int_dot(a, cB)))
-        eqs = [([D * delta * x for x in k], int_dot(k, cB))
+            ineqs.append([D * delta * x for x in a]
+                         + [lam * (r[-1] * delta - int_dot(r, B)) + int_dot(a, cB)])
+        eqs = [[D * delta * x for x in k] + [int_dot(k, cB)]
                for k in integer_kernel(icols, m).rows]
-        nu = polyhedron(m, ineqs, eqs=eqs)
+        nu = _from_rows(m, ineqs, eqs)
         if nu is None:
             raise AssertionError("image of a nonempty cell is empty")
         idx = abs(_bareiss([_int_coords(nu.span.rows, c) for c in icols])[1])

@@ -35,6 +35,7 @@ from .linalg import (
 from .polyhedra import (
     _CACHE,
     Complex,
+    _checked,
     _first_misfit,
     _meeting_pairs,
     implicit_rows,
@@ -493,17 +494,15 @@ def transversal_product(S, T):
 # primitive integer vector first and L's rows are integers.
 
 def _lifted_system(c1, c2, w):
-    """Rows, right-hand sides and equalities of L for an integer vector w."""
-    rows, rhs, eqs = [], [], []
+    """(ineqs, eqs): L's integer rows (a, 0, b) from c1 and (a, -a.w, b)
+    from c2, for an integer vector w, with the row -s <= 0 last."""
+    ineqs, eqs = [], []
     for cell, shifted in ((c1, False), (c2, True)):
-        for r in cell.ineq_rows:
-            rows.append((*r[:-1], -int_dot(r[:-1], w) if shifted else 0))
-            rhs.append(r[-1])
-        for r in cell.eq_rows:
-            eqs.append(((*r[:-1], -int_dot(r[:-1], w) if shifted else 0), r[-1]))
-    rows.append((0,) * len(w) + (-1,))
-    rhs.append(0)
-    return rows, rhs, eqs
+        for rows, out in ((cell.ineq_rows, ineqs), (cell.eq_rows, eqs)):
+            for r in rows:
+                out.append((*r[:-1], -int_dot(r, w) if shifted else 0, r[-1]))
+    ineqs.append((0,) * len(w) + (-1, 0))
+    return ineqs, eqs
 
 
 def _stable_pairs(A, B, v):
@@ -520,9 +519,10 @@ def _stable_pairs(A, B, v):
     current on the same cells, and the answer is kept in polyhedra._CACHE
     under the two tuples of cells: displacement_product does not check
     again the vector that generic_vector accepted.  The zero vector tests
-    the closed pairs for transversality (transversal_product).
+    the closed pairs for transversality (transversal_product).  ValueError
+    unless v has n entries.
     """
-    w = tuple(clear_denominators(v))
+    w = tuple(clear_denominators(_checked(v, A.n)))
     left = tuple(c for c, _, _ in A.terms)
     right = tuple(c for c, _, _ in B.terms)
     memo = ("stable", left, right, w)
@@ -537,8 +537,8 @@ def _stable_scan(n, left, right, w):
     pairs = []
     for i, j, pi in _meeting_pairs(left, right):
         c1, c2 = left[i], right[j]
-        rows, rhs, eqs = _lifted_system(c1, c2, w)
-        implicit = implicit_rows(n + 1, rows, rhs, eqs)
+        ineqs, eqs = _lifted_system(c1, c2, w)
+        implicit = implicit_rows(n + 1, ineqs, eqs)
         if not implicit:
             idx = lattice_index(c1.span.rows + c2.span.rows, n)
             if not idx:
@@ -548,7 +548,7 @@ def _stable_scan(n, left, right, w):
             # so its limit is zero
             if pi.dim == c1.dim + c2.dim - n:
                 pairs.append((i, j, pi, idx))
-        elif len(rows) - 1 not in implicit:
+        elif len(ineqs) - 1 not in implicit:
             # no strict point, but the pair still meets at some s > 0
             return None, (c1, c2)
     return pairs, None

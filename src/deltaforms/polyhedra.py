@@ -4,7 +4,7 @@ Every polyhedron is reduced to a canonical irredundant description (implicit
 equalities in integer RREF, inequalities primitive, deduplicated, irredundant
 and sorted) and interned, so equal polyhedra share one object and its cached
 charts and face lattices.  The intern table is also keyed by each input
-system, its rows cleared to integers, so a repeated input returns the same
+system, its rows primitive integers, so a repeated input returns the same
 object (or None) without canonicalizing again.  Two more tagged entry
 kinds hold what depends only on a direction space: the span lattice, keyed
 by the primitive linear parts of the canonical equalities, and the frame of
@@ -22,9 +22,9 @@ There is no linear programming: emptiness, implicit equalities and facets
 are read off the lineality, vertices and extreme rays of the homogenized cone
 {(u, t) : a.u <= b t, t >= 0}, found by exact integer double description
 (see cones and _canonicalize).  Rows are integers from entry to canonical
-form: polyhedron() clears each row's denominators once, and a polyhedron's
-rows are read only as its canonical integer eq_rows and ineq_rows.  Implicit rows join
-the equalities in RREF; facet rows are reduced modulo them, scaled to
+form: polyhedron(), the one door for rational rows, checks and clears them
+once, and every cell is made by _from_rows from integer rows.  Implicit
+rows join the equalities in RREF; facet rows are reduced modulo them, scaled to
 primitive integers, deduplicated and sorted.  implicit_rows answers the same
 question for any system, which decides whether it has a point strictly
 inside a given row.  Polyhedra cache their generators, seeded from the
@@ -70,7 +70,7 @@ from .cones import double_description, int_dot
 from .scalars import Q, QONE, QZERO, qof, qstr
 
 # The intern table maps canonical keys to polyhedra, the memo keys of
-# _cleared to what polyhedron() returned for that input (None for an empty
+# _from_rows (its primitive rows) to what it returned (None for an empty
 # set), ("span", n, rows) to a span lattice, ("frame", n, rows) to a
 # lattice's frame, ("stable", left, right, w) to intersection._stable_pairs's
 # answer and ("factor", T) to the walk-ready terms of a balanced wedge
@@ -145,15 +145,14 @@ def _tight_rows(m, zeros):
     return [i for i in range(m) if all(z >> (i + 1) & 1 for z in zeros)]
 
 
-def implicit_rows(n, rows, rhs, eqs):
+def implicit_rows(n, ineqs, eqs):
     """Indices of the rows a.x <= b that hold with equality on the whole set.
 
-    rows and rhs are rationals and eqs a list of (e, f) for e.x = f.  Returns
+    ineqs and eqs are integer rows (a, b) for a.x <= b and a.x = b.  Returns
     None when the set is empty.  The set has a point strictly inside every
     inequality row exactly when the list is empty, and a point strictly
     inside row i exactly when i is not in it.
     """
-    _, _, ineqs, eqs = _cleared(n, zip(rows, rhs), eqs)
     cone = _homogenized_cone(n, ineqs, eqs)
     return None if cone is None else _tight_rows(len(ineqs), cone[5])
 
@@ -353,14 +352,15 @@ class Polyhedron:
         return self.n - len(self.eq_rows)
 
     def contains(self, pt) -> bool:
-        pt = [qof(x) for x in pt]
-        for r in self.eq_rows:
-            if vec_dot(r[:-1], pt) != r[-1]:
-                return False
-        for r in self.ineq_rows:
-            if vec_dot(r[:-1], pt) > r[-1]:
-                return False
-        return True
+        """_holds at pt cleared to x / t; ValueError unless pt has n entries."""
+        x, t = _over_denominator([qof(v) for v in _checked(pt, self.n)])
+        return self._holds(x + [t])
+
+    def _holds(self, X):
+        """Whether x / t lies in the polyhedron, for ints X = (x, t), t > 0:
+        a.x = b t on each equality row and a.x <= b t on each inequality row."""
+        return (all(int_dot(r[:-1], X) == r[-1] * X[-1] for r in self.eq_rows)
+                and all(int_dot(r[:-1], X) <= r[-1] * X[-1] for r in self.ineq_rows))
 
     @property
     def span(self) -> Lattice:
@@ -394,16 +394,15 @@ class Polyhedron:
         """
         if self._base is None:
             if self.dim == 0:
-                red, pivots = _int_rref(self.eq_rows)
-                self._base = tuple(Q(r[-1], r[p]) for r, p in zip(red, pivots))
+                # n integer RREF rows: row i is a_i x_i = b
+                self._base = tuple(Q(r[-1], r[i]) for i, r in enumerate(self.eq_rows))
             else:
                 gens = self._generators
                 lin = self.lineality if gens is None or gens[1] else None
                 if lin is not None and lin.rank > 0:
                     _, u_rows, _ = _frame(lin)
-                    cut = polyhedron(
-                        self.n, _pairs(self.ineq_rows),
-                        eqs=_pairs(self.eq_rows) + [(row, 0) for row in u_rows])
+                    cut = _from_rows(self.n, self.ineq_rows, self.eq_rows
+                                     + tuple(row + (0,) for row in u_rows))
                     self._base = tuple(cut.base_point)
                 else:
                     self._base = min(tuple(v) for v in self.vertices())
@@ -514,12 +513,25 @@ _SENTINEL = object()
 def polyhedron(n, ineqs=(), eqs=()):
     """Canonical interned polyhedron from inequalities a.x <= b (and equalities).
 
-    ineqs and eqs are iterables of (a, b) with rational entries.  Returns None
-    when the set is empty.  A new pointed polyhedron keeps the generators its
-    canonicalization found.  The answer is remembered under the cleared
-    rows, so a repeated input is not canonicalized again.
+    ineqs and eqs are iterables of (a, b) with rational entries, each a of n
+    entries (else ValueError); this one door for rational rows clears each
+    once for _from_rows.  Returns None when the set is empty.
     """
-    memo = _cleared(n, ineqs, eqs)
+    ineqs = [clear_denominators([*_checked(a, n), b]) for a, b in ineqs]
+    eqs = [clear_denominators([*_checked(e, n), f]) for e, f in eqs]
+    return _from_rows(n, ineqs, eqs)
+
+
+def _from_rows(n, ineqs, eqs):
+    """Canonical interned polyhedron from integer rows (a_1, ..., a_n, b).
+
+    Each row, for a.x <= b resp. a.x = b, is made primitive; the answer is
+    memoized under n and these rows, in a tagged 4-tuple that no canonical
+    key equals.  Returns None when the set is empty; a new pointed
+    polyhedron keeps its canonicalization's generators.
+    """
+    memo = ("polyhedron", n, tuple(map(tuple, map(_primitive, ineqs))),
+            tuple(map(tuple, map(_primitive, eqs))))
     inst = _CACHE.get(memo, _MISS)
     if inst is not _MISS:
         return inst
@@ -527,6 +539,13 @@ def polyhedron(n, ineqs=(), eqs=()):
     inst = None if canon is None else _intern(n, *canon)
     _CACHE[memo] = inst
     return inst
+
+
+def _checked(v, n):
+    """v, or ValueError when it has not n entries."""
+    if len(v) != n:
+        raise ValueError("vector has length %d, expected %d" % (len(v), n))
+    return v
 
 
 def _intern(n, eq_rows, ineq_rows, generators):
@@ -540,39 +559,22 @@ def _intern(n, eq_rows, ineq_rows, generators):
     return inst
 
 
-def _cleared(n, ineqs, eqs):
-    """polyhedron()'s memo key of a system: n and its rows cleared to integers.
-
-    Canonical keys are (n, eq_rows, ineq_rows), so a tagged 4-tuple cannot
-    collide with one.
-    """
-    return ("polyhedron", n,
-            tuple(tuple(clear_denominators([*a, b])) for a, b in ineqs),
-            tuple(tuple(clear_denominators([*e, f])) for e, f in eqs))
-
-
-def _pairs(rows):
-    """Canonical integer rows as the (a, b) pairs polyhedron() takes."""
-    return [(r[:-1], r[-1]) for r in rows]
-
-
 def intersect(p: Polyhedron, q: Polyhedron):
     if p.n != q.n:
         raise ValueError("ambient dimensions differ")
-    return polyhedron(p.n, _pairs(p.ineq_rows) + _pairs(q.ineq_rows),
-                      eqs=_pairs(p.eq_rows) + _pairs(q.eq_rows))
+    return _from_rows(p.n, p.ineq_rows + q.ineq_rows, p.eq_rows + q.eq_rows)
 
 
 def recession_cone(p: Polyhedron):
-    return polyhedron(p.n, [(r[:-1], 0) for r in p.ineq_rows],
-                      eqs=[(r[:-1], 0) for r in p.eq_rows])
+    return _from_rows(p.n, [r[:-1] + (0,) for r in p.ineq_rows],
+                      [r[:-1] + (0,) for r in p.eq_rows])
 
 
 def translate(p: Polyhedron, v):
-    v = [qof(x) for x in v]
-    ineqs = [(a, b + vec_dot(a, v)) for a, b in _pairs(p.ineq_rows)]
-    eqs = [(e, f + vec_dot(e, v)) for e, f in _pairs(p.eq_rows)]
-    return polyhedron(p.n, ineqs, eqs=eqs)
+    """p + v, the preimage of p under x -> x - v."""
+    n = p.n
+    return affine_preimage(p, [[int(i == j) for j in range(n)] for i in range(n)],
+                           [-qof(x) for x in _checked(v, n)], n)
 
 
 def product_polyhedron(p: Polyhedron, q: Polyhedron):
@@ -626,10 +628,10 @@ def affine_preimage(p: Polyhedron, lin_rows, shift, domain_n):
 
     def pull(rows):
         # zip stops int_dot at the k entries of a
-        return [([int_dot(r, col) for col in cols], den * r[-1] - int_dot(r, s))
+        return [[int_dot(r, col) for col in cols] + [den * r[-1] - int_dot(r, s)]
                 for r in rows]
 
-    return polyhedron(domain_n, pull(p.ineq_rows), eqs=pull(p.eq_rows))
+    return _from_rows(domain_n, pull(p.ineq_rows), pull(p.eq_rows))
 
 
 # ------------------------------------------------------------- constructors --
@@ -647,7 +649,7 @@ def single_point(coords):
 
 def box(lo, hi):
     lo = [qof(x) for x in lo]
-    hi = [qof(x) for x in hi]
+    hi = [qof(x) for x in _checked(hi, len(lo))]
     n = len(lo)
     ineqs = []
     for i in range(n):
@@ -673,7 +675,7 @@ def ray_from(apex, direction):
 
 def segment(a, b):
     a = [qof(x) for x in a]
-    b = [qof(x) for x in b]
+    b = [qof(x) for x in _checked(b, len(a))]
     f = clear_denominators([y - x for x, y in zip(a, b)])
     # f is a positive multiple of b - a, so f.a <= f.b
     return polyhedron(len(a), [(f, vec_dot(f, b)), ([-x for x in f], -vec_dot(f, a))],

@@ -43,6 +43,9 @@ not collected by pytest.
   polyhedra._meeting_pairs: its own loop over every pair of cells of the
   two lists, which skips the pairs that do not meet.  all_pairs is that
   loop alone, as _stable_scan and transversal_product each wrote it.
+  _lifted_system is the lifted system from before implicit_rows took
+  integer rows: rows, right-hand sides and (e, f) equality pairs, which
+  _stable_scan joins into rows for implicit_rows.
 
 Everything else (transports, normals, the balancing check) is the
 library's own.
@@ -63,7 +66,6 @@ from deltaforms.currents import (
     pushforward,
     transport_form,
 )
-from deltaforms.intersection import _lifted_system
 from deltaforms.linalg import lattice_index, vec_dot
 from deltaforms.polyhedra import (
     Complex,
@@ -322,6 +324,20 @@ def all_pairs(left, right):
             yield i, j, pi
 
 
+def _lifted_system(c1, c2, w):
+    """Rows, right-hand sides and equalities of L for an integer vector w."""
+    rows, rhs, eqs = [], [], []
+    for cell, shifted in ((c1, False), (c2, True)):
+        for r in cell.ineq_rows:
+            rows.append((*r[:-1], -int_dot(r[:-1], w) if shifted else 0))
+            rhs.append(r[-1])
+        for r in cell.eq_rows:
+            eqs.append(((*r[:-1], -int_dot(r[:-1], w) if shifted else 0), r[-1]))
+    rows.append((0,) * len(w) + (-1,))
+    rhs.append(0)
+    return rows, rhs, eqs
+
+
 def _stable_scan(n, left, right, w):
     """_stable_pairs's answer for two tuples of cells and a primitive w."""
     pairs = []
@@ -331,7 +347,8 @@ def _stable_scan(n, left, right, w):
             if pi is None:
                 continue
             rows, rhs, eqs = _lifted_system(c1, c2, w)
-            implicit = implicit_rows(n + 1, rows, rhs, eqs)
+            implicit = implicit_rows(n + 1, [(*r, b) for r, b in zip(rows, rhs)],
+                                     [(*e, f) for e, f in eqs])
             if not implicit:
                 idx = lattice_index(c1.span.rows + c2.span.rows, n)
                 if not idx:

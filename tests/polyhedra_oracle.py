@@ -34,6 +34,14 @@ verbatim as reference oracles for the tests and not collected by pytest.
 - _meeting_pairs, superforms' all-pairs loop over one list of cells from
   before every loop that intersects pairs read polyhedra._meeting_pairs:
   every two cells in list order, yielded as cells, not indices.
+- _pairs and _cleared, from before every constructor inside the package
+  handed its integer rows to polyhedra._from_rows: _pairs writes canonical
+  rows back as the (a, b) pairs that polyhedron() took, and _cleared is
+  polyhedron()'s memo key of such a system, its rows cleared to integers.
+  The oracles here read _pairs.  cleared_route is _from_rows as that route
+  reached it: the rows written as pairs and memoized under _cleared, with
+  the old polyhedron() body, so a test that swaps it in for _from_rows
+  leaves the memo keys of the old route.
 """
 
 from deltaforms.linalg import (
@@ -41,14 +49,44 @@ from deltaforms.linalg import (
     _identity_lattice,
     _int_rref,
     _unimodular_inverse,
+    clear_denominators,
     complement_lattice,
 )
 from itertools import combinations
 
-from deltaforms.polyhedra import Chart, Complex, _pairs, intersect, polyhedron
+from deltaforms import polyhedra
+from deltaforms.polyhedra import Chart, Complex, intersect, polyhedron
 from deltaforms.scalars import Q, qof, qstr
 from deltaforms.superforms import PLFunction
 from linalg_oracle import _rref_kernel
+
+
+def _pairs(rows):
+    """Canonical integer rows as the (a, b) pairs polyhedron() takes."""
+    return [(r[:-1], r[-1]) for r in rows]
+
+
+def _cleared(n, ineqs, eqs):
+    """polyhedron()'s memo key of a system: n and its rows cleared to integers.
+
+    Canonical keys are (n, eq_rows, ineq_rows), so a tagged 4-tuple cannot
+    collide with one.
+    """
+    return ("polyhedron", n,
+            tuple(tuple(clear_denominators([*a, b])) for a, b in ineqs),
+            tuple(tuple(clear_denominators([*e, f])) for e, f in eqs))
+
+
+def cleared_route(n, ineqs, eqs):
+    """The polyhedron of integer rows, keyed as _pairs + _cleared keyed it."""
+    memo = _cleared(n, _pairs(ineqs), _pairs(eqs))
+    inst = polyhedra._CACHE.get(memo, polyhedra._MISS)
+    if inst is not polyhedra._MISS:
+        return inst
+    canon = polyhedra._canonicalize(n, memo[2], memo[3])
+    inst = None if canon is None else polyhedra._intern(n, *canon)
+    polyhedra._CACHE[memo] = inst
+    return inst
 
 
 def maximal_cells_of(cells):

@@ -65,10 +65,14 @@ def _rows(*rows):
     return [([Q(x) for x in r[:-1]], Q(r[-1])) for r in rows]
 
 
+def cleared(pairs):
+    """Rational (a, b) pairs as the integer rows polyhedron() clears them to."""
+    return [clear_denominators(list(a) + [b]) for a, b in pairs]
+
+
 def canonicalized(n, ineqs, eqs):
     """_canonicalize of rational (a, b) pairs, cleared as polyhedron() clears them."""
-    return _canonicalize(n, [clear_denominators(list(a) + [b]) for a, b in ineqs],
-                         [clear_denominators(list(e) + [f]) for e, f in eqs])
+    return _canonicalize(n, cleared(ineqs), cleared(eqs))
 
 
 def canonical_rows(n, ineqs, eqs):
@@ -160,14 +164,13 @@ def test_a_repeated_input_runs_no_double_description(monkeypatch):
     monkeypatch.setattr(polyhedra, "_homogenized_cone",
                         lambda *args: runs.append(args) or original(*args))
     square = _rows((1, 0, 7), (-1, 0, 0), (0, 1, 7), (0, -1, 0))
-    rows, rhs = [a for a, _ in square], [b for _, b in square]
     for ask in (lambda: polyhedron(2, square),
                 lambda: polyhedron(2, _rows((1, 0, 0), (-1, 0, -7)))):
         first = ask()
         del runs[:]
         again = ask()
         assert again == first and runs == []
-    assert polyhedron(2, square) is not None and implicit_rows(2, rows, rhs, []) == []
+    assert polyhedron(2, square) is not None and implicit_rows(2, cleared(square), []) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,7 +304,7 @@ def test_implicit_rows_agree_with_the_lp_oracle(system):
     n, ineqs, eqs = system
     rows = [a for a, _ in ineqs]
     rhs = [b for _, b in ineqs]
-    got = implicit_rows(n, rows, rhs, eqs)
+    got = implicit_rows(n, cleared(ineqs), cleared(eqs))
     assert (got is None) == (lp_feasible(rows, rhs, eqs).status == "infeasible")
     if got is None:
         return

@@ -18,7 +18,7 @@ from deltaforms.io import (MAX_RATIONAL_DIGITS, DocumentError, deltaform_json,
 from deltaforms.currents import AffineMap
 from deltaforms.intersection import pl_max
 from deltaforms.polyhedra import (WeightedCell, box, polyhedron, ray_from,
-                                  single_point)
+                                  segment, single_point)
 from deltaforms.scalars import qstr
 from deltaforms.superforms import SuperForm, integrate_top
 
@@ -474,6 +474,16 @@ class TestWedge:
             "kind": "parse",
             "message": "right factor dimension does not match the left"}}
 
+    def test_transversal_of_crossing_segments(self, tmp_path, capsys):
+        from deltaforms.intersection import transversal_product
+        S, T = (DeltaForm(2, [(segment(a, b), SuperForm.scalar(1, 1), 1)])
+                for a, b in (([-1, 0], [1, 0]), ([0, -1], [0, 1])))
+        left = write(tmp_path, "s.json", deltaform_json(S))
+        right = write(tmp_path, "t.json", deltaform_json(T))
+        code, out = run(capsys, "transversal", left, right)
+        assert code == 0
+        assert json.loads(out) == deltaform_json(transversal_product(S, T))
+
     def test_unbalanced_factor_rejected(self, tmp_path, capsys):
         good = write(tmp_path, "line.json", deltaform_json(tropical_line()))
         bad = write(tmp_path, "bad.json",
@@ -601,6 +611,46 @@ class TestPairings:
         code, out = run(capsys, "eval", "--window", wpath, tpath, epath)
         assert code == 0
         assert json.loads(out) == {"value": "1/3"}
+
+
+class TestDocumentsThatDoNotFit:
+    """Documents that each parse but do not fit the verb or each other: exit
+    1 with one parse error."""
+
+    @staticmethod
+    def argv(tmp_path, case):
+        line = write(tmp_path, "line.json", deltaform_json(tropical_line()))
+        if case == "which":
+            doc = {"cell": polyhedron_json(box([0], [1])),
+                   "form": superform_json(SuperForm.scalar(1, 1)), "which": "third"}
+            return ["stokes-check", write(tmp_path, "stokes.json", doc)]
+        if case == "vector":
+            return ["wedge", "--method", "displacement", "--vector", "1", line, line]
+        if case == "map target":
+            mpath = write(tmp_path, "m.json", map_json(AffineMap.identity(3)))
+            return ["pullback", "--map", mpath, line]
+        wpath = write(tmp_path, "win.json", polyhedron_json(box([0], [1])))
+        epath = write(tmp_path, "eta.json", superform_json(SuperForm.zero(2)))
+        return ["eval", "--window", wpath, line, epath]
+
+    @pytest.mark.parametrize("case, message", [
+        ("which", '"which" must be "first" or "second"'),
+        ("vector", "displacement vector must have 2 coordinates"),
+        ("map target", "map target dimension does not match the input"),
+        ("window", "window has the wrong ambient dimension"),
+    ])
+    def test_exits_one_with_its_message(self, tmp_path, capsys, case, message):
+        code, out = run(capsys, *self.argv(tmp_path, case))
+        assert code == 1
+        assert json.loads(out) == {"error": {"kind": "parse", "message": message}}
+
+    def test_parallelism_below_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DELTAFORMS_PARALLELISM", "0")
+        path = write(tmp_path, "line.json", deltaform_json(tropical_line()))
+        code, out = run(capsys, "check-balance", path)
+        assert code == 1
+        assert json.loads(out) == {"error": {
+            "kind": "parse", "message": "DELTAFORMS_PARALLELISM must be at least 1"}}
 
 
 class TestSuite:

@@ -334,6 +334,9 @@ class TestPairing:
         # a cell that meets the window only in a point pairs to zero
         ray = DeltaForm(1, [(ray_from([0], [-1]), form_poly(xvar(1, 0)), 1)])
         assert ray.eval_pairing(eta, box([0], [1])) == 0
+        # the zero current, and the negation of T, pair as the sum says
+        assert DeltaForm(1, []).eval_pairing(eta, box([0], [1])) == 0
+        assert (-T).eval_pairing(eta, box([0], [1])) == Q(-1, 3)
 
     def test_point_mass(self):
         T = DeltaForm(2, [(single_point([1, 1]), SuperForm.scalar(0, 5), 1)])

@@ -9,7 +9,10 @@ from intersection_oracle import all_pairs
 from linalg_oracle import coords as lattice_coords
 from linalg_oracle import det, saturate
 from superform_oracle import triangulate
-from deltaforms.currents import DeltaForm, as_piecewise_form
+from deltaforms import currents, polyhedra
+from deltaforms.currents import (AffineMap, DeltaForm, PreconditionError,
+                                 as_piecewise_form, hyperplane_pool, pushforward,
+                                 slice_cell)
 from deltaforms.intersection import pl_max
 from deltaforms.io import dumps_canonical
 from deltaforms.linalg import Lattice, complement_lattice, integer_kernel
@@ -18,6 +21,7 @@ from deltaforms.polyhedra import (
     ComplexError,
     WeightedCell,
     _meeting_pairs,
+    affine_preimage,
     box,
     intersect,
     polyhedron,
@@ -268,6 +272,82 @@ def test_translate():
     t = translate(sq, [Q(1, 2), Q(3)])
     assert t.base_point == (Q(1, 2), Q(3))
     assert translate(t, [Q(-1, 2), Q(-3)]) is sq
+
+
+def seeded_cells(seed, n, count):
+    """Nonempty cells of R^n from rational rows with entries in -3..3, some
+    with a zero column (lineality) or an equality."""
+    rng = random.Random(seed)
+    cells = []
+    while len(cells) < count:
+        dead = rng.randrange(n + 1)
+
+        def row():
+            return ([0 if j == dead else rng.randint(-3, 3) for j in range(n)],
+                    Q(rng.randint(-4, 4), rng.randint(1, 2)))
+
+        cell = polyhedron(n, [row() for _ in range(rng.randint(1, 4))],
+                          [row() for _ in range(rng.random() < 0.2)])
+        if cell is not None:
+            cells.append(cell)
+    return cells
+
+
+def _pushed(f):
+    def op(cells):
+        T = DeltaForm(f.n, [(c, SuperForm.scalar(c.dim, 1), 1) for c in cells])
+        try:
+            return pushforward(f, T)
+        except PreconditionError as e:
+            return e.certificate
+    return op
+
+
+KEYED_OPS = {
+    "intersect": lambda cells: [intersect(a, b) for a in cells for b in cells
+                                if a.n == b.n],
+    "recession_cone": lambda cells: [recession_cone(c) for c in cells],
+    "translate": lambda cells: [translate(c, [Q(k, 2), Q(-1, 3), 2][:c.n])
+                                for k, c in enumerate(cells)],
+    "affine_preimage": lambda cells: [
+        affine_preimage(c, [[Q(1, 2), 1, 0][:c.n], [0, Q(2, 3), 1][:c.n],
+                            [1, 0, 3][:c.n]][:c.n], [Q(1, 3), -1, Q(5, 2)][:c.n], c.n)
+        for c in cells],
+    "slice_cell": lambda cells: [slice_cell(c, hyperplane_pool(cells) + [((1, 1), Q(1, 3))])
+                                 for c in cells if c.n == 2],
+    "pushforward": _pushed(AffineMap([[1, 0], [Q(1, 2), 1], [2, Q(-1, 3)]], [Q(1, 2), 0, 1])),
+    "_not_injective": _pushed(AffineMap([[2, 1]], [Q(1, 3)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_OPS))
+def test_memo_keys_match_the_cleared_route(name, monkeypatch):
+    """Each constructor leaves the memo keys that writing its rows as (a, b)
+    pairs and clearing them left (polyhedra_oracle.cleared_route): so each
+    row it builds is, made primitive, the row polyhedron() built then."""
+    op = KEYED_OPS[name]
+    dims = (2,) if name in ("slice_cell", "pushforward", "_not_injective") else (2, 3)
+
+    def keys_and_result(route):
+        polyhedra._CACHE.clear()
+        cells = [c for n in dims for c in seeded_cells(40 + n, n, 6)]
+        polyhedra._CACHE.clear()
+        with monkeypatch.context() as m:
+            for module in (polyhedra, currents):
+                m.setattr(module, "_from_rows", route)
+            result = op(cells)
+        return {k for k in polyhedra._CACHE if k[0] == "polyhedron"}, result
+
+    new, got = keys_and_result(polyhedra._from_rows)
+    old, want = keys_and_result(polyhedra_oracle.cleared_route)
+    assert new and new == old
+    assert got == want
+
+
+def test_contains_its_boundary():
+    sq = box([0, 0], [1, 1])
+    assert sq.contains([1, 1]) and sq.contains([Q(1, 2), 0])
+    assert not sq.contains([Q(3, 2), 0])
 
 
 def test_recession_cone():

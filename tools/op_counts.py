@@ -9,6 +9,9 @@ with the intern table empty, as in a benchmark pass; then one pass over the ops 
 process started with PYTHONHASHSEED=0 so that set and dict orders, and with
 them the counts, repeat from run to run.  Prints one JSON object: the total
 number of calls in the pass, and the calls of each function in FUNCTIONS.
+polyhedron counts only the calls through the public door, which takes
+rational rows; every cell the package builds from integer rows is a call of
+_from_rows.  Needs no tracer, so it runs on every supported Python.
 """
 
 import argparse
@@ -23,6 +26,8 @@ WORKLOADS = ("wedge-diagonal", "wedge-displacement", "identities")
 # label -> (file name, function name) as cProfile records them
 FUNCTIONS = {
     "polyhedron": ("polyhedra.py", "polyhedron"),
+    "_from_rows": ("polyhedra.py", "_from_rows"),
+    "Polyhedron._holds": ("polyhedra.py", "_holds"),
     "intersect": ("polyhedra.py", "intersect"),
     "product_polyhedron": ("polyhedra.py", "product_polyhedron"),
     "double_description": ("cones.py", "double_description"),
