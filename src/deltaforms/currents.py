@@ -52,7 +52,7 @@ from .polyhedra import (
     translate,
     whole_space,
 )
-from .scalars import Q, QONE, QZERO, qof, qstr
+from .scalars import Q, QONE, QZERO, qnormal, qof, qstr
 from .superforms import (
     PiecewiseForm,
     Poly,
@@ -180,7 +180,7 @@ def normalize_hyperplane(a, b):
         ia = [-x for x in ia]
     if type(a[j]) is int and type(b) is int:
         return tuple(ia), _ratio(b * ia[j], a[j])
-    return tuple(ia), qof(b) * ia[j] / qof(a[j])
+    return tuple(ia), Q(qof(b) * ia[j], qof(a[j]))
 
 
 def hyperplane_pool(cells):
@@ -255,7 +255,7 @@ class DeltaForm:
             if form.n != cell.dim:
                 raise ValueError(
                     "coefficient must be written in the chart coordinates of its cell")
-            w = qof(weight)
+            w = weight if type(weight) is int or weight is QONE else qof(weight)
             f = form if w == 1 else form.scale(w)
             acc[cell] = acc[cell] + f if cell in acc else f
         norm = [(cell, f, QONE) for cell, f in acc.items() if not f.is_zero()]
@@ -283,7 +283,7 @@ class DeltaForm:
         return self.scale(-1)
 
     def scale(self, c):
-        c = qof(c)
+        c = qnormal(c)
         return DeltaForm(self.n, [(cell, form.scale(c), w)
                                   for cell, form, w in self.terms])
 
@@ -445,7 +445,7 @@ def _check_balanced_refined(R):
             for w_row in tau.chart.w_rows:
                 beta = SuperForm.zero(tau.dim)
                 for nv, rest in spokes:
-                    c = vec_dot(w_row, nv)
+                    c = int_dot(w_row, nv)
                     if c:
                         beta = beta + rest.scale(c)
                 residues.append(beta)
@@ -612,7 +612,7 @@ def _boundary_contraction(T, slot, sign):
             ch = tau.chart
             coef = [int_dot(w, primitive_normal(cell, tau)) for w in ch.w_rows]
             nvec = [sum(k * c[i] for k, c in zip(coef, ch.comp)) for i in range(T.n)]
-            beta = amb.contract([Q(x) for x in nvec], slot).restrict(tau.chart)
+            beta = amb.contract(nvec, slot).restrict(tau.chart)
             out.append((tau, beta, sign))
     return DeltaForm(T.n, out)
 
@@ -768,7 +768,7 @@ def pushforward(f, T):
                   for qk in q]
         off = [_ratio(int_dot(qk, diff), lam * delta * eta) for qk in q]
         out.append((nu, form.pullback_affine(m_rows, off, k=len(q)),
-                    idx if D == 1 else Q(idx, D ** len(q))))
+                    _ratio(idx, D ** len(q))))
     return DeltaForm(m, out)
 
 
@@ -800,7 +800,7 @@ def pullback_surjective(f, S):
         index = abs(_bareiss([_int_coords(pre.span.rows, x) for x in lifts + kb])[1])
         e = m - cell.dim
         out.append((pre, transport_form(form, cell, pre, f),
-                    Q(index * lam ** e, dv * D ** e)))
+                    _ratio(index * lam ** e, dv * D ** e)))
     return DeltaForm(n, out)
 
 

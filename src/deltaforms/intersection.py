@@ -28,6 +28,7 @@ from .currents import (
 from .cones import cut, int_dot
 from .linalg import (
     _ivec_primitive as _primitive,
+    _ratio,
     clear_denominators,
     lattice_index,
     rank,
@@ -190,7 +191,7 @@ def _divisor_core(phi, R):
             jump = [a - b for a, b in zip(grads[sigma], base_grad)]
             c = int_dot(jump, primitive_normal(sigma, tau))
             if c:
-                out.append((tau, transport_form(form, sigma, tau), Q(c, den)))
+                out.append((tau, transport_form(form, sigma, tau), _ratio(c, den)))
     return DeltaForm(n, out)
 
 

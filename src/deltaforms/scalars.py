@@ -1,6 +1,11 @@
 """Exact scalars: arbitrary-precision rationals.
 
-Rationals are fractions.Fraction throughout; no floats and no tolerances.
+Rationals are ints and fractions.Fraction; no floats and no tolerances.
+Documents and public scalar results use Fraction (qof).  Superform
+coefficients are kept in a normal form (qnormal): an int when the value is
+integral, and a Fraction only when its denominator is above 1.  The two
+forms of an integer hash and compare equal and qstr writes both as 'p/1',
+so memo keys and output bytes do not depend on which one a value takes.
 Infinitesimal displacements are decided over Q as well, by treating the
 displacement as one more coordinate and reading the verdicts off the
 implicit rows of the lifted polyhedron (see intersection._stable_pairs and
@@ -30,6 +35,16 @@ def qof(x) -> Fraction:
     if isinstance(x, str):
         return Q(x.strip())
     raise TypeError(f"not a rational: {x!r}")
+
+
+def qnormal(x):
+    """x in the coefficient normal form: an int when it is integral, else a
+    Fraction with denominator above 1.  Takes what qof takes."""
+    if type(x) is not int:
+        x = qof(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
 
 
 # Integers of smaller magnitude have fewer digits than the interpreter's

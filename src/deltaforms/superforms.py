@@ -17,10 +17,10 @@ from math import gcd, lcm, prod
 from operator import add
 
 from .cones import int_dot
-from .linalg import _bareiss, vec_dot
+from .linalg import _bareiss, _ratio, vec_dot
 from .polyhedra import (Chart, Complex, WeightedCell, _facet_entry,
                         _meeting_pairs, primitive_normal)
-from .scalars import Q, QONE, QZERO, qof
+from .scalars import Q, QZERO, qnormal, qof
 
 
 # ---------------------------------------------------------------- polynomials
@@ -28,9 +28,10 @@ from .scalars import Q, QONE, QZERO, qof
 def _poly(n, terms):
     """Poly over terms already in normal form, without re-validating them.
 
-    Arithmetic results come here: the exponents are tuples of n ints and no
-    coefficient is zero.  Input from documents and callers goes through
-    Poly(n, terms), which checks both.
+    Arithmetic results come here: the exponents are tuples of n ints and
+    the coefficients are nonzero and in normal form (see _normal).  Input
+    from documents and callers goes through Poly(n, terms), which checks
+    and coerces them.
     """
     p = object.__new__(Poly)
     p.n = n
@@ -48,12 +49,20 @@ def _convolve(a, b):
     return out
 
 
-def _nonzero(terms):
-    return {e: c for e, c in terms.items() if c}
+def _normal(terms):
+    """terms without zeros, an integral Fraction made its int numerator."""
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}
 
 
 class Poly:
-    """Polynomial with rational coefficients in n variables."""
+    """Polynomial with rational coefficients in n variables.
+
+    terms maps exponent tuples to nonzero coefficients in the normal form
+    of scalars.qnormal: an int when the coefficient is integral, else a
+    Fraction.  Sums and products of Fractions can be integral, so every
+    operation that makes one passes its terms through _normal.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -61,33 +70,33 @@ class Poly:
         self.n = n
         clean = {}
         for exps, c in (terms or {}).items():
-            c = qof(c)
+            c = qnormal(c)
             if c != 0:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != n or any(e < 0 for e in exps):
                     raise ValueError("bad exponent tuple")
-                clean[exps] = clean.get(exps, QZERO) + c
-        self.terms = _nonzero(clean)
+                clean[exps] = clean.get(exps, 0) + c
+        self.terms = _normal(clean)
 
     @classmethod
     def const(cls, n, c):
-        c = qof(c)
+        c = qnormal(c)
         return _poly(n, {(0,) * n: c} if c else {})
 
     @classmethod
     def variable(cls, n, i):
         e = [0] * n
         e[i] = 1
-        return _poly(n, {tuple(e): QONE})
+        return _poly(n, {tuple(e): 1})
 
     @classmethod
     def affine(cls, lin, c):
         n = len(lin)
-        terms = {tuple([0] * n): qof(c)}
+        terms = {tuple([0] * n): c}
         for i, a in enumerate(lin):
             e = [0] * n
             e[i] = 1
-            terms[tuple(e)] = qof(a)
+            terms[tuple(e)] = a
         return cls(n, terms)
 
     def is_zero(self):
@@ -95,7 +104,7 @@ class Poly:
 
     def constant_value(self):
         if not self.terms:
-            return QZERO
+            return 0
         if list(self.terms) == [tuple([0] * self.n)]:
             return self.terms[tuple([0] * self.n)]
         raise ValueError("not a constant polynomial")
@@ -109,6 +118,8 @@ class Poly:
                 if not c:
                     del out[e]
                     continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
             out[e] = c
         return _poly(self.n, out)
 
@@ -120,12 +131,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
-            c = qof(other)
+            c = qnormal(other)
             if not c:
                 return _poly(self.n, {})
-            return _poly(self.n, {e: c * v for e, v in self.terms.items()})
+            return _poly(self.n, _normal({e: c * v for e, v in self.terms.items()}))
         other = self._coerce(other)
-        return _poly(self.n, _nonzero(_convolve(self.terms, other.terms)))
+        return _poly(self.n, _normal(_convolve(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -143,7 +154,7 @@ class Poly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        return _poly(self.n, out)
+        return _poly(self.n, _normal(out))
 
     def eval(self, pt):
         pt = [qof(x) for x in pt]
@@ -162,7 +173,8 @@ class Poly:
         Each substitution is an integer affine form over its own denominator,
         so its powers and their products are expanded in ints.  The terms are
         summed over the common denominator of their scales, and each monomial
-        of the result becomes one Fraction at the end.
+        of the result is divided by it once at the end, staying an int where
+        it divides.
         """
         zero = (0,) * k
         monomials = [zero[:j] + (1,) + zero[j + 1:] for j in range(k)] + [zero]
@@ -194,7 +206,7 @@ class Poly:
             scale = num * (common // den)
             for m, v in term.items():
                 out[m] = out[m] + scale * v if m in out else scale * v
-        return _poly(k, {m: Fraction(v, common) for m, v in out.items() if v})
+        return _poly(k, {m: _ratio(v, common) for m, v in out.items() if v})
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -278,7 +290,11 @@ def _shifted(form, k, offset):
 
 
 class SuperForm:
-    """Normal-form sum of poly * d'x_I ∧ d''x_J terms in n variables."""
+    """Normal-form sum of poly * d'x_I ∧ d''x_J terms in n variables.
+
+    terms maps (I, J) to a nonzero Poly, whose coefficients are ints where
+    integral and Fractions elsewhere.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -369,12 +385,11 @@ class SuperForm:
             return other
         if isinstance(other, Poly):
             return SuperForm.from_poly(other)
-        return SuperForm.scalar(self.n, qof(other))
+        return SuperForm.scalar(self.n, other)
 
     def scale(self, c):
-        if isinstance(c, Poly):
-            return _superform(self.n, {k: p * c for k, p in self.terms.items()})
-        c = qof(c)
+        if not isinstance(c, Poly):
+            c = qnormal(c)
         return _superform(self.n, {k: p * c for k, p in self.terms.items()})
 
     def wedge(self, other):
@@ -443,7 +458,7 @@ class SuperForm:
         """Interior product with v' (slot='prime') or v'' (slot='second')."""
         if slot not in ("prime", "second"):
             raise ValueError("slot must be 'prime' or 'second'")
-        vec = [qof(x) for x in vec]
+        vec = [qnormal(x) for x in vec]
         if len(vec) != self.n:
             raise ValueError("vector dimension mismatch")
         out = {}
@@ -476,7 +491,8 @@ class SuperForm:
         k is inferred from lin_rows except when n = 0 leaves no rows.
         Int entries stay ints.  The minors are integer Bareiss determinants
         of lin cleared to one common denominator D, divided by D to the
-        size of the minor, so an integer map keeps int minors throughout.
+        size of the minor, staying ints where it divides, so an integer map
+        keeps int minors throughout.
         """
         n = self.n
         if len(lin_rows) != n or len(shift) != n:
@@ -501,7 +517,7 @@ class SuperForm:
                 pairs = [((), 1)] if not rows else [
                     (cols, _bareiss([[ilin[r][c] for c in cols] for r in rows])[1])
                     for cols in combinations(range(k), len(rows))]
-                minors[rows] = [(cols, d if scale == 1 else Q(d, scale))
+                minors[rows] = [(cols, _ratio(d, scale))
                                 for cols, d in pairs if d]
             return minors[rows]
 
@@ -569,17 +585,18 @@ def _monomial_integral(sigma, e, memo):
     I(tau, e) + sum_i x0_i e_i I(sigma, e - 1_i).  tau runs over the facets,
     (a, b) is the row a.x <= b that sigma keeps for tau, and h_tau =
     (b - a.x0) / g, with g the gcd of a over sigma's span basis, is the
-    lattice distance from x0 to tau, so the Euclidean norms cancel.  x0 is
-    kept in ints where integral, and int_dot(row, .) stops at a's n entries.
-    A point is evaluated.  memo keeps each (face, e), and for each face its
-    facets with h_tau != 0, so each face is visited once per monomial.
+    lattice distance from x0 to tau, so the Euclidean norms cancel.  x0,
+    the heights and the values are kept in ints where integral, and
+    int_dot(row, .) stops at a's n entries.  A point is evaluated.  memo
+    keeps each (face, e), and for each face its facets with h_tau != 0, so
+    each face is visited once per monomial.
     """
     key = (sigma, e)
     val = memo.get(key)
     if val is None:
         x0 = [x.numerator if x.denominator == 1 else x for x in sigma.base_point]
         if not sigma.dim:
-            val = prod(x ** k for x, k in zip(x0, e) if k)
+            val = qnormal(prod(x ** k for x, k in zip(x0, e) if k))
         else:
             heights = memo.get(sigma)
             if heights is None:
@@ -589,13 +606,14 @@ def _monomial_integral(sigma, e, memo):
                     row = _facet_entry(sigma, tau)[0]
                     h = row[-1] - int_dot(row, x0)
                     if h:
-                        heights.append((tau, Q(h, gcd(*(int_dot(row, b) for b in bs)))))
+                        g = gcd(*(int_dot(row, b) for b in bs))
+                        heights.append((tau, _ratio(h.numerator, h.denominator * g)))
             total = sum(h * _monomial_integral(tau, e, memo) for tau, h in heights)
             for i, k in enumerate(e):
                 if k and x0[i]:
                     lower = e[:i] + (k - 1,) + e[i + 1:]
                     total += x0[i] * k * _monomial_integral(sigma, lower, memo)
-            val = Q(total, sigma.dim + sum(e))
+            val = _ratio(total.numerator, total.denominator * (sigma.dim + sum(e)))
         memo[key] = val
     return val
 
@@ -680,7 +698,7 @@ def boundary_integral(alpha: SuperForm, wc: WeightedCell, which: str):
         val = _integrate_top(contracted, WeightedCell(tau, 1), memo)
         if not checked:
             # facet-weight independence: double the facet weight, halve n
-            half = alpha.contract([x / 2 for x in nvec], slot)
+            half = alpha.contract([Q(x, 2) for x in nvec], slot)
             val2 = _integrate_top(half, WeightedCell(tau, 2), memo)
             if val2 != val:
                 raise AssertionError("boundary term depends on the facet weight")

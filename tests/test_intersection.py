@@ -22,7 +22,9 @@ from deltaforms.currents import (
 from deltaforms.intersection import (
     NonGenericError,
     TransversalityError,
+    _deg,
     _stable_scan,
+    _tri_sum,
     corner_locus,
     corner_locus_identity_check,
     displacement_product,
@@ -449,3 +451,19 @@ class TestPropertySuite:
                     "leibniz_exterior", "projection_formula",
                     "pullback_multiplicative", "diagonal_formula"):
             assert key in report
+
+    def test_degree_helpers_on_the_currents_the_corpus_never_builds(self):
+        """_deg and _tri_sum, which the suite reads, on mixed and zero currents."""
+        plane = fundamental_cycle(2)
+        d_form = DeltaForm(2, [(whole_space(2), SuperForm.d_prime_x(2, 0), 1)])
+        assert _deg(plane) == 0 and _deg(d_form) == 1
+        assert _deg(DeltaForm(2, [])) == 0
+        with pytest.raises(ValueError, match="mixed parity"):
+            _deg(plane + d_form)
+        assert _tri_sum(tropical_line()) == (0, 0, 1)
+        assert _tri_sum(DeltaForm(2, [])) is None
+        # (0, 0, 0) and (0, 0, 1): the same parity, two tridegrees
+        mixed = plane + tropical_line()
+        assert _deg(mixed) == 0
+        with pytest.raises(ValueError, match="not trihomogeneous"):
+            _tri_sum(mixed)
